@@ -1,17 +1,24 @@
 """Exact minimum-cover solver for the observability program.
 
 The problem: pick the fewest buses so that every bus is adjacent
-(including self-adjacency) to a picked one. Solved exactly by branch
-and bound over bit masks with classic reductions:
+(including self-adjacency) to a picked one. One exact search answers
+it: `_Engine.exists_cover` decides by branch and bound over bit masks
+whether at most `budget` allowed buses cover the uncovered ones, with
+classic reductions:
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
 * candidate dominance - a bus covering a subset of what another covers
-  never helps (used only where it cannot disturb tie-breaking);
-* greedy upper bound, disjoint-candidate-packing lower bound;
+  never helps a feasibility question;
+* disjoint-candidate-packing lower bound;
 * branching on the uncovered bus with the fewest candidates.
 
-Everything iterates in index order, so results are deterministic.
+`_Engine.covers` builds on it to yield the covers of a given size in
+set-lexicographic order: it scans buses by index and takes a bus
+whenever the buses after it can still complete a cover. The minimum
+count is the smallest feasible budget, the witness is the first cover
+yielded and the enumeration is a prefix of the sequence, so the
+witness is always the first enumerated optimum.
 `brute_force_cover` provides an independent exhaustive oracle.
 """
 
@@ -49,7 +56,6 @@ class PlacementSolution:
 
     x: tuple[int, ...]
     count: int
-    optimal: bool
     nodes: tuple[int, ...]
 
 
@@ -70,11 +76,12 @@ class Optima:
 def _solution(n: int, members: set[int]) -> PlacementSolution:
     nodes = tuple(sorted(i + 1 for i in members))
     x = tuple(1 if i in members else 0 for i in range(n))
-    return PlacementSolution(x=x, count=len(nodes), optimal=True, nodes=nodes)
+    return PlacementSolution(x=x, count=len(nodes), nodes=nodes)
 
 
 class _Engine:
-    """Bitmask machinery shared by the exact solver and the enumerator."""
+    """Bitmask search shared by the count, the witness and the
+    enumeration."""
 
     def __init__(self, bits: np.ndarray):
         self.n = int(bits.shape[0])
@@ -121,21 +128,6 @@ class _Engine:
                     break
         return allowed & ~banned
 
-    def greedy(self, uncovered: int, allowed: int) -> int:
-        count = 0
-        while uncovered:
-            best_j, best_gain = -1, 0
-            for j in self._bits_of(allowed):
-                gain = (self.cols[j] & uncovered).bit_count()
-                if gain > best_gain:
-                    best_j, best_gain = j, gain
-            if best_gain == 0:
-                return _INF
-            count += 1
-            uncovered &= ~self.cols[best_j]
-            allowed &= ~(1 << best_j)
-        return count
-
     def lower_bound(self, uncovered: int, allowed: int) -> int:
         """Uncovered buses with pairwise-disjoint candidate sets each
         need their own pick."""
@@ -160,29 +152,6 @@ class _Engine:
                 best_i, best_k = i, k
         return best_i
 
-    def min_cover(self, uncovered: int, allowed: int, ub: int) -> int:
-        """Exact minimum number of picks; `ub` is a known feasible size."""
-        if uncovered == 0:
-            return 0
-        uncovered = self._reduce_rows(uncovered, allowed)
-        allowed = self._reduce_cols(uncovered, allowed)
-        lb = self.lower_bound(uncovered, allowed)
-        if lb >= _INF or lb >= ub:
-            return _INF if lb >= _INF else ub
-        pivot = self._branch_bus(uncovered, allowed)
-        best = ub
-        cand = self.rows[pivot] & allowed
-        remaining = allowed
-        for j in self._bits_of(cand):
-            remaining &= ~(1 << j)
-            sub = self.min_cover(uncovered & ~self.cols[j],
-                                 remaining, best - 1)
-            if sub + 1 < best:
-                best = sub + 1
-                if best == lb:
-                    break
-        return best
-
     def exists_cover(self, uncovered: int, allowed: int, budget: int) -> bool:
         """Whether some selection of at most `budget` allowed buses
         covers everything."""
@@ -203,47 +172,55 @@ class _Engine:
                 return True
         return False
 
+    def covers(self, k: int):
+        """Yield every cover of exactly `k` buses as a tuple of indices,
+        in set-lexicographic order."""
+
+        def completes(uncovered: int, allowed: int, budget: int) -> bool:
+            # A cover of at most `budget` allowed buses pads to exactly
+            # `budget` when enough allowed buses remain.
+            return (allowed.bit_count() >= budget
+                    and self.exists_cover(uncovered, allowed, budget))
+
+        def extend(chosen: tuple[int, ...], uncovered: int, allowed: int):
+            budget = k - len(chosen)
+            if budget == 0:
+                yield chosen
+                return
+            for i in self._bits_of(allowed):
+                allowed &= ~(1 << i)
+                rest = uncovered & ~self.cols[i]
+                if completes(rest, allowed, budget - 1):
+                    yield from extend(chosen + (i,), rest, allowed)
+                    # Go on past bus i only while covers without it
+                    # remain; when the probe for i fails, they remain
+                    # whenever any cover does, so that case needs none.
+                    if not completes(uncovered, allowed, budget):
+                        return
+
+        yield from extend((), self.full, self.full)
+
 
 def optimal_count(inst: CoverInstance) -> int:
-    """Size of the minimum cover (no witness set)."""
+    """Size of the minimum cover: the smallest budget, counting up from
+    the packing lower bound, for which a cover exists."""
     eng = _Engine(inst.adjacency.bits)
-    ub = eng.greedy(eng.full, eng.full)
-    if ub >= _INF:
-        raise Infeasible("some bus has no covering candidate")
-    best = eng.min_cover(eng.full, eng.full, ub)
-    return min(best, ub)
+    k = eng.lower_bound(eng.full, eng.full)
+    while not eng.exists_cover(eng.full, eng.full, k):
+        k += 1
+    return k
 
 
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
     eng = _Engine(inst.adjacency.bits)
-    k = optimal_count(inst)
-
-    chosen: set[int] = set()
-    uncovered = eng.full
-    allowed = eng.full
-    for i in range(eng.n):
-        if len(chosen) == k:
-            break
-        bit = 1 << i
-        if not allowed & bit:
-            continue
-        rest_allowed = allowed & ~bit
-        budget = k - len(chosen) - 1
-        if rest_allowed.bit_count() >= budget and eng.exists_cover(
-                uncovered & ~eng.cols[i], rest_allowed, budget):
-            chosen.add(i)
-            uncovered &= ~eng.cols[i]
-            allowed = rest_allowed
-        else:
-            allowed = rest_allowed
-
-    # Any min-size extension can be padded to exactly k, so the greedy
-    # scan always fills up; an early exhaustion would be a solver bug.
-    if len(chosen) != k or uncovered:
+    first = next(eng.covers(optimal_count(inst)), None)
+    # A cover of the optimal size always exists; none would be a
+    # solver bug.
+    if first is None:
         raise Infeasible("internal error: optimal witness extraction failed")
-    sol = _solution(eng.n, chosen)
+    sol = _solution(eng.n, set(first))
     _check_feasible(inst, sol)
     return sol
 
@@ -255,37 +232,16 @@ def _check_feasible(inst: CoverInstance, sol: PlacementSolution):
 
 
 def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
-    """All optimal covers, set-lexicographically ordered, up to `cap`."""
+    """All optimal covers, set-lexicographically ordered, up to `cap`;
+    `truncated` says that more exist."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     eng = _Engine(inst.adjacency.bits)
-    k = optimal_count(inst)
-    found: list[PlacementSolution] = []
-    truncated = False
-
-    def rec(start: int, chosen: list[int], uncovered: int) -> bool:
-        if len(found) >= cap:
-            return False
-        if uncovered == 0 and len(chosen) == k:
-            found.append(_solution(eng.n, set(chosen)))
-            return len(found) < cap
-        if len(chosen) >= k or start >= eng.n:
-            return True
-        allowed = eng.full ^ ((1 << start) - 1)
-        if eng.lower_bound(uncovered, allowed) > k - len(chosen):
-            return True
-        bit = 1 << start
-        chosen.append(start)
-        if not rec(start + 1, chosen, uncovered & ~eng.cols[start]):
-            chosen.pop()
-            return False
-        chosen.pop()
-        return rec(start + 1, chosen, uncovered)
-
-    complete = rec(0, [], eng.full)
-    if not complete:
-        truncated = True
-    return Optima(solutions=tuple(found), truncated=truncated)
+    covers = eng.covers(optimal_count(inst))
+    found = tuple(_solution(eng.n, set(c))
+                  for c in itertools.islice(covers, cap))
+    return Optima(solutions=found,
+                  truncated=next(covers, None) is not None)
 
 
 def brute_force_cover(inst: CoverInstance, k_max: int) -> PlacementSolution:

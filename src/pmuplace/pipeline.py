@@ -176,16 +176,14 @@ def run(config: RunConfig) -> RunResult:
 
 
 def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
-    """CSV dump with external bus ids as header and row labels."""
+    """CSV dump with external bus ids as header and row labels. Cells
+    are Python number reprs (complex ones as `re+imj`), which parse back
+    to the exact matrix."""
     ids = [str(case.external_id(i + 1)) for i in range(case.n)]
     lines = ["bus," + ",".join(ids)]
-    for i, row in enumerate(np.asarray(matrix)):
-        cells = []
-        for v in row:
-            if isinstance(v, complex) or np.iscomplexobj(matrix):
-                cells.append(f"{v.real!r}{v.imag:+}j".replace("+-", "-"))
-            else:
-                cells.append(repr(v.item() if hasattr(v, "item") else v))
+    for i, row in enumerate(np.asarray(matrix).tolist()):
+        cells = [f"{v.real!r}{v.imag:+}j" if isinstance(v, complex)
+                 else repr(v) for v in row]
         lines.append(f"{ids[i]}," + ",".join(cells))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

@@ -183,8 +183,3 @@ def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
 
     return written
 
-
-def summary_row(art: RunArtifacts) -> str:
-    """One table-style line: case, bus count, structure, monitor count."""
-    return (f"{art.case.name},{art.case.n},{art.structure},"
-            f"{art.jacobian_mode or ''},{art.solution.count}")

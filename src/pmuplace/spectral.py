@@ -83,18 +83,20 @@ def compute_svd(matrix: np.ndarray, source: str) -> SingularDecomposition:
 
 
 def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
-    """Top `p` singular vectors by the scaled-column magnitude
-    ||sigma_n u_n||, strongest first, ties to the smaller index.
+    """Top `p` singular vectors, strongest first: by singular value,
+    ties to the smaller index. Each comes with its scaled-column
+    magnitude ||sigma_n u_n||.
 
     Unit-norm columns make the magnitude equal the singular value; the
-    equality is asserted rather than assumed.
+    equality is asserted rather than assumed. Ranking by the singular
+    value keeps the rounding of ||u_n|| from reordering equal ones.
     """
     if not 1 <= p <= d.n:
         raise ValueError(f"budget {p} outside 1..{d.n}")
     magnitudes = d.sigma * np.linalg.norm(d.u, axis=0)
     if not np.allclose(magnitudes, d.sigma, rtol=1e-10, atol=1e-12):
         raise AssertionError("singular-vector columns are not unit norm")
-    order = np.argsort(-magnitudes, kind="stable")
+    order = np.argsort(-d.sigma, kind="stable")
     return [(int(n) + 1, float(magnitudes[n])) for n in order[:p]]
 
 

@@ -5,6 +5,7 @@ import shutil
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pmuplace as pp
@@ -129,8 +130,19 @@ class TestOutputs:
         e_lines = (tmp_path / "e.csv").read_text().splitlines()
         assert e_lines[0] == "bus,1,2,3,4,5,6,7,8,9"
         assert len(e_lines) == 10
-        assert (tmp_path / "y.csv").exists()
-        assert (tmp_path / "b.csv").exists()
+        # every dump parses back to the exact matrix the run used
+        case = pp.load_case(DATA / "ieee9.txt")
+        ybus = pp.build_ybus(case)
+        g = pp.p_theta_jacobian(case, pp.flat_point(case), ybus=ybus)
+        dist = pp.resistance_matrix(g, case.slack_index)
+        bits = pp.electrical_adjacency(dist, case.m).bits
+        for name, number, exact in (("y.csv", complex, ybus),
+                                    ("e.csv", float, dist.e),
+                                    ("b.csv", int, bits)):
+            lines = (tmp_path / name).read_text().splitlines()
+            parsed = np.array([[number(c) for c in line.split(",")[1:]]
+                               for line in lines[1:]])
+            assert np.array_equal(parsed, exact), name
 
     def test_enumerate_listing(self, capsys, tmp_path):
         code = run_cli("--case", str(DATA / "ieee9.txt"),

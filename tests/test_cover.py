@@ -1,16 +1,22 @@
-"""Exact cover solver tests, checked against the exhaustive oracle."""
+"""Exact cover solver tests against independent oracles: exhaustive
+search (`brute_force_cover` for the witness, every k-subset from
+`itertools.combinations` for the full list of optima) on small
+instances, and an integer program solved by `scipy.optimize.milp` for
+the count on every bundled system."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pmuplace as pp
 from pmuplace.errors import AsymmetryWarning, NoSolutionWithinK
 from pmuplace.network import BinaryAdjacency
-from conftest import random_connected_adjacency
+from conftest import BUNDLED, random_connected_adjacency
 
 
 def inst_from_bits(bits):
@@ -23,12 +29,37 @@ def feasible(inst, sol):
     return bool(np.all(cover >= 1))
 
 
+def milp_count(inst):
+    """Minimum cover size as the integer program of Gou (IEEE Trans.
+    Power Syst. 23(3), 2008): minimise sum(x) subject to A x >= 1 with
+    x binary."""
+    n = inst.n
+    res = milp(np.ones(n), integrality=np.ones(n), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(
+                   np.asarray(inst.adjacency.bits, dtype=float), lb=1))
+    assert res.success
+    return round(res.fun)
+
+
+def all_optima(bits):
+    """Every minimum covering subset (1-based), lexicographically."""
+    covers = np.asarray(bits, dtype=bool)
+    n = covers.shape[0]
+    for k in range(1, n + 1):
+        found = [tuple(i + 1 for i in combo)
+                 for combo in itertools.combinations(range(n), k)
+                 if covers[:, combo].any(axis=1).all()]
+        if found:
+            return found
+    return []
+
+
 @pytest.fixture(scope="module")
 def electrical_insts(cases):
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymmetryWarning)
-        for name in ("ieee9", "ieee14"):
+        for name in BUNDLED:
             case = cases[name]
             g = pp.p_theta_jacobian(case, pp.solve_power_flow(case))
             dist = pp.resistance_matrix(g, case.slack_index)
@@ -42,7 +73,6 @@ class TestSolveCover:
         sol = pp.solve_cover(inst_from_bits(np.ones((3, 3), dtype=np.int8)))
         assert sol.count == 1
         assert sol.nodes == (1,)
-        assert sol.optimal
 
     def test_identity_needs_everyone(self):
         sol = pp.solve_cover(inst_from_bits(np.eye(4, dtype=np.int8)))
@@ -97,6 +127,23 @@ class TestOracleEquivalence:
         assert feasible(inst, exact)
         # the witness sets agree too: both are lexicographically first
         assert exact.nodes == brute.nodes
+
+
+class TestIlpOracle:
+    @pytest.mark.parametrize("structure", ["topological", "electrical"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_count_matches_ilp(self, cases, electrical_insts, name,
+                               structure):
+        if structure == "electrical":
+            inst = electrical_insts[name]
+        else:
+            inst = pp.CoverInstance(
+                adjacency=pp.topological_adjacency(cases[name]))
+        want = milp_count(inst)
+        assert pp.optimal_count(inst) == want
+        sol = pp.solve_cover(inst)
+        assert sol.count == want
+        assert feasible(inst, sol)
 
 
 class TestEnumerateOptima:
@@ -177,3 +224,14 @@ def test_adding_coverage_never_hurts(seed, n):
         richer[i, j] = richer[j, i] = 1
         after = pp.solve_cover(inst_from_bits(richer)).count
         assert after <= before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 10), st.integers(0, 12))
+def test_enumeration_lists_every_optimum_in_order(seed, n, cap):
+    rng = np.random.default_rng(seed)
+    bits = random_connected_adjacency(rng, n)
+    want = all_optima(bits)
+    optima = pp.enumerate_optima(inst_from_bits(bits), cap)
+    assert [s.nodes for s in optima] == want[:cap]
+    assert optima.truncated == (len(want) > cap)

@@ -64,6 +64,13 @@ class TestRankVectors:
         ranked = pp.rank_vectors(d, 2)
         assert [n for n, _ in ranked] == [1, 2]
 
+    def test_equal_sigma_ignores_norm_rounding(self):
+        # ||u_2|| rounds one ulp above ||u_1||; the singular values tie
+        u = np.diag([1.0, 1.0 + 2.0 ** -52])
+        d = pp.SingularDecomposition(
+            u=u, sigma=np.array([1.0, 1.0]), v=u, source=DISTANCE)
+        assert [n for n, _ in pp.rank_vectors(d, 2)] == [1, 2]
+
     def test_full_budget_keeps_sigma_order(self, nine_bus_distance):
         d = pp.compute_svd(nine_bus_distance, DISTANCE)
         ranked = pp.rank_vectors(d, d.n)
