@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -485,17 +485,10 @@ def load_case(path: str | Path) -> PowerCase:
             parts.append(f"[{section}]\n" + member.read_text())
         case = parse_csv_fallback("\n".join(parts))
         if case.name == "case":
-            case = _rename(case, path.name)
+            case = replace(case, name=path.name)
         return case
     text = path.read_text()
     return parse_cdf(text, name=path.stem)
-
-
-def _rename(case: PowerCase, name: str) -> PowerCase:
-    return PowerCase(name=name, mva_base=case.mva_base, buses=case.buses,
-                     branches=case.branches,
-                     source_checksum=case.source_checksum,
-                     external_ids=case.external_ids)
 
 
 def bundled_case_names() -> list[str]:

@@ -3,29 +3,44 @@
 The problem: pick the fewest buses so that every bus is adjacent
 (including self-adjacency) to a picked one. One exact search answers
 it: `_Engine.exists_cover` decides by branch and bound over bit masks
-whether at most `budget` allowed buses cover the uncovered ones, with
-classic reductions:
+whether at most `budget` allowed buses cover the uncovered ones. At
+each node it applies
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
 * candidate dominance - a bus covering a subset of what another covers
   never helps a feasibility question;
-* disjoint-candidate-packing lower bound;
-* branching on the uncovered bus with the fewest candidates.
+
+both local: only a bus sharing the lowest candidate of a bus, or a
+candidate covering the lowest bus of a candidate, can dominate it, so
+only those pairs are compared. The uncovered buses left then split
+into components, groups linked by shared allowed candidates. Groups
+with disjoint candidates are independent, so the node is feasible
+exactly when the group minima sum to at most `budget`; each group's
+minimum is found by raising its budget from its packing bound while
+the shared slack lasts. A single group is decided by the
+disjoint-candidate-packing lower bound and by branching on the bus
+with the fewest candidates. Every decision is memoised per
+`(uncovered, allowed)` as the largest budget proven infeasible and
+the smallest proven feasible, so a later probe of the same residual
+group, as the witness scan makes again and again, costs one lookup.
 
 `_Engine.covers` builds on it to yield the covers of a given size in
 set-lexicographic order: it scans buses by index and takes a bus
 whenever the buses after it can still complete a cover. The minimum
 count is the smallest feasible budget, the witness is the first cover
 yielded and the enumeration is a prefix of the sequence, so the
-witness is always the first enumerated optimum.
-`brute_force_cover` provides an independent exhaustive oracle.
+witness is always the first enumerated optimum. Each `CoverInstance`
+holds one engine, so the count, the witness and the enumeration share
+its memo. `brute_force_cover` provides an independent exhaustive
+oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +63,12 @@ class CoverInstance:
         if not np.all(np.diag(bits) == 1):
             raise ValueError("cover instance needs a unit diagonal "
                              "(every bus must be able to cover itself)")
+
+    @cached_property
+    def _engine(self) -> _Engine:
+        """One search engine per instance, so the count, the witness
+        and the enumeration share its memo."""
+        return _Engine(self.adjacency.bits)
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,9 @@ class _Engine:
         self.cols = [sum(1 << int(i) for i in np.nonzero(b[:, j])[0])
                      for j in range(self.n)]
         self.full = (1 << self.n) - 1
+        # (uncovered, allowed) -> (lo, hi): budgets below lo are proven
+        # infeasible, budgets from hi on feasible.
+        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     @staticmethod
     def _bits_of(mask: int):
@@ -102,31 +126,65 @@ class _Engine:
 
     def _reduce_rows(self, uncovered: int, allowed: int) -> int:
         """Drop constraints implied by another constraint."""
-        live = [(i, self.rows[i] & allowed) for i in self._bits_of(uncovered)]
+        rows, cols = self.rows, self.cols
         dropped = 0
-        for i, cand_i in live:
-            for j, cand_j in live:
-                if i == j or (dropped >> j) & 1:
-                    continue
+        for i in self._bits_of(uncovered):
+            cand_i = rows[i] & allowed
+            if not cand_i:
+                continue
+            # Only a bus that shares i's lowest candidate can have a
+            # candidate set containing i's.
+            low = (cand_i & -cand_i).bit_length() - 1
+            for j in self._bits_of(cols[low] & uncovered & ~dropped
+                                   & ~(1 << i)):
+                cand_j = rows[j] & allowed
                 # candidates of i inside candidates of j: covering i
                 # automatically covers j
-                if cand_i and cand_i | cand_j == cand_j and (
-                        cand_i != cand_j or i < j):
+                if cand_i | cand_j == cand_j and (cand_i != cand_j or i < j):
                     dropped |= 1 << j
         return uncovered & ~dropped
 
     def _reduce_cols(self, uncovered: int, allowed: int) -> int:
         """Drop candidates dominated by another candidate."""
-        live = [(j, self.cols[j] & uncovered) for j in self._bits_of(allowed)]
+        rows, cols = self.rows, self.cols
         banned = 0
-        for j, cov_j in live:
-            for k, cov_k in live:
-                if j == k or (banned >> k) & 1:
-                    continue
+        for j in self._bits_of(allowed):
+            cov_j = cols[j] & uncovered
+            # Only a candidate covering j's lowest bus can cover a
+            # superset of j's buses; any candidate dominates one that
+            # covers nothing.
+            rivals = (rows[(cov_j & -cov_j).bit_length() - 1] & allowed
+                      if cov_j else allowed)
+            for k in self._bits_of(rivals & ~banned & ~(1 << j)):
+                cov_k = cols[k] & uncovered
                 if cov_j | cov_k == cov_k and (cov_j != cov_k or k < j):
                     banned |= 1 << j
                     break
         return allowed & ~banned
+
+    def _components(self, uncovered: int, allowed: int):
+        """Split the uncovered buses into groups linked by shared
+        allowed candidates, as (buses, candidates) mask pairs in order
+        of their lowest bus."""
+        groups = []
+        rest = uncovered
+        while rest:
+            group = frontier = rest & -rest
+            cand = 0
+            while frontier:
+                new_cand = 0
+                for i in self._bits_of(frontier):
+                    new_cand |= self.rows[i]
+                new_cand &= allowed & ~cand
+                cand |= new_cand
+                reached = 0
+                for j in self._bits_of(new_cand):
+                    reached |= self.cols[j]
+                frontier = reached & rest & ~group
+                group |= frontier
+            groups.append((group, cand))
+            rest &= ~group
+        return groups
 
     def lower_bound(self, uncovered: int, allowed: int) -> int:
         """Uncovered buses with pairwise-disjoint candidate sets each
@@ -159,8 +217,38 @@ class _Engine:
             return True
         if budget <= 0:
             return False
+        key = (uncovered, allowed)
+        lo, hi = self.memo.get(key, (0, _INF))
+        if budget >= hi:
+            return True
+        if budget < lo:
+            return False
+        found = self._search(uncovered, allowed, budget)
+        self.memo[key] = (lo, budget) if found else (budget + 1, hi)
+        return found
+
+    def _search(self, uncovered: int, allowed: int, budget: int) -> bool:
+        """`exists_cover` without the memo: reduce, split into
+        components, then bound and branch."""
         uncovered = self._reduce_rows(uncovered, allowed)
         allowed = self._reduce_cols(uncovered, allowed)
+        groups = self._components(uncovered, allowed)
+        if len(groups) > 1:
+            # Groups share no candidate, so the minimum is the sum of
+            # the group minima: raise each group's budget from its
+            # packing bound while the shared slack lasts.
+            bounds = [self.lower_bound(u, a) for u, a in groups]
+            slack = budget - sum(bounds)
+            if slack < 0:
+                return False
+            for (u, a), need in zip(groups, bounds):
+                while not self.exists_cover(u, a, need):
+                    need += 1
+                    slack -= 1
+                    if slack < 0:
+                        return False
+            return True
+        uncovered, allowed = groups[0]
         if self.lower_bound(uncovered, allowed) > budget:
             return False
         pivot = self._branch_bus(uncovered, allowed)
@@ -204,7 +292,7 @@ class _Engine:
 def optimal_count(inst: CoverInstance) -> int:
     """Size of the minimum cover: the smallest budget, counting up from
     the packing lower bound, for which a cover exists."""
-    eng = _Engine(inst.adjacency.bits)
+    eng = inst._engine
     k = eng.lower_bound(eng.full, eng.full)
     while not eng.exists_cover(eng.full, eng.full, k):
         k += 1
@@ -214,7 +302,7 @@ def optimal_count(inst: CoverInstance) -> int:
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
-    eng = _Engine(inst.adjacency.bits)
+    eng = inst._engine
     first = next(eng.covers(optimal_count(inst)), None)
     # A cover of the optimal size always exists; none would be a
     # solver bug.
@@ -236,7 +324,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
     `truncated` says that more exist."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    eng = _Engine(inst.adjacency.bits)
+    eng = inst._engine
     covers = eng.covers(optimal_count(inst))
     found = tuple(_solution(eng.n, set(c))
                   for c in itertools.islice(covers, cap))

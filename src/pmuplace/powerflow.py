@@ -52,7 +52,8 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
 
     PV buses hold their file voltage magnitude, the slack holds both
     magnitude and a zero angle. Raises `NonConvergence` if the mismatch
-    inf-norm is still above `tol` after `max_iter` Newton steps.
+    inf-norm is still above `tol` after `max_iter` Newton steps, becomes
+    non-finite, or meets a singular Newton Jacobian.
     """
     if ybus is None:
         ybus = build_ybus(case)
@@ -79,20 +80,27 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
         return np.concatenate([p_sched[ang_idx] - p[ang_idx],
                                q_sched[pq] - q[pq]])
 
-    mis = mismatch(v_mag, v_ang)
-    norm = float(np.abs(mis).max()) if mis.size else 0.0
     iterations = 0
-    while norm > tol:
+    while True:
+        mis = mismatch(v_mag, v_ang)
+        norm = float(np.abs(mis).max()) if mis.size else 0.0
+        # A NaN mismatch compares false against any tolerance, so test
+        # for finiteness before convergence.
+        if not np.isfinite(norm):
+            raise NonConvergence(iterations, norm)
+        if norm <= tol:
+            break
         if iterations >= max_iter:
             raise NonConvergence(iterations, norm)
         jac = _newton_jacobian(g, b, v_mag, v_ang, ang_idx, pq)
-        step = np.linalg.solve(jac, mis)
+        try:
+            step = np.linalg.solve(jac, mis)
+        except np.linalg.LinAlgError:
+            raise NonConvergence(iterations, norm) from None
         v_ang = v_ang.copy()
         v_mag = v_mag.copy()
         v_ang[ang_idx] += step[:n_ang]
         v_mag[pq] += step[n_ang:]
-        mis = mismatch(v_mag, v_ang)
-        norm = float(np.abs(mis).max())
         iterations += 1
 
     return OperatingPoint(v_mag=v_mag, v_ang=v_ang, converged=True,

@@ -47,6 +47,24 @@ from,to,r,x,b,tap,shift_deg
 1,3,0.0,1.0,0.0,1.0,0.0
 """
 
+# At the flat start the PQ bus's reactive mismatch does not move with
+# its voltage (shunt b = 1/(2x)), so the first Newton Jacobian is
+# exactly singular.
+SINGULAR_JACOBIAN_CSV = """\
+[case]
+name = singular
+mva_base = 100.0
+
+[buses]
+id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs
+1,slack,1.0,0.0,0,0,0,0,0,0
+2,PQ,1.0,0.0,0,0,0,0,0,1.0
+
+[branches]
+from,to,r,x,b,tap,shift_deg
+1,2,0.0,0.5,0.0,1.0,0.0
+"""
+
 
 @pytest.fixture(scope="session")
 def cases():

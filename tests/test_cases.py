@@ -222,3 +222,21 @@ def test_load_case_directory(tmp_path, ieee9):
     case = pp.load_case(d)
     assert case.buses == ieee9.buses
     assert case.branches == ieee9.branches
+
+
+def test_unnamed_bundle_takes_directory_name(tmp_path, ieee9):
+    text = pp.dumps_csv_fallback(ieee9)
+    case_meta, buses, branches = (part.split("\n", 1)[1].strip() + "\n"
+                                  for part in text.split("\n\n"))
+    d = tmp_path / "unnamed9"
+    d.mkdir()
+    (d / "case.toml").write_text(
+        "".join(line + "\n" for line in case_meta.splitlines()
+                if not line.startswith("name")))
+    (d / "buses.csv").write_text(buses)
+    (d / "branches.csv").write_text(branches)
+    case = pp.load_case(d)
+    named = pp.parse_csv_fallback(text)
+    assert case.name == "unnamed9"
+    assert (case.mva_base, case.buses, case.branches, case.external_ids) == \
+        (named.mva_base, named.buses, named.branches, named.external_ids)

@@ -11,7 +11,7 @@ import pytest
 import pmuplace as pp
 from pmuplace import cli, pipeline
 from pmuplace.errors import AsymmetryWarning
-from conftest import TWO_SLACK_CDF
+from conftest import SINGULAR_JACOBIAN_CSV, TWO_SLACK_CDF
 
 DATA = Path(pp.__file__).parent / "data"
 
@@ -56,6 +56,20 @@ class TestExitCodes:
     def test_nonconvergence_exit(self, tmp_path):
         code = run_cli("--case", str(DATA / "ieee14.txt"),
                        "--structure", "electrical", "--pf-max-iter", "0")
+        assert code == 7
+
+    @pytest.mark.parametrize("x", ["0.5", "nan"],
+                             ids=["singular-jacobian", "nan-reactance"])
+    def test_power_flow_failure_exit(self, tmp_path, x):
+        text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,", f"1,2,0.0,{x},")
+        sections = text.split("\n\n")
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        for fname, section in zip(("case.toml", "buses.csv", "branches.csv"),
+                                  sections):
+            body = section.split("\n", 1)[1]
+            (bundle / fname).write_text(body.rstrip("\n") + "\n")
+        code = run_cli("--case", str(bundle), "--structure", "electrical")
         assert code == 7
 
     def test_usage_error(self):

@@ -2,7 +2,9 @@
 search (`brute_force_cover` for the witness, every k-subset from
 `itertools.combinations` for the full list of optima) on small
 instances, and an integer program solved by `scipy.optimize.milp` for
-the count on every bundled system."""
+the count on every bundled system. The search's dominance reductions
+are checked against the plain all-pairs versions kept here, and its
+memo against a fresh engine."""
 
 import itertools
 import warnings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pmuplace as pp
+from pmuplace.cover import _Engine
 from pmuplace.errors import AsymmetryWarning, NoSolutionWithinK
 from pmuplace.network import BinaryAdjacency
 from conftest import BUNDLED, random_connected_adjacency
@@ -52,6 +55,38 @@ def all_optima(bits):
         if found:
             return found
     return []
+
+
+def quadratic_reduce_rows(eng, uncovered, allowed):
+    """Constraint dominance comparing every live pair."""
+    live = [(i, eng.rows[i] & allowed) for i in eng._bits_of(uncovered)]
+    dropped = 0
+    for i, cand_i in live:
+        for j, cand_j in live:
+            if i == j or (dropped >> j) & 1:
+                continue
+            if cand_i and cand_i | cand_j == cand_j and (
+                    cand_i != cand_j or i < j):
+                dropped |= 1 << j
+    return uncovered & ~dropped
+
+
+def quadratic_reduce_cols(eng, uncovered, allowed):
+    """Candidate dominance comparing every live pair."""
+    live = [(j, eng.cols[j] & uncovered) for j in eng._bits_of(allowed)]
+    banned = 0
+    for j, cov_j in live:
+        for k, cov_k in live:
+            if j == k or (banned >> k) & 1:
+                continue
+            if cov_j | cov_k == cov_k and (cov_j != cov_k or k < j):
+                banned |= 1 << j
+                break
+    return allowed & ~banned
+
+
+def random_mask(rng, n, density):
+    return sum(1 << i for i in range(n) if rng.random() < density)
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +270,88 @@ def test_enumeration_lists_every_optimum_in_order(seed, n, cap):
     optima = pp.enumerate_optima(inst_from_bits(bits), cap)
     assert [s.nodes for s in optima] == want[:cap]
     assert optima.truncated == (len(want) > cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.integers(1, 6), min_size=2, max_size=3).filter(
+           lambda sizes: sum(sizes) <= 12),
+       st.integers(0, 40))
+def test_disjoint_union_splits_into_components(seed, sizes, cap):
+    rng = np.random.default_rng(seed)
+    parts = [random_connected_adjacency(rng, n) for n in sizes]
+    n = sum(sizes)
+    bits = np.zeros((n, n), dtype=np.int8)
+    at = 0
+    for part in parts:
+        bits[at:at + part.shape[0], at:at + part.shape[0]] = part
+        at += part.shape[0]
+    inst = inst_from_bits(bits)
+    count = pp.optimal_count(inst)
+    assert count == pp.brute_force_cover(inst, n).count
+    assert count == sum(pp.optimal_count(inst_from_bits(p)) for p in parts)
+    want = all_optima(bits)
+    optima = pp.enumerate_optima(inst, cap)
+    assert [s.nodes for s in optima] == want[:cap]
+    assert optima.truncated == (len(want) > cap)
+
+
+class TestLocalDominance:
+    """The reductions test only the pairs that can dominate; they must
+    give the masks of the all-pairs versions."""
+
+    def check(self, eng, uncovered, allowed):
+        assert eng._reduce_rows(uncovered, allowed) == \
+            quadratic_reduce_rows(eng, uncovered, allowed)
+        assert eng._reduce_cols(uncovered, allowed) == \
+            quadratic_reduce_cols(eng, uncovered, allowed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14))
+    def test_random_graphs(self, seed, n):
+        rng = np.random.default_rng(seed)
+        eng = _Engine(random_connected_adjacency(rng, n))
+        for _ in range(10):
+            self.check(eng, random_mask(rng, n, rng.random()),
+                       random_mask(rng, n, rng.random()))
+        self.check(eng, eng.full, eng.full)
+
+    @pytest.mark.parametrize("structure", ["topological", "electrical"])
+    def test_ieee118(self, cases, electrical_insts, structure):
+        if structure == "electrical":
+            bits = electrical_insts["ieee118"].adjacency.bits
+        else:
+            bits = pp.topological_adjacency(cases["ieee118"]).bits
+        eng = _Engine(bits)
+        rng = np.random.default_rng(118)
+        self.check(eng, eng.full, eng.full)
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(5):
+                self.check(eng, random_mask(rng, eng.n, density),
+                           random_mask(rng, eng.n, density))
+
+
+class TestMemo:
+    @pytest.mark.parametrize("structure", ["topological", "electrical"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_warmed_engine_agrees_with_fresh(self, cases, electrical_insts,
+                                             name, structure):
+        if structure == "electrical":
+            inst = electrical_insts[name]
+        else:
+            inst = pp.CoverInstance(
+                adjacency=pp.topological_adjacency(cases[name]))
+        pp.enumerate_optima(inst, 10)
+        warmed = inst._engine
+        assert warmed.memo
+        full = warmed.full
+        for budget in range(inst.n + 1):
+            fresh = _Engine(inst.adjacency.bits)
+            assert warmed.exists_cover(full, full, budget) == \
+                fresh.exists_cover(full, full, budget), budget
+
+    def test_one_engine_per_instance(self, cases):
+        inst = pp.CoverInstance(
+            adjacency=pp.topological_adjacency(cases["ieee14"]))
+        assert inst._engine is inst._engine
+        assert inst == pp.CoverInstance(adjacency=inst.adjacency)

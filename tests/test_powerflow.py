@@ -6,6 +6,8 @@ injection arithmetic, so it shares no code path with the Newton
 implementation under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import root
@@ -14,6 +16,7 @@ import pmuplace as pp
 from pmuplace.cases import PQ, PV, SLACK
 from pmuplace.errors import NonConvergence
 from pmuplace.powerflow import flat_point
+from conftest import SINGULAR_JACOBIAN_CSV
 
 
 def _complex_injections(case, v_mag, v_ang):
@@ -86,6 +89,23 @@ class TestSolvePowerFlow:
         with pytest.raises(NonConvergence) as exc:
             pp.solve_power_flow(ieee14, max_iter=0)
         assert exc.value.iterations == 0
+
+    def test_nan_mismatch_raises(self, ieee14):
+        # NaN compares false against the tolerance; it must not read as
+        # converged
+        branches = list(ieee14.branches)
+        branches[3] = replace(branches[3], x=float("nan"))
+        with pytest.raises(NonConvergence) as exc:
+            pp.solve_power_flow(replace(ieee14, branches=tuple(branches)))
+        assert exc.value.iterations == 0
+        assert np.isnan(exc.value.mismatch)
+
+    def test_singular_jacobian_raises(self):
+        case = pp.parse_csv_fallback(SINGULAR_JACOBIAN_CSV)
+        with pytest.raises(NonConvergence) as exc:
+            pp.solve_power_flow(case)
+        assert exc.value.iterations == 0
+        assert exc.value.mismatch == 1.0
 
     def test_deterministic_bit_identical(self, ieee14):
         op1 = pp.solve_power_flow(ieee14)
