@@ -186,7 +186,16 @@ def _slice(line: str, start: int, end: int) -> str:
     return line[start:end].strip()
 
 
-def _num(line: str, start: int, end: int, line_no: int, kind=float):
+def _finite(text: str) -> float:
+    """`float` that also rejects nan and inf, which no case quantity
+    may take."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _num(line: str, start: int, end: int, line_no: int, kind=_finite):
     text = _slice(line, start, end)
     if not text:
         return kind(0)
@@ -194,7 +203,7 @@ def _num(line: str, start: int, end: int, line_no: int, kind=float):
         return kind(text)
     except ValueError as exc:
         raise MalformedRecord(line_no, f"columns {start + 1}-{end}: "
-                              f"{text!r} is not a number") from exc
+                              f"{text!r} is not a finite number") from exc
 
 
 _CDF_TYPE_MAP = {0: PQ, 1: PQ, 2: PV, 3: SLACK}
@@ -357,17 +366,20 @@ def parse_csv_fallback(text: str) -> PowerCase:
             raise MissingSection(f"CSV bundle is missing the {required} table")
 
     meta = {}
+    meta_line = {}
     for line_no, line in sections["case"]:
         if "=" not in line:
             raise MalformedRecord(line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         meta[key.strip()] = value.strip().strip('"')
+        meta_line[key.strip()] = line_no
     name = meta.get("name", "case")
     try:
-        mva_base = float(meta.get("mva_base", "100"))
+        mva_base = _finite(meta.get("mva_base", "100"))
     except ValueError as exc:
-        raise MalformedRecord(0, f"mva_base {meta['mva_base']!r} is not "
-                              "a number") from exc
+        raise MalformedRecord(meta_line["mva_base"],
+                              f"mva_base {meta['mva_base']!r} is not "
+                              "a finite number") from exc
 
     def parse_table(rows, header, n_cols):
         line_no, head = rows[0]
@@ -391,7 +403,7 @@ def parse_csv_fallback(text: str) -> PowerCase:
         try:
             ext = int(cells[0])
             bus_type = _CSV_TYPE_MAP[cells[1]]
-            nums = [float(c) for c in cells[2:]]
+            nums = [_finite(c) for c in cells[2:]]
         except (ValueError, KeyError) as exc:
             raise MalformedRecord(line_no, f"bad bus record {cells}") from exc
         if ext in ext_to_int:
@@ -409,7 +421,7 @@ def parse_csv_fallback(text: str) -> PowerCase:
     for line_no, cells in branch_rows:
         try:
             f_ext, t_ext = int(cells[0]), int(cells[1])
-            r, x, b, tap, shift_deg = (float(c) for c in cells[2:])
+            r, x, b, tap, shift_deg = (_finite(c) for c in cells[2:])
         except ValueError as exc:
             raise MalformedRecord(line_no, f"bad branch record {cells}") from exc
         for end in (f_ext, t_ext):

@@ -116,19 +116,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.cases_dir and not args.out:
         parser.error("--cases-dir requires --out (summary and per-case "
                      "reports are written there)")
-    config = RunConfig(
-        case_path=args.case or args.cases_dir,
-        structure=args.structure,
-        jacobian_mode=args.jacobian,
-        mode=args.mode,
-        output_dir=args.out,
-        pf_tol=args.pf_tol,
-        pf_max_iter=args.pf_max_iter,
-        enumerate_cap=args.enumerate_cap,
-        dump_distance=args.dump_distance,
-        dump_ybus=args.dump_ybus,
-        dump_adjacency=args.dump_adjacency,
-    )
+    try:
+        config = RunConfig(
+            case_path=args.case or args.cases_dir,
+            structure=args.structure,
+            jacobian_mode=args.jacobian,
+            mode=args.mode,
+            output_dir=args.out,
+            pf_tol=args.pf_tol,
+            pf_max_iter=args.pf_max_iter,
+            enumerate_cap=args.enumerate_cap,
+            dump_distance=args.dump_distance,
+            dump_ybus=args.dump_ybus,
+            dump_adjacency=args.dump_adjacency,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         if args.cases_dir:
             summary = run_batch(args.cases_dir, config)

@@ -25,19 +25,30 @@ with the fewest candidates. Every decision is memoised per
 the smallest proven feasible, so a later probe of the same residual
 group, as the witness scan makes again and again, costs one lookup.
 
-`_Engine.covers` builds on it to yield the covers of a given size in
-set-lexicographic order: it scans buses by index and takes a bus
-whenever the buses after it can still complete a cover. The minimum
-count is the smallest feasible budget, the witness is the first cover
-yielded and the enumeration is a prefix of the sequence, so the
-witness is always the first enumerated optimum. Each `CoverInstance`
-holds one engine, so the count, the witness and the enumeration share
-its memo. `brute_force_cover` provides an independent exhaustive
-oracle.
+`_Engine.covers` builds on it to yield the minimum covers of a
+residual in set-lexicographic order; its budget is always the
+residual's exact minimum, so no cover is ever padded with a useless
+bus. It drops implied constraints and splits the rest into the same
+groups. Every optimum then uses exactly each group's minimum, and the
+covers are the unions of one minimum cover per group. Their order
+follows from the groups having disjoint candidates: for same-size sets
+S < T exactly when min(S ^ T) lies in S, and that bus lies in one
+group, so the union of the groups' first covers is the first cover and
+raising one group's cover never lowers the union. A heap over index
+tuples into the groups' lazily drawn sequences merges them. A single
+group is scanned by bus index: bus i is taken when the buses after it
+complete a cover of the rest, and the scan goes past i only while
+covers without i remain. The minimum count is the smallest feasible
+budget, the witness is the first cover yielded and the enumeration is
+a prefix of the sequence, so the witness is always the first
+enumerated optimum. Each `CoverInstance` holds one engine, so the
+count, the witness and the enumeration share its memo.
+`brute_force_cover` provides an independent exhaustive oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,50 +271,94 @@ class _Engine:
                 return True
         return False
 
-    def covers(self, k: int):
-        """Yield every cover of exactly `k` buses as a tuple of indices,
-        in set-lexicographic order."""
+    def minimum(self, uncovered: int, allowed: int) -> int:
+        """Size of the smallest cover of a feasible residual: the first
+        budget, counting up from the packing bound, that admits one."""
+        k = self.lower_bound(uncovered, allowed)
+        while not self.exists_cover(uncovered, allowed, k):
+            k += 1
+        return k
 
-        def completes(uncovered: int, allowed: int, budget: int) -> bool:
-            # A cover of at most `budget` allowed buses pads to exactly
-            # `budget` when enough allowed buses remain.
-            return (allowed.bit_count() >= budget
-                    and self.exists_cover(uncovered, allowed, budget))
+    def covers(self, uncovered: int, allowed: int, budget: int):
+        """Yield every cover of `uncovered` by exactly `budget` allowed
+        buses, as tuples of indices in set-lexicographic order.
+        `budget` must be the residual's minimum."""
+        if uncovered == 0:
+            yield ()
+            return
+        # Constraint dominance keeps the set of covers; candidate
+        # dominance would lose optima, so it is not applied here.
+        uncovered = self._reduce_rows(uncovered, allowed)
+        groups = self._components(uncovered, allowed)
+        if len(groups) == 1:
+            yield from self._scan(*groups[0], budget)
+        else:
+            yield from self._merge([self._scan(u, a, self.minimum(u, a))
+                                    for u, a in groups])
 
-        def extend(chosen: tuple[int, ...], uncovered: int, allowed: int):
-            budget = k - len(chosen)
-            if budget == 0:
-                yield chosen
-                return
-            for i in self._bits_of(allowed):
-                allowed &= ~(1 << i)
-                rest = uncovered & ~self.cols[i]
-                if completes(rest, allowed, budget - 1):
-                    yield from extend(chosen + (i,), rest, allowed)
-                    # Go on past bus i only while covers without it
-                    # remain; when the probe for i fails, they remain
-                    # whenever any cover does, so that case needs none.
-                    if not completes(uncovered, allowed, budget):
-                        return
+    def _scan(self, uncovered: int, allowed: int, budget: int):
+        """`covers` of one group: take bus i, in index order, when the
+        buses after it complete a cover."""
+        for i in self._bits_of(allowed):
+            allowed &= ~(1 << i)
+            rest = uncovered & ~self.cols[i]
+            if self.exists_cover(rest, allowed, budget - 1):
+                for tail in self.covers(rest, allowed, budget - 1):
+                    yield (i,) + tail
+                # Go on past bus i only while covers without it remain;
+                # when the probe for i fails, they remain whenever any
+                # cover does, so that case needs none.
+                if not self.exists_cover(uncovered, allowed, budget):
+                    return
 
-        yield from extend((), self.full, self.full)
+    @staticmethod
+    def _merge(sequences):
+        """Unions of one cover per group, in set-lexicographic order.
+
+        Raising one group's index never makes the union smaller (see
+        the module notes), so a heap of index tuples pops the unions in
+        order. A tuple raises only the coordinates at or after the one
+        it raised last, so each tuple is pushed once."""
+        seen = [[] for _ in sequences]
+
+        def cover(g: int, idx: int):
+            # Indices grow by one, so at most one more cover is drawn;
+            # None marks the end of the group's sequence.
+            got = seen[g]
+            if idx == len(got):
+                got.append(next(sequences[g], None))
+            return got[idx]
+
+        def entry(idx: tuple[int, ...], last: int):
+            parts = [cover(g, i) for g, i in enumerate(idx)]
+            if None in parts:
+                return None
+            return (tuple(sorted(itertools.chain.from_iterable(parts))),
+                    idx, last)
+
+        heap = [entry((0,) * len(sequences), 0)]
+        while heap:
+            union, idx, last = heapq.heappop(heap)
+            yield union
+            for g in range(last, len(idx)):
+                nxt = entry(idx[:g] + (idx[g] + 1,) + idx[g + 1:], g)
+                if nxt is not None:
+                    heapq.heappush(heap, nxt)
 
 
 def optimal_count(inst: CoverInstance) -> int:
     """Size of the minimum cover: the smallest budget, counting up from
     the packing lower bound, for which a cover exists."""
     eng = inst._engine
-    k = eng.lower_bound(eng.full, eng.full)
-    while not eng.exists_cover(eng.full, eng.full, k):
-        k += 1
-    return k
+    return eng.minimum(eng.full, eng.full)
 
 
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
     eng = inst._engine
-    first = next(eng.covers(optimal_count(inst)), None)
+    first = next(eng.covers(eng.full, eng.full, optimal_count(inst)),
+                 None)
     # A cover of the optimal size always exists; none would be a
     # solver bug.
     if first is None:
@@ -325,7 +380,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     eng = inst._engine
-    covers = eng.covers(optimal_count(inst))
+    covers = eng.covers(eng.full, eng.full, optimal_count(inst))
     found = tuple(_solution(eng.n, set(c))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,

@@ -57,11 +57,25 @@ class RunConfig:
     dump_ybus: str | Path | None = None
     dump_adjacency: str | Path | None = None
 
+    def __post_init__(self):
+        for name, allowed in (("structure", STRUCTURES + ("both",)),
+                              ("jacobian_mode", (JAC_SOLVED, JAC_FLAT)),
+                              ("mode", (MODE_COUNT, MODE_PLACE, MODE_FULL))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
+        if not self.enumerate_cap >= 0:
+            raise ValueError(f"enumerate_cap must be >= 0, "
+                             f"got {self.enumerate_cap!r}")
+        if not self.pf_max_iter >= 0:
+            raise ValueError(f"pf_max_iter must be >= 0, "
+                             f"got {self.pf_max_iter!r}")
+        if not self.pf_tol > 0:
+            raise ValueError(f"pf_tol must be > 0, got {self.pf_tol!r}")
+
     def structures(self) -> tuple[str, ...]:
         if self.structure == "both":
             return STRUCTURES
-        if self.structure not in STRUCTURES:
-            raise ValueError(f"unknown structure {self.structure!r}")
         return (self.structure,)
 
 
@@ -90,11 +104,9 @@ def _electrical_distance(case: PowerCase, ybus: np.ndarray,
                          pf_max_iter: int) -> ResistanceDistance:
     if jacobian_mode == JAC_FLAT:
         op: OperatingPoint = flat_point(case)
-    elif jacobian_mode == JAC_SOLVED:
+    else:
         op = solve_power_flow(case, tol=pf_tol, max_iter=pf_max_iter,
                               ybus=ybus)
-    else:
-        raise ValueError(f"unknown jacobian mode {jacobian_mode!r}")
     conductance = p_theta_jacobian(case, op, ybus=ybus)
     return resistance_matrix(conductance, case.slack_index)
 
@@ -181,10 +193,20 @@ def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
     to the exact matrix."""
     ids = [str(case.external_id(i + 1)) for i in range(case.n)]
     lines = ["bus," + ",".join(ids)]
-    for i, row in enumerate(np.asarray(matrix).tolist()):
-        cells = [f"{v.real!r}{v.imag:+}j" if isinstance(v, complex)
-                 else repr(v) for v in row]
-        lines.append(f"{ids[i]}," + ",".join(cells))
+    matrix = np.ascontiguousarray(matrix)
+    if np.iscomplexobj(matrix):
+        # A Y-bus is mostly one zero: format each distinct bit pattern
+        # once (bits, not values, so 0.0 and -0.0 stay apart).
+        raw = matrix.view(np.dtype((np.void, matrix.itemsize)))
+        distinct, where = np.unique(raw.ravel(), return_inverse=True)
+        text = [f"{v.real!r}{v.imag:+}j"
+                for v in distinct.view(matrix.dtype).tolist()]
+        for label, row in zip(ids, where.reshape(matrix.shape)):
+            lines.append(f"{label}," + ",".join([text[k]
+                                                 for k in row.tolist()]))
+    else:
+        for label, row in zip(ids, matrix.tolist()):
+            lines.append(f"{label}," + ",".join([repr(v) for v in row]))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -61,6 +61,28 @@ class TestCdfParser:
             pp.parse_cdf(text)
         assert exc.value.line_no == 7
 
+    @pytest.mark.parametrize("field, line_no", [
+        ("   0.00000        nan", 7), ("   0.00000        inf", 7),
+        ("   0.00000       -inf", 7)])
+    def test_non_finite_branch_field_rejected(self, field, line_no):
+        text = TWO_BUS_CDF.replace("   0.00000    0.50000", field)
+        with pytest.raises(errors.MalformedRecord) as exc:
+            pp.parse_cdf(text)
+        assert exc.value.line_no == line_no
+
+    def test_non_finite_bus_field_rejected(self):
+        text = TWO_BUS_CDF.replace("   2 BUS 2         1  1  0 1.0000",
+                                   "   2 BUS 2         1  1  0    nan")
+        with pytest.raises(errors.MalformedRecord) as exc:
+            pp.parse_cdf(text)
+        assert exc.value.line_no == 4
+
+    def test_non_finite_mva_base_rejected(self):
+        text = TWO_BUS_CDF.replace(" 100.0 2026", "   inf 2026")
+        with pytest.raises(errors.MalformedRecord) as exc:
+            pp.parse_cdf(text)
+        assert exc.value.line_no == 1
+
     def test_negative_reactance_rejected(self):
         text = TWO_BUS_CDF.replace("   0.00000    0.50000",
                                    "   0.00000   -0.50000")
@@ -117,6 +139,18 @@ class TestCsvFallback:
             "1,3,0.0,1.0,0.0,1.0,0.0\n", "")
         with pytest.raises(errors.DisconnectedNetwork):
             pp.parse_csv_fallback(text)
+
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("2,PQ,1.0,0.0,0,0", "2,PQ,1.0,0.0,nan,0", 8),
+        ("2,3,0.0,1.0,0.0", "2,3,0.0,inf,0.0", 14),
+        ("mva_base = 100.0", "mva_base = -inf", 3),
+        ("mva_base = 100.0", "mva_base = NaN", 3)])
+    def test_non_finite_rejected(self, old, new, line_no):
+        text = TRIANGLE_CSV.replace(old, new)
+        assert text != TRIANGLE_CSV
+        with pytest.raises(errors.MalformedRecord) as exc:
+            pp.parse_csv_fallback(text)
+        assert exc.value.line_no == line_no
 
     def test_round_trip_identity(self, ieee14):
         text = pp.dumps_csv_fallback(ieee14)

@@ -58,9 +58,13 @@ class TestExitCodes:
                        "--structure", "electrical", "--pf-max-iter", "0")
         assert code == 7
 
-    @pytest.mark.parametrize("x", ["0.5", "nan"],
+    # A singular Newton Jacobian stops the power flow (exit 7); a nan
+    # reactance is rejected by the reader, at the line of the branch in
+    # the joined bundle (exit 4).
+    @pytest.mark.parametrize("x, code, where",
+                             [("0.5", 7, ""), ("nan", 4, "line 12:")],
                              ids=["singular-jacobian", "nan-reactance"])
-    def test_power_flow_failure_exit(self, tmp_path, x):
+    def test_power_flow_failure_exit(self, tmp_path, capsys, x, code, where):
         text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,", f"1,2,0.0,{x},")
         sections = text.split("\n\n")
         bundle = tmp_path / "bundle"
@@ -69,8 +73,9 @@ class TestExitCodes:
                                   sections):
             body = section.split("\n", 1)[1]
             (bundle / fname).write_text(body.rstrip("\n") + "\n")
-        code = run_cli("--case", str(bundle), "--structure", "electrical")
-        assert code == 7
+        assert run_cli("--case", str(bundle),
+                       "--structure", "electrical") == code
+        assert where in capsys.readouterr().err
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -81,6 +86,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("--cases-dir", str(tmp_path))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pf-tol", "0", "pf_tol"), ("--pf-max-iter", "-1", "pf_max_iter"),
+        ("--enumerate", "-1", "enumerate_cap")])
+    def test_invalid_setting_is_usage_error(self, capsys, flag, value, field):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(DATA / "ieee9.txt"), flag, value)
+        assert exc.value.code == 2
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
+    ("enumerate_cap", -1), ("pf_max_iter", -1), ("pf_tol", 0.0),
+    ("pf_tol", -1e-8), ("pf_tol", float("nan"))])
+def test_run_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        pipeline.RunConfig(case_path="unused", **{field: value})
 
 
 class TestStageIsolation:
@@ -157,6 +180,18 @@ class TestOutputs:
             parsed = np.array([[number(c) for c in line.split(",")[1:]]
                                for line in lines[1:]])
             assert np.array_equal(parsed, exact), name
+
+    def test_complex_dump_formats_every_cell(self, tmp_path, ieee9):
+        # Signed zeros compare equal but must be written apart.
+        rng = np.random.default_rng(9)
+        y = np.where(rng.random((9, 9)) < 0.5, 0j,
+                     rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        y[0, :4] = [complex(0.0, 0.0), complex(-0.0, 0.0),
+                    complex(0.0, -0.0), complex(-0.0, -0.0)]
+        path = pipeline._dump_matrix(tmp_path / "y.csv", y, ieee9)
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == \
+            [[f"{v.real!r}{v.imag:+}j" for v in row] for row in y.tolist()]
 
     def test_enumerate_listing(self, capsys, tmp_path):
         code = run_cli("--case", str(DATA / "ieee9.txt"),

@@ -296,6 +296,56 @@ def test_disjoint_union_splits_into_components(seed, sizes, cap):
     assert optima.truncated == (len(want) > cap)
 
 
+
+def block_diagonal(parts):
+    n = sum(part.shape[0] for part in parts)
+    bits = np.zeros((n, n), dtype=np.int8)
+    at = 0
+    for part in parts:
+        bits[at:at + part.shape[0], at:at + part.shape[0]] = part
+        at += part.shape[0]
+    return bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.integers(1, 6), min_size=2, max_size=3).filter(
+           lambda sizes: sum(sizes) <= 12),
+       st.integers(0, 40))
+def test_interleaved_components_merge_in_order(seed, sizes, cap):
+    # Relabelling the buses interleaves the components in index order,
+    # so the optima are not a product order of the components' optima.
+    rng = np.random.default_rng(seed)
+    bits = block_diagonal([random_connected_adjacency(rng, n)
+                           for n in sizes])
+    perm = rng.permutation(bits.shape[0])
+    bits = bits[np.ix_(perm, perm)]
+    want = all_optima(bits)
+    optima = pp.enumerate_optima(inst_from_bits(bits), cap)
+    assert [s.nodes for s in optima] == want[:cap]
+    assert optima.truncated == (len(want) > cap)
+
+
+def test_interleaved_bundled_witness_is_union_of_parts(cases):
+    """IEEE-14 on the even indices and IEEE-30 on the odd ones, then
+    the rest of IEEE-30: the witness is the union of the parts'
+    witnesses, each mapped in order."""
+    parts = [pp.topological_adjacency(cases[name]).bits
+             for name in ("ieee14", "ieee30")]
+    small, large = (part.shape[0] for part in parts)
+    n = small + large
+    at = [list(range(0, 2 * small, 2)),
+          list(range(1, 2 * small, 2)) + list(range(2 * small, n))]
+    bits = np.zeros((n, n), dtype=np.int8)
+    want = []
+    for part, where in zip(parts, at):
+        bits[np.ix_(where, where)] = part
+        want += [where[b - 1] + 1
+                 for b in pp.solve_cover(inst_from_bits(part)).nodes]
+    inst = inst_from_bits(bits)
+    assert pp.solve_cover(inst).nodes == tuple(sorted(want))
+    assert pp.optimal_count(inst) == len(want) == milp_count(inst)
+
 class TestLocalDominance:
     """The reductions test only the pairs that can dominate; they must
     give the masks of the all-pairs versions."""
