@@ -7,17 +7,15 @@ the physical branch structure or an electrical-distance structure, and
 coupling (singular-vector) structure of the network matrices.
 """
 
-from .cases import (Bus, Branch, PowerCase, bundled_case_names,
-                    dumps_csv_fallback, load_bundled_case, load_case,
-                    parse_cdf, parse_csv_fallback)
+from .cases import (Bus, Branch, PowerCase, dumps_csv_fallback,
+                    load_bundled_case, load_case, parse_cdf,
+                    parse_csv_fallback)
 from .cover import (CoverInstance, Optima, PlacementSolution,
-                    brute_force_cover, enumerate_optima, optimal_count,
-                    solve_cover)
-from .distance import (GroundedInverse, MetricReport, ResistanceDistance,
+                    enumerate_optima, optimal_count, solve_cover)
+from .distance import (GroundedInverse, ResistanceDistance,
                        electrical_adjacency, grounded_inverse,
-                       resistance_matrix, verify_metric)
-from .network import (BinaryAdjacency, build_ybus, distinct_pairs,
-                      topological_adjacency)
+                       resistance_matrix)
+from .network import BinaryAdjacency, build_ybus, topological_adjacency
 from .pipeline import (RunConfig, RunResult, StructureResult, run,
                        run_batch, run_structure)
 from .powerflow import (OperatingPoint, flat_point, p_theta_jacobian,
@@ -26,7 +24,7 @@ from .report import (AverageDistanceProfile, PatternReport, RunArtifacts,
                      average_profile, emit_report, pattern_check,
                      report_dict)
 from .spectral import (Assignment, CouplingRanking, SingularDecomposition,
-                       assign_buses, compute_svd, place, rank_vectors)
+                       assign_buses, compute_svd, rank_vectors)
 
 __version__ = "0.1.0"
 

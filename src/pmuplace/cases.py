@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    CaseError,
     DisconnectedNetwork,
     DuplicateBusId,
     DuplicateSlack,
@@ -125,8 +126,8 @@ def _validate(name: str, mva_base: float, buses: list[Bus],
         raise MissingSlack(f"{name}: no slack bus")
     for bus in buses:
         if bus.bus_type in (PV, SLACK) and bus.v_mag <= 0:
-            raise MalformedRecord(0, f"bus {bus.external_id}: regulated bus "
-                                  f"with non-positive voltage {bus.v_mag}")
+            raise CaseError(f"{name}: bus {bus.external_id}: regulated bus "
+                            f"with non-positive voltage {bus.v_mag}")
 
     for br in branches:
         if br.from_bus == br.to_bus:
@@ -222,8 +223,6 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
     bus_records: list[tuple[int, dict]] = []
     branch_records: list[tuple[int, dict]] = []
     section = None
-    saw_bus_section = False
-    saw_branch_section = False
 
     for line_no, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -232,11 +231,9 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
         upper = stripped.upper()
         if upper.startswith("BUS DATA"):
             section = "bus"
-            saw_bus_section = True
             continue
         if upper.startswith("BRANCH DATA"):
             section = "branch"
-            saw_branch_section = True
             continue
         if stripped.startswith("-9"):  # -999 / -99 section terminators
             section = None
@@ -268,9 +265,9 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
                 "shift_deg": _num(line, 83, 90, line_no),
             }))
 
-    if not saw_bus_section or not bus_records:
+    if not bus_records:
         raise MissingSection(f"{case_name}: no BUS DATA section")
-    if not saw_branch_section or not branch_records:
+    if not branch_records:
         raise MissingSection(f"{case_name}: no BRANCH DATA section")
 
     ext_to_int: dict[int, int] = {}
@@ -326,6 +323,26 @@ _BRANCH_HEADER = "from,to,r,x,b,tap,shift_deg"
 _CSV_TYPE_MAP = {"PQ": PQ, "PV": PV, "slack": SLACK}
 
 
+def _csv_sections(text: str, current: str | None = None
+                  ) -> dict[str, list[tuple[int, str]]]:
+    """Numbered non-blank, non-comment rows of each ``[section]``; rows
+    before the first header belong to `current`."""
+    sections: dict[str, list[tuple[int, str]]] = (
+        {} if current is None else {current: []})
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            sections[current] = []
+            continue
+        if current is None:
+            raise MalformedRecord(line_no, "content before the first section")
+        sections[current].append((line_no, line))
+    return sections
+
+
 def parse_csv_fallback(text: str) -> PowerCase:
     """Parse the CSV fallback bundle.
 
@@ -347,19 +364,15 @@ def parse_csv_fallback(text: str) -> PowerCase:
     Unlike the CDF (which carries MW/MVAr), the CSV tables are already
     per-unit on ``mva_base``; angles are degrees.
     """
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            sections[current] = []
-            continue
-        if current is None:
-            raise MalformedRecord(line_no, "content before the first section")
-        sections[current].append((line_no, line))
+    return _parse_csv_sections(_csv_sections(text), {}, _checksum(text))
+
+
+def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
+                        sources: dict[str, str], checksum: str) -> PowerCase:
+    """The case in `sections`; `sources` names the file each came from."""
+
+    def bad(section, line_no, detail):
+        return MalformedRecord(line_no, detail, sources.get(section, ""))
 
     for required in ("case", "buses", "branches"):
         if required not in sections or not sections[required]:
@@ -369,7 +382,7 @@ def parse_csv_fallback(text: str) -> PowerCase:
     meta_line = {}
     for line_no, line in sections["case"]:
         if "=" not in line:
-            raise MalformedRecord(line_no, f"expected key = value, got {line!r}")
+            raise bad("case", line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         meta[key.strip()] = value.strip().strip('"')
         meta_line[key.strip()] = line_no
@@ -377,25 +390,26 @@ def parse_csv_fallback(text: str) -> PowerCase:
     try:
         mva_base = _finite(meta.get("mva_base", "100"))
     except ValueError as exc:
-        raise MalformedRecord(meta_line["mva_base"],
-                              f"mva_base {meta['mva_base']!r} is not "
-                              "a finite number") from exc
+        raise bad("case", meta_line["mva_base"],
+                  f"mva_base {meta['mva_base']!r} is not "
+                  "a finite number") from exc
 
-    def parse_table(rows, header, n_cols):
+    def parse_table(section, header, n_cols):
+        rows = sections[section]
         line_no, head = rows[0]
         if head.replace(" ", "") != header:
-            raise MalformedRecord(line_no, f"expected header {header!r}")
+            raise bad(section, line_no, f"expected header {header!r}")
         out = []
         for line_no, line in rows[1:]:
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != n_cols:
-                raise MalformedRecord(line_no, f"expected {n_cols} columns, "
-                                      f"got {len(cells)}")
+                raise bad(section, line_no, f"expected {n_cols} columns, "
+                          f"got {len(cells)}")
             out.append((line_no, cells))
         return out
 
-    bus_rows = parse_table(sections["buses"], _BUS_HEADER, 10)
-    branch_rows = parse_table(sections["branches"], _BRANCH_HEADER, 7)
+    bus_rows = parse_table("buses", _BUS_HEADER, 10)
+    branch_rows = parse_table("branches", _BRANCH_HEADER, 7)
 
     ext_to_int: dict[int, int] = {}
     buses: list[Bus] = []
@@ -405,7 +419,7 @@ def parse_csv_fallback(text: str) -> PowerCase:
             bus_type = _CSV_TYPE_MAP[cells[1]]
             nums = [_finite(c) for c in cells[2:]]
         except (ValueError, KeyError) as exc:
-            raise MalformedRecord(line_no, f"bad bus record {cells}") from exc
+            raise bad("buses", line_no, f"bad bus record {cells}") from exc
         if ext in ext_to_int:
             raise DuplicateBusId(f"{name}: bus {ext} appears twice")
         internal = len(buses) + 1
@@ -423,10 +437,12 @@ def parse_csv_fallback(text: str) -> PowerCase:
             f_ext, t_ext = int(cells[0]), int(cells[1])
             r, x, b, tap, shift_deg = (_finite(c) for c in cells[2:])
         except ValueError as exc:
-            raise MalformedRecord(line_no, f"bad branch record {cells}") from exc
+            raise bad("branches", line_no,
+                      f"bad branch record {cells}") from exc
         for end in (f_ext, t_ext):
             if end not in ext_to_int:
-                raise UnknownBusReference(f"{name}: line {line_no}: branch "
+                where = f"{sources.get('branches', '')} line {line_no}"
+                raise UnknownBusReference(f"{name}: {where.lstrip()}: branch "
                                           f"references unknown bus {end}")
         branches.append(Branch(
             from_bus=ext_to_int[f_ext], to_bus=ext_to_int[t_ext],
@@ -434,7 +450,7 @@ def parse_csv_fallback(text: str) -> PowerCase:
             phase_shift=math.radians(shift_deg),
         ))
 
-    return _validate(name, mva_base, buses, branches, _checksum(text))
+    return _validate(name, mva_base, buses, branches, checksum)
 
 
 def _degrees_exact(rad: float) -> float:
@@ -488,26 +504,23 @@ def load_case(path: str | Path) -> PowerCase:
     """
     path = Path(path)
     if path.is_dir():
-        parts = []
+        parts, sections, sources = [], {}, {}
         for fname, section in (("case.toml", "case"), ("buses.csv", "buses"),
                                ("branches.csv", "branches")):
             member = path / fname
             if not member.exists():
                 raise MissingSection(f"{path}: missing {fname}")
-            parts.append(f"[{section}]\n" + member.read_text())
-        case = parse_csv_fallback("\n".join(parts))
+            text = member.read_text()
+            parts.append(f"[{section}]\n" + text)
+            for name, rows in _csv_sections(text, section).items():
+                sections[name], sources[name] = rows, fname
+        case = _parse_csv_sections(sections, sources,
+                                   _checksum("\n".join(parts)))
         if case.name == "case":
             case = replace(case, name=path.name)
         return case
     text = path.read_text()
     return parse_cdf(text, name=path.stem)
-
-
-def bundled_case_names() -> list[str]:
-    """Names of the test systems shipped with the package."""
-    root = resources.files("pmuplace").joinpath("data")
-    return sorted(p.name.removesuffix(".txt") for p in root.iterdir()
-                  if p.name.endswith(".txt"))
 
 
 def load_bundled_case(name: str) -> PowerCase:

@@ -24,7 +24,8 @@ import sys
 
 from . import errors
 from .pipeline import (JAC_FLAT, JAC_SOLVED, MODE_COUNT, MODE_FULL,
-                       MODE_PLACE, RunConfig, run, run_batch)
+                       RunConfig, run, run_batch)
+from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 # Ordered: specific classes must precede their base-class catch-alls.
 _EXIT_CODES = [
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operating point for the electrical path: the "
                              "power-flow solution or the flat profile")
     parser.add_argument("--mode", default=MODE_FULL,
-                        choices=[MODE_COUNT, MODE_PLACE, MODE_FULL])
+                        choices=[MODE_COUNT, MODE_FULL])
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="directory for report.json and figure CSVs")
     parser.add_argument("--enumerate", type=int, default=0, metavar="N",
@@ -75,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the bus admittance matrix")
     parser.add_argument("--dump-adjacency", metavar="CSV",
                         help="write the binary adjacency")
-    parser.add_argument("--pf-tol", type=float, default=1e-8,
+    parser.add_argument("--pf-tol", type=float, default=DEFAULT_TOL,
                         help="power-flow mismatch tolerance, per-unit")
-    parser.add_argument("--pf-max-iter", type=int, default=50)
+    parser.add_argument("--pf-max-iter", type=int, default=DEFAULT_MAX_ITER)
     return parser
 
 
@@ -113,9 +114,15 @@ def _print_structure(name: str, result, enumerate_cap: int):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cases_dir and not args.out:
-        parser.error("--cases-dir requires --out (summary and per-case "
-                     "reports are written there)")
+    if args.cases_dir:
+        if not args.out:
+            parser.error("--cases-dir requires --out (summary and per-case "
+                         "reports are written there)")
+        if (args.dump_distance or args.dump_ybus or args.dump_adjacency
+                or args.enumerate_cap):
+            parser.error("--cases-dir would lose the output of --dump-* "
+                         "(every cell writes the same path) and --enumerate "
+                         "(the summary lists no optima)")
     try:
         config = RunConfig(
             case_path=args.case or args.cases_dir,

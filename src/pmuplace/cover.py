@@ -43,7 +43,6 @@ budget, the witness is the first cover yielded and the enumeration is
 a prefix of the sequence, so the witness is always the first
 enumerated optimum. Each `CoverInstance` holds one engine, so the
 count, the witness and the enumeration share its memo.
-`brute_force_cover` provides an independent exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Infeasible, NoSolutionWithinK
+from .errors import Infeasible
 from .network import BinaryAdjacency
 
 _INF = 10 ** 9
@@ -385,15 +384,3 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,
                   truncated=next(covers, None) is not None)
-
-
-def brute_force_cover(inst: CoverInstance, k_max: int) -> PlacementSolution:
-    """Exhaustive oracle: try every subset of size 1..k_max in
-    lexicographic order and return the first feasible one."""
-    bits = np.asarray(inst.adjacency.bits, dtype=bool)
-    n = inst.n
-    for k in range(1, min(k_max, n) + 1):
-        for combo in itertools.combinations(range(n), k):
-            if bits[:, combo].any(axis=1).all():
-                return _solution(n, set(combo))
-    raise NoSolutionWithinK(f"no cover of size <= {k_max} exists")

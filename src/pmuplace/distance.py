@@ -4,8 +4,8 @@ Grounding one node makes the conductance matrix invertible; diagonal
 entries of that inverse are the voltage changes from unit current
 injections, and pairwise distances follow from the usual four-term
 combination. The closest pairs then define a binary "electrical"
-adjacency with exactly as many off-diagonal links as the network has
-branches.
+adjacency with as many off-diagonal links as the network has branches,
+or every pair when parallel circuits make the branches outnumber them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetryWarning, SingularSubmatrix, TieAtThreshold
-from .network import ELECTRICAL, BinaryAdjacency
+from .network import BinaryAdjacency
 
 # Relative residual above which a grounded matrix is treated as singular.
 _SINGULAR_RTOL = 1e-8
@@ -34,7 +34,6 @@ class ResistanceDistance:
 
     n: int
     e: np.ndarray
-    reference_node: int
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class GroundedInverse:
     """
 
     matrix: np.ndarray
-    reference_node: int
     kept: np.ndarray
 
 
@@ -76,7 +74,7 @@ def grounded_inverse(g: np.ndarray, r: int) -> GroundedInverse:
         raise SingularSubmatrix(
             f"grounded matrix at node {r} is numerically singular "
             f"(inverse residual {residual:.3e})")
-    return GroundedInverse(matrix=inv, reference_node=r, kept=kept)
+    return GroundedInverse(matrix=inv, kept=kept)
 
 
 def _laplacian_part(g: np.ndarray) -> np.ndarray:
@@ -129,21 +127,24 @@ def resistance_matrix(g: np.ndarray, r: int) -> ResistanceDistance:
 
     e = 0.5 * (e + e.T)
     np.fill_diagonal(e, 0.0)
-    return ResistanceDistance(n=n, e=e, reference_node=r)
+    return ResistanceDistance(n=n, e=e)
 
 
 def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     """Binary adjacency of the `m` electrically closest bus pairs.
 
-    Exactly the m smallest strictly-off-diagonal distances become
-    symmetric links; the diagonal is set to one separately (a monitor
-    always observes its own bus). Ties straddling the cutoff are
-    resolved by (i, j) index order and reported as a warning.
+    The m smallest strictly-off-diagonal distances become symmetric
+    links; the diagonal is set to one separately (a monitor always
+    observes its own bus). When m reaches the number of bus pairs, as
+    parallel circuits can make it, every pair is linked. Ties
+    straddling the cutoff are resolved by (i, j) index order and
+    reported as a warning.
     """
     n = dist.n
+    if m < 1:
+        raise ValueError(f"branch count {m} must be at least 1")
     max_pairs = n * (n - 1) // 2
-    if not 0 < m <= max_pairs:
-        raise ValueError(f"branch count {m} outside 1..{max_pairs}")
+    m = min(m, max_pairs)
     iu, ju = np.triu_indices(n, k=1)
     values = dist.e[iu, ju]
     order = np.lexsort((ju, iu, values))
@@ -156,41 +157,4 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     bits = np.eye(n, dtype=np.int8)
     bits[iu[chosen], ju[chosen]] = 1
     bits[ju[chosen], iu[chosen]] = 1
-    return BinaryAdjacency(n=n, bits=bits, kind=ELECTRICAL)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    symmetry_violations: list
-    negativity_violations: list
-    diagonal_violations: list
-    triangle_violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not (self.symmetry_violations or self.negativity_violations
-                    or self.diagonal_violations or self.triangle_violations)
-
-
-def verify_metric(dist: ResistanceDistance, tol: float = 1e-9) -> MetricReport:
-    """Check symmetry, nonnegativity, zero diagonal and the triangle
-    inequality; returns the violations (1-based indices) instead of
-    raising, so callers can report them."""
-    e = dist.e
-    n = dist.n
-    sym = [(int(i) + 1, int(j) + 1)
-           for i, j in zip(*np.nonzero(np.abs(e - e.T) > tol)) if i < j]
-    neg = [(int(i) + 1, int(j) + 1)
-           for i, j in zip(*np.nonzero(e < -tol)) if i <= j]
-    diag = [int(i) + 1 for i in np.nonzero(np.abs(np.diag(e)) > tol)[0]]
-
-    triangle = []
-    for k in range(n):
-        slack = e[:, k, None] + e[None, k, :] - e
-        bad = np.nonzero(slack < -tol)
-        for i, j in zip(*bad):
-            if i < j:
-                triangle.append((int(i) + 1, int(k) + 1, int(j) + 1))
-    return MetricReport(symmetry_violations=sym, negativity_violations=neg,
-                        diagonal_violations=diag,
-                        triangle_violations=sorted(set(triangle)))
+    return BinaryAdjacency(n=n, bits=bits)

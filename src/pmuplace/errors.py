@@ -17,9 +17,12 @@ class CaseError(PmuPlaceError):
 
 
 class MalformedRecord(CaseError):
-    def __init__(self, line_no: int, detail: str):
+    """A record that cannot be read; `source` names the file of a
+    multi-file bundle, and `line_no` is a line of that file."""
+
+    def __init__(self, line_no: int, detail: str, source: str = ""):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {detail}")
+        super().__init__(f"{source} line {line_no}: {detail}".lstrip())
 
 
 class MissingSection(CaseError):
@@ -50,11 +53,7 @@ class DisconnectedNetwork(CaseError):
     pass
 
 
-class PowerFlowError(PmuPlaceError):
-    pass
-
-
-class NonConvergence(PowerFlowError):
+class NonConvergence(PmuPlaceError):
     def __init__(self, iterations: int, mismatch: float):
         self.iterations = iterations
         self.mismatch = mismatch
@@ -78,17 +77,12 @@ class Infeasible(SolverError):
     cover itself; kept as a defensive check."""
 
 
-class NoSolutionWithinK(SolverError):
-    """Exhaustive search found no cover within the size budget."""
-
-
 class DecompositionError(PmuPlaceError):
-    """The SVD kernel failed to converge."""
+    """The SVD kernel failed to converge, or its input was not finite."""
 
 
 class ReportError(PmuPlaceError):
     def __init__(self, path, detail: str):
-        self.path = path
         super().__init__(f"{path}: {detail}")
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import PowerCase
+from .errors import InvalidBranch
 
 TOPOLOGICAL = "topological"
 ELECTRICAL = "electrical"
@@ -18,15 +19,10 @@ ELECTRICAL = "electrical"
 
 @dataclass(frozen=True)
 class BinaryAdjacency:
-    """Symmetric 0/1 connectivity matrix with a unit diagonal.
-
-    `kind` records whether the off-diagonal ones mirror physical
-    branches or the closest electrical-distance pairs.
-    """
+    """Symmetric 0/1 connectivity matrix with a unit diagonal."""
 
     n: int
     bits: np.ndarray
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int8))
@@ -37,7 +33,8 @@ def build_ybus(case: PowerCase) -> np.ndarray:
 
     Standard pi model with the off-nominal tap on the from side;
     parallel branches accumulate. Bus shunts (and half the line
-    charging per end) land on the diagonal.
+    charging per end) land on the diagonal. A tap ratio whose square
+    underflows to zero raises `InvalidBranch`.
     """
     n = case.n
     y = np.zeros((n, n), dtype=complex)
@@ -47,7 +44,12 @@ def build_ybus(case: PowerCase) -> np.ndarray:
         y_series = 1.0 / complex(br.r, br.x)
         y_shunt = 0.5j * br.b_charging
         t = br.tap_ratio * np.exp(1j * br.phase_shift)
-        y[i, i] += (y_series + y_shunt) / (abs(t) ** 2)
+        tap_sq = abs(t) ** 2
+        if tap_sq == 0:
+            raise InvalidBranch(f"{case.name}: branch {br.from_bus}-"
+                                f"{br.to_bus} has tap ratio {br.tap_ratio}, "
+                                "too close to zero")
+        y[i, i] += (y_series + y_shunt) / tap_sq
         y[j, j] += y_series + y_shunt
         y[i, j] += -y_series / np.conj(t)
         y[j, i] += -y_series / t
@@ -63,9 +65,4 @@ def topological_adjacency(case: PowerCase) -> BinaryAdjacency:
     for br in case.branches:
         bits[br.from_bus - 1, br.to_bus - 1] = 1
         bits[br.to_bus - 1, br.from_bus - 1] = 1
-    return BinaryAdjacency(n=n, bits=bits, kind=TOPOLOGICAL)
-
-
-def distinct_pairs(case: PowerCase) -> int:
-    """Number of distinct connected bus pairs (parallel circuits count once)."""
-    return len({frozenset((br.from_bus, br.to_bus)) for br in case.branches})
+    return BinaryAdjacency(n=n, bits=bits)

@@ -30,11 +30,9 @@ from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
                         flat_point, p_theta_jacobian, solve_power_flow)
 from .report import PatternReport, RunArtifacts, average_profile, pattern_check
-from .spectral import (ADMITTANCE, DISTANCE, assign_buses, compute_svd,
-                       rank_vectors)
+from .spectral import assign_buses, compute_svd, rank_vectors
 
 MODE_COUNT = "count"
-MODE_PLACE = "place"
 MODE_FULL = "full"
 
 JAC_SOLVED = "solved"
@@ -48,7 +46,7 @@ class RunConfig:
     case_path: str | Path
     structure: str = "both"            # topological | electrical | both
     jacobian_mode: str = JAC_SOLVED    # solved | flat
-    mode: str = MODE_FULL              # count | place | full
+    mode: str = MODE_FULL              # count | full
     output_dir: str | Path | None = None
     pf_tol: float = DEFAULT_TOL
     pf_max_iter: int = DEFAULT_MAX_ITER
@@ -60,7 +58,7 @@ class RunConfig:
     def __post_init__(self):
         for name, allowed in (("structure", STRUCTURES + ("both",)),
                               ("jacobian_mode", (JAC_SOLVED, JAC_FLAT)),
-                              ("mode", (MODE_COUNT, MODE_PLACE, MODE_FULL))):
+                              ("mode", (MODE_COUNT, MODE_FULL))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, "
                                  f"got {getattr(self, name)!r}")
@@ -85,28 +83,20 @@ class StructureResult:
     optima: Optima | None
     written: tuple[Path, ...]
 
-    @property
-    def count(self) -> int:
-        return self.artifacts.solution.count
-
 
 @dataclass(frozen=True)
 class RunResult:
     case: PowerCase
     per_structure: dict[str, StructureResult] = field(default_factory=dict)
 
-    def counts(self) -> dict[str, int]:
-        return {s: r.count for s, r in self.per_structure.items()}
-
 
 def _electrical_distance(case: PowerCase, ybus: np.ndarray,
-                         jacobian_mode: str, pf_tol: float,
-                         pf_max_iter: int) -> ResistanceDistance:
-    if jacobian_mode == JAC_FLAT:
+                         config: RunConfig) -> ResistanceDistance:
+    if config.jacobian_mode == JAC_FLAT:
         op: OperatingPoint = flat_point(case)
     else:
-        op = solve_power_flow(case, tol=pf_tol, max_iter=pf_max_iter,
-                              ybus=ybus)
+        op = solve_power_flow(case, tol=config.pf_tol,
+                              max_iter=config.pf_max_iter, ybus=ybus)
     conductance = p_theta_jacobian(case, op, ybus=ybus)
     return resistance_matrix(conductance, case.slack_index)
 
@@ -122,14 +112,11 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
     if structure == TOPOLOGICAL:
         adjacency: BinaryAdjacency = topological_adjacency(case)
         placement_matrix = ybus
-        source = ADMITTANCE
         jac_mode = None
     else:
-        dist = _electrical_distance(case, ybus, config.jacobian_mode,
-                                    config.pf_tol, config.pf_max_iter)
+        dist = _electrical_distance(case, ybus, config)
         adjacency = electrical_adjacency(dist, case.m)
         placement_matrix = dist.e
-        source = DISTANCE
         jac_mode = config.jacobian_mode
 
     inst = CoverInstance(adjacency=adjacency)
@@ -138,7 +125,7 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
     decomposition = None
     ranking = None
     if config.mode != MODE_COUNT:
-        decomposition = compute_svd(placement_matrix, source)
+        decomposition = compute_svd(placement_matrix)
         ranked = rank_vectors(decomposition, solution.count)
         ranking = assign_buses(decomposition, ranked, solution.count)
 
@@ -215,12 +202,22 @@ def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
 SUMMARY_HEADER = ("case,n,topological_count,electrical_count(solved),"
                   "electrical_count(flat)")
 
+# The summary's count columns: (structure, operating point, output
+# subdirectory). The topological path reads no operating point.
+_BATCH_CELLS = ((TOPOLOGICAL, JAC_SOLVED, TOPOLOGICAL),
+                (ELECTRICAL, JAC_SOLVED, f"electrical_{JAC_SOLVED}"),
+                (ELECTRICAL, JAC_FLAT, f"electrical_{JAC_FLAT}"))
+
 
 def _case_paths(directory: Path) -> list[Path]:
     paths = [p for p in directory.iterdir()
              if (p.is_file() and p.suffix in (".txt", ".cdf"))
              or (p.is_dir() and (p / "case.toml").exists())]
     return sorted(paths, key=lambda p: p.name)
+
+
+def _error_cell(exc: Exception) -> str:
+    return f"error:{type(exc).__name__}"
 
 
 def run_batch(cases_dir: str | Path, template: RunConfig) -> Path:
@@ -244,29 +241,19 @@ def run_batch(cases_dir: str | Path, template: RunConfig) -> Path:
         try:
             case = load_case(path)
         except (PmuPlaceError, OSError) as exc:
-            rows.append(f"{stem},,error:{type(exc).__name__},"
-                        f"error:{type(exc).__name__},error:{type(exc).__name__}")
+            rows.append(",".join([stem, ""]
+                                 + [_error_cell(exc)] * len(_BATCH_CELLS)))
             continue
-        cells = [stem, str(case.n)]
         ybus = build_ybus(case)
-
-        topo_cfg = replace(template, case_path=path, structure=TOPOLOGICAL,
-                           output_dir=out_root / stem / TOPOLOGICAL)
-        try:
-            cells.append(str(run_structure(case, TOPOLOGICAL, topo_cfg,
-                                           ybus=ybus).count))
-        except PmuPlaceError as exc:
-            cells.append(f"error:{type(exc).__name__}")
-
-        for jac in (JAC_SOLVED, JAC_FLAT):
-            cfg = replace(template, case_path=path, structure=ELECTRICAL,
-                          jacobian_mode=jac,
-                          output_dir=out_root / stem / f"electrical_{jac}")
+        cells = [stem, str(case.n)]
+        for structure, jac, subdir in _BATCH_CELLS:
+            cfg = replace(template, case_path=path, structure=structure,
+                          jacobian_mode=jac, output_dir=out_root / stem / subdir)
             try:
-                cells.append(str(run_structure(case, ELECTRICAL, cfg,
-                                               ybus=ybus).count))
+                sres = run_structure(case, structure, cfg, ybus=ybus)
+                cells.append(str(sres.artifacts.solution.count))
             except PmuPlaceError as exc:
-                cells.append(f"error:{type(exc).__name__}")
+                cells.append(_error_cell(exc))
         rows.append(",".join(cells))
 
     summary = out_root / "summary.csv"

@@ -26,7 +26,6 @@ class OperatingPoint:
 
     v_mag: np.ndarray
     v_ang: np.ndarray
-    converged: bool
     mismatch_inf_norm: float
     iterations: int = 0
 
@@ -35,7 +34,7 @@ def flat_point(case: PowerCase) -> OperatingPoint:
     """All magnitudes 1.0, all angles zero."""
     n = case.n
     return OperatingPoint(v_mag=np.ones(n), v_ang=np.zeros(n),
-                          converged=True, mismatch_inf_norm=0.0)
+                          mismatch_inf_norm=0.0)
 
 
 def _injections(ybus: np.ndarray, v_mag, v_ang):
@@ -103,8 +102,8 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
         v_mag[pq] += step[n_ang:]
         iterations += 1
 
-    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, converged=True,
-                          mismatch_inf_norm=norm, iterations=iterations)
+    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, mismatch_inf_norm=norm,
+                          iterations=iterations)
 
 
 def _angle_block(g, b, v_mag, v_ang, q=None):

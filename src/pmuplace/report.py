@@ -32,7 +32,6 @@ class AverageDistanceProfile:
     lam: tuple[Fraction, ...]
     lam_min: Fraction
     argmins: tuple[int, ...]
-    kind: str
 
     @property
     def floats(self) -> list[float]:
@@ -50,8 +49,7 @@ def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
     lam = tuple(Fraction(int(s), n - 1) for s in sums)
     lam_min = min(lam)
     argmins = tuple(i + 1 for i, v in enumerate(lam) if v == lam_min)
-    return AverageDistanceProfile(lam=lam, lam_min=lam_min,
-                                  argmins=argmins, kind=adj.kind)
+    return AverageDistanceProfile(lam=lam, lam_min=lam_min, argmins=argmins)
 
 
 @dataclass(frozen=True)
@@ -73,16 +71,6 @@ def pattern_check(profile: AverageDistanceProfile,
     above = tuple(b for b in sol.nodes if profile.lam[b - 1] > profile.lam_min)
     return PatternReport(at_minimum=at_min, above_minimum=above,
                          pattern_holds=len(above) <= 1)
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 @dataclass(frozen=True)
@@ -132,41 +120,33 @@ def report_dict(art: RunArtifacts) -> dict:
     }
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, lines: list[str]) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ReportError(path, str(exc)) from exc
+    return path
 
 
 def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
     """Write report.json and the figure CSVs; returns written paths."""
     out = Path(out_dir)
-    written = []
-
-    payload = report_dict(art)
-    path = out / "report.json"
-    _write(path, json.dumps(payload, indent=2, sort_keys=True,
-                            default=_json_default) + "\n")
-    written.append(path)
+    written = [_write(out / "report.json", [
+        json.dumps(report_dict(art), indent=2, sort_keys=True)])]
 
     ext = art.case.external_id
     chosen = set(art.solution.nodes)
     lines = ["bus,lambda,x"]
     for i, lam in enumerate(art.profile.lam, start=1):
         lines.append(f"{ext(i)},{float(lam)!r},{1 if i in chosen else 0}")
-    path = out / "fig_lambda.csv"
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    written.append(_write(out / "fig_lambda.csv", lines))
 
     if art.decomposition is not None:
         lines = ["n,magnitude"]
         for n, s in enumerate(art.decomposition.sigma, start=1):
             lines.append(f"{n},{float(s)!r}")
-        path = out / "fig_sigma.csv"
-        _write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write(out / "fig_sigma.csv", lines))
 
     if art.ranking is not None and art.decomposition is not None:
         lines = ["vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"]
@@ -177,9 +157,7 @@ def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
                 rank = a.rank if assigned else 0
                 lines.append(f"{pos},{a.vector_index},{ext(i + 1)},"
                              f"{float(column[i])!r},{assigned},{rank}")
-        path = out / "fig_assignment.csv"
-        _write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write(out / "fig_assignment.csv", lines))
 
     return written
 

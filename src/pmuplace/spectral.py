@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import DecompositionError
 
-ADMITTANCE = "admittance"
-DISTANCE = "distance"
-
 
 @dataclass(frozen=True)
 class SingularDecomposition:
@@ -27,16 +24,10 @@ class SingularDecomposition:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    source: str
 
     @property
     def n(self) -> int:
         return len(self.sigma)
-
-    def reconstruction_error(self, matrix: np.ndarray) -> float:
-        rebuilt = (self.u * self.sigma) @ self.v.conj().T
-        denom = np.linalg.norm(matrix)
-        return float(np.linalg.norm(rebuilt - matrix) / (denom or 1.0))
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,6 @@ class Assignment:
 @dataclass(frozen=True)
 class CouplingRanking:
     selected: tuple[Assignment, ...]
-    p: int
 
     @property
     def buses(self) -> tuple[int, ...]:
@@ -67,19 +57,21 @@ class CouplingRanking:
         return tuple(a for a in self.selected if a.rank > 1)
 
 
-def compute_svd(matrix: np.ndarray, source: str) -> SingularDecomposition:
+def compute_svd(matrix: np.ndarray) -> SingularDecomposition:
     """Full SVD of a square matrix (complex inputs use conjugate-
-    transpose semantics). Kernel convergence failures surface as
+    transpose semantics). Non-finite entries, which extreme branch
+    values can give, and kernel convergence failures surface as
     `DecompositionError`."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(matrix).all():
+        raise DecompositionError("matrix has non-finite entries")
     try:
         u, sigma, vh = np.linalg.svd(matrix)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed to converge: {exc}") from exc
-    return SingularDecomposition(u=u, sigma=sigma, v=vh.conj().T,
-                                 source=source)
+    return SingularDecomposition(u=u, sigma=sigma, v=vh.conj().T)
 
 
 def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
@@ -126,10 +118,4 @@ def assign_buses(d: SingularDecomposition, ranked: list[tuple[int, float]],
                                            bus=bus, rank=rank,
                                            intended_bus=intended))
                 break
-    return CouplingRanking(selected=tuple(selected), p=p)
-
-
-def place(matrix: np.ndarray, p: int, source: str) -> CouplingRanking:
-    """Decompose, rank and assign in one call."""
-    d = compute_svd(matrix, source)
-    return assign_buses(d, rank_vectors(d, p), p)
+    return CouplingRanking(selected=tuple(selected))

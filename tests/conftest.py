@@ -66,6 +66,24 @@ from,to,r,x,b,tap,shift_deg
 """
 
 
+# Two parallel circuits between the only two buses.
+PARALLEL_PAIR_CSV = """\
+[case]
+name = pair
+mva_base = 100.0
+
+[buses]
+id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs
+1,slack,1.0,0.0,0,0,0,0,0,0
+2,PQ,1.0,0.0,0,0,0,0,0,0
+
+[branches]
+from,to,r,x,b,tap,shift_deg
+1,2,0.0,0.5,0.0,1.0,0.0
+1,2,0.0,0.5,0.0,1.0,0.0
+"""
+
+
 @pytest.fixture(scope="session")
 def cases():
     """All bundled systems, parsed once."""

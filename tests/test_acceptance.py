@@ -18,6 +18,7 @@ from pmuplace.errors import AsymmetryWarning
 from pmuplace.pipeline import RunConfig, run_batch
 from conftest import BUNDLED, random_connected_adjacency
 from acceptance_log import record
+from oracles import brute_force_cover, reconstruction_error, verify_metric
 
 DATA = Path(pp.__file__).parent / "data"
 
@@ -109,8 +110,8 @@ def test_criterion_2_electrical_counts(electrical):
     assert ok, "neither operating-point mode reproduces both small counts"
 
 
-def _placement(matrix, p, source):
-    d = pp.compute_svd(matrix, source)
+def _placement(matrix, p):
+    d = pp.compute_svd(matrix)
     return pp.assign_buses(d, pp.rank_vectors(d, p), p)
 
 
@@ -118,7 +119,7 @@ def test_criterion_3a_nine_bus_electrical_placement(electrical):
     results = {}
     for mode in ("solved", "flat"):
         ranking = _placement(electrical["ieee9", mode]["dist"].e,
-                             len(NINE_ELEC_PLACEMENT), "distance")
+                             len(NINE_ELEC_PLACEMENT))
         deflected = {a.vector_index: (a.intended_bus, a.bus)
                      for a in ranking.conflicts}
         results[mode] = (set(ranking.buses), deflected)
@@ -140,7 +141,7 @@ def test_criterion_3b_fourteen_bus_electrical_placement(electrical):
     results = {}
     for mode in ("solved", "flat"):
         ranking = _placement(electrical["ieee14", mode]["dist"].e,
-                             len(FOURTEEN_ELEC_PLACEMENT), "distance")
+                             len(FOURTEEN_ELEC_PLACEMENT))
         results[mode] = set(ranking.buses)
     good_modes = [m for m, buses in results.items()
                   if buses == FOURTEEN_ELEC_PLACEMENT]
@@ -154,7 +155,7 @@ def test_criterion_3b_fourteen_bus_electrical_placement(electrical):
 
 def test_criterion_3c_fourteen_bus_topological_placement(cases):
     y = pp.build_ybus(cases["ieee14"])
-    ranking = _placement(y, len(FOURTEEN_TOPO_PLACEMENT), "admittance")
+    ranking = _placement(y, len(FOURTEEN_TOPO_PLACEMENT))
     ok = set(ranking.buses) == FOURTEEN_TOPO_PLACEMENT
     record("3c", "14-bus topological placement {2,4,6,9}", ok,
            f"got {sorted(ranking.buses)}")
@@ -189,12 +190,12 @@ def test_criterion_5_oracle_equivalence(cases, electrical):
     for name in ("ieee9", "ieee14"):
         topo = pp.CoverInstance(adjacency=pp.topological_adjacency(
             cases[name]))
-        if pp.solve_cover(topo).count != pp.brute_force_cover(
+        if pp.solve_cover(topo).count != brute_force_cover(
                 topo, cases[name].n).count:
             mismatches.append(f"{name}-topological")
         elec = pp.CoverInstance(
             adjacency=electrical[name, "solved"]["adjacency"])
-        if pp.solve_cover(elec).count != pp.brute_force_cover(
+        if pp.solve_cover(elec).count != brute_force_cover(
                 elec, cases[name].n).count:
             mismatches.append(f"{name}-electrical")
     rng = np.random.default_rng(20260808)
@@ -202,8 +203,8 @@ def test_criterion_5_oracle_equivalence(cases, electrical):
         n = int(rng.integers(3, 13))
         bits = random_connected_adjacency(rng, n)
         inst = pp.CoverInstance(adjacency=pp.BinaryAdjacency(
-            n=n, bits=bits, kind="topological"))
-        if pp.solve_cover(inst).count != pp.brute_force_cover(inst, n).count:
+            n=n, bits=bits))
+        if pp.solve_cover(inst).count != brute_force_cover(inst, n).count:
             mismatches.append(f"random-{trial}")
     ok = not mismatches
     record("5", "exact solver equals exhaustive oracle (9/14 both "
@@ -219,7 +220,7 @@ def test_criterion_6_metric_suite(cases, electrical):
         for mode in ("solved", "flat"):
             entry = electrical[name, mode]
             dist, g = entry["dist"], entry["g"]
-            rep = pp.verify_metric(dist, tol=1e-9)
+            rep = verify_metric(dist, tol=1e-9)
             if not rep.ok:
                 failures.append(f"{name}/{mode}: metric {rep}")
             alt_refs = [r for r in (2, case.n) if r != case.slack_index]
@@ -272,8 +273,8 @@ def test_criterion_7_numerical_kernels(cases, electrical):
         for matrix, source in ((pp.build_ybus(cases[name]), "admittance"),
                                (electrical[name, "solved"]["dist"].e,
                                 "distance")):
-            d = pp.compute_svd(matrix, source)
-            if d.reconstruction_error(matrix) > 1e-8:
+            d = pp.compute_svd(matrix)
+            if reconstruction_error(d, matrix) > 1e-8:
                 failures.append(f"{name}/{source}: reconstruction")
             n = d.n
             ortho = max(

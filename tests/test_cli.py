@@ -11,7 +11,8 @@ import pytest
 import pmuplace as pp
 from pmuplace import cli, pipeline
 from pmuplace.errors import AsymmetryWarning
-from conftest import SINGULAR_JACOBIAN_CSV, TWO_SLACK_CDF
+from conftest import (PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV, TWO_BUS_CDF,
+                      TWO_SLACK_CDF)
 
 DATA = Path(pp.__file__).parent / "data"
 
@@ -25,6 +26,17 @@ def _quiet_asymmetry():
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def write_bundle(directory, text):
+    """Write a CSV fallback document as a case.toml/buses.csv/branches.csv
+    bundle directory."""
+    directory.mkdir()
+    for fname, section in zip(("case.toml", "buses.csv", "branches.csv"),
+                              text.split("\n\n")):
+        body = section.split("\n", 1)[1]
+        (directory / fname).write_text(body.rstrip("\n") + "\n")
+    return directory
 
 
 class TestExitCodes:
@@ -59,23 +71,47 @@ class TestExitCodes:
         assert code == 7
 
     # A singular Newton Jacobian stops the power flow (exit 7); a nan
-    # reactance is rejected by the reader, at the line of the branch in
-    # the joined bundle (exit 4).
+    # reactance is rejected by the reader, at the branch's own line of
+    # branches.csv (exit 4).
     @pytest.mark.parametrize("x, code, where",
-                             [("0.5", 7, ""), ("nan", 4, "line 12:")],
+                             [("0.5", 7, ""),
+                              ("nan", 4, "error: branches.csv line 2:")],
                              ids=["singular-jacobian", "nan-reactance"])
     def test_power_flow_failure_exit(self, tmp_path, capsys, x, code, where):
         text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,", f"1,2,0.0,{x},")
-        sections = text.split("\n\n")
-        bundle = tmp_path / "bundle"
-        bundle.mkdir()
-        for fname, section in zip(("case.toml", "buses.csv", "branches.csv"),
-                                  sections):
-            body = section.split("\n", 1)[1]
-            (bundle / fname).write_text(body.rstrip("\n") + "\n")
+        bundle = write_bundle(tmp_path / "bundle", text)
         assert run_cli("--case", str(bundle),
                        "--structure", "electrical") == code
         assert where in capsys.readouterr().err
+
+    def test_bundle_errors_name_file_and_line(self, tmp_path, capsys):
+        text = SINGULAR_JACOBIAN_CSV.replace("mva_base = 100.0",
+                                             "mva_base = inf")
+        bundle = write_bundle(tmp_path / "bundle", text)
+        assert run_cli("--case", str(bundle)) == 4
+        assert "error: case.toml line 2:" in capsys.readouterr().err
+        text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,", "1,3,0.0,0.5,")
+        bundle = write_bundle(tmp_path / "unknown", text)
+        assert run_cli("--case", str(bundle)) == 5
+        assert "branches.csv line 2: branch references unknown bus 3" in \
+            capsys.readouterr().err
+
+    def test_regulated_bus_without_voltage_is_invalid_model(self, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "novoltage.txt"
+        bad.write_text(TWO_BUS_CDF.replace("  3 1.0000", "  3 -1.000"))
+        assert run_cli("--case", str(bad)) == 5
+        err = capsys.readouterr().err
+        assert "bus 1: regulated bus with non-positive voltage -1.0" in err
+        assert "line 0" not in err
+
+    def test_parallel_circuits_electrical(self, tmp_path, capsys):
+        # Two circuits between the only two buses: more branches than
+        # bus pairs, so every pair is linked.
+        bundle = write_bundle(tmp_path / "pair", PARALLEL_PAIR_CSV)
+        assert run_cli("--case", str(bundle), "--structure", "electrical",
+                       "--out", str(tmp_path / "out")) == 0
+        assert "optimal monitor count: 1" in capsys.readouterr().out
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -85,6 +121,25 @@ class TestExitCodes:
     def test_batch_requires_out(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("--cases-dir", str(tmp_path))
+        assert exc.value.code == 2
+
+    # Every cell of every case would write the one dump path, and the
+    # summary has no column for listed optima.
+    @pytest.mark.parametrize("flag, value", [
+        ("--dump-distance", "e.csv"), ("--dump-ybus", "y.csv"),
+        ("--dump-adjacency", "b.csv"), ("--enumerate", "3")])
+    def test_batch_rejects_lost_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--cases-dir", str(tmp_path), "--out", str(out),
+                    flag, value)
+        assert exc.value.code == 2
+        assert "--cases-dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_place_mode_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(DATA / "ieee9.txt"), "--mode", "place")
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -99,6 +154,7 @@ class TestExitCodes:
 
 @pytest.mark.parametrize("field, value", [
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
+    ("mode", "place"),
     ("enumerate_cap", -1), ("pf_max_iter", -1), ("pf_tol", 0.0),
     ("pf_tol", -1e-8), ("pf_tol", float("nan"))])
 def test_run_config_rejects_bad_field(field, value):
@@ -110,8 +166,8 @@ class TestStageIsolation:
     def test_count_mode_skips_decomposition(self, monkeypatch, tmp_path):
         calls = []
 
-        def spy(matrix, source):
-            calls.append(source)
+        def spy(matrix):
+            calls.append(matrix)
             raise AssertionError("decomposition stage must not run")
 
         monkeypatch.setattr(pipeline, "compute_svd", spy)
@@ -124,14 +180,19 @@ class TestStageIsolation:
         calls = []
         real = pipeline.compute_svd
 
-        def spy(matrix, source):
-            calls.append(source)
-            return real(matrix, source)
+        def spy(matrix):
+            calls.append(matrix)
+            return real(matrix)
 
         monkeypatch.setattr(pipeline, "compute_svd", spy)
         assert run_cli("--case", str(DATA / "ieee9.txt"),
                        "--structure", "both", "--mode", "full") == 0
-        assert calls == ["admittance", "distance"]
+        # the complex admittance matrix, then the real distance matrix
+        ybus = pp.build_ybus(pp.load_case(DATA / "ieee9.txt"))
+        assert [m.shape for m in calls] == [(9, 9), (9, 9)]
+        assert np.array_equal(calls[0], ybus)
+        assert not np.iscomplexobj(calls[1])
+        assert np.all(np.diag(calls[1]) == 0) and np.all(calls[1] >= 0)
 
     def test_flat_mode_skips_power_flow(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -229,7 +290,17 @@ class TestBatch:
                        "--out", str(out)) == 0
         lines = (out / "summary.csv").read_text().splitlines()
         broken = next(line for line in lines if line.startswith("broken"))
-        assert "error:" in broken
+        assert broken == ("broken,,error:MissingSection,"
+                          "error:MissingSection,error:MissingSection")
+        assert any(line.startswith("ieee9,9,3") for line in lines)
+
+    def test_parallel_circuits_row(self, small_dir, tmp_path):
+        write_bundle(small_dir / "pair", PARALLEL_PAIR_CSV)
+        out = tmp_path / "out"
+        assert run_cli("--cases-dir", str(small_dir),
+                       "--out", str(out)) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert "pair,2,1,1,1" in lines
         assert any(line.startswith("ieee9,9,3") for line in lines)
 
     def test_empty_directory_header_only(self, tmp_path):

@@ -17,14 +17,15 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pmuplace as pp
 from pmuplace.cover import _Engine
-from pmuplace.errors import AsymmetryWarning, NoSolutionWithinK
+from pmuplace.errors import AsymmetryWarning
 from pmuplace.network import BinaryAdjacency
 from conftest import BUNDLED, random_connected_adjacency
+from oracles import NoSolutionWithinK, brute_force_cover
 
 
 def inst_from_bits(bits):
     return pp.CoverInstance(adjacency=BinaryAdjacency(
-        n=bits.shape[0], bits=bits, kind="topological"))
+        n=bits.shape[0], bits=bits))
 
 
 def feasible(inst, sol):
@@ -149,7 +150,7 @@ class TestOracleEquivalence:
         inst = pp.CoverInstance(
             adjacency=pp.topological_adjacency(cases[name]))
         exact = pp.solve_cover(inst)
-        brute = pp.brute_force_cover(inst, cases[name].n)
+        brute = brute_force_cover(inst, cases[name].n)
         assert exact.count == brute.count
         assert feasible(inst, exact)
 
@@ -157,7 +158,7 @@ class TestOracleEquivalence:
     def test_electrical(self, electrical_insts, name):
         inst = electrical_insts[name]
         exact = pp.solve_cover(inst)
-        brute = pp.brute_force_cover(inst, inst.n)
+        brute = brute_force_cover(inst, inst.n)
         assert exact.count == brute.count
         assert feasible(inst, exact)
         # the witness sets agree too: both are lexicographically first
@@ -220,16 +221,16 @@ class TestEnumerateOptima:
 class TestBruteForce:
     def test_path_of_three(self):
         bits = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=np.int8)
-        sol = pp.brute_force_cover(inst_from_bits(bits), 3)
+        sol = brute_force_cover(inst_from_bits(bits), 3)
         assert sol.count == 1
 
     def test_budget_exhausted(self):
         with pytest.raises(NoSolutionWithinK):
-            pp.brute_force_cover(inst_from_bits(np.eye(4, dtype=np.int8)), 3)
+            brute_force_cover(inst_from_bits(np.eye(4, dtype=np.int8)), 3)
 
     def test_lexicographic_first(self):
         bits = np.ones((3, 3), dtype=np.int8)
-        assert pp.brute_force_cover(inst_from_bits(bits), 3).nodes == (1,)
+        assert brute_force_cover(inst_from_bits(bits), 3).nodes == (1,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,7 +240,7 @@ def test_random_graphs_match_oracle(seed, n):
     bits = random_connected_adjacency(rng, n)
     inst = inst_from_bits(bits)
     exact = pp.solve_cover(inst)
-    brute = pp.brute_force_cover(inst, n)
+    brute = brute_force_cover(inst, n)
     assert exact.count == brute.count
     assert exact.nodes == brute.nodes
     assert feasible(inst, exact)
@@ -288,7 +289,7 @@ def test_disjoint_union_splits_into_components(seed, sizes, cap):
         at += part.shape[0]
     inst = inst_from_bits(bits)
     count = pp.optimal_count(inst)
-    assert count == pp.brute_force_cover(inst, n).count
+    assert count == brute_force_cover(inst, n).count
     assert count == sum(pp.optimal_count(inst_from_bits(p)) for p in parts)
     want = all_optima(bits)
     optima = pp.enumerate_optima(inst, cap)

@@ -1,10 +1,15 @@
 """Admittance matrix and topological adjacency tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pmuplace as pp
 from pmuplace.cases import PowerCase
+from pmuplace.errors import InvalidBranch
+from conftest import PARALLEL_PAIR_CSV
+from oracles import distinct_pairs
 
 
 def test_two_bus_ybus(two_bus):
@@ -13,6 +18,13 @@ def test_two_bus_ybus(two_bus):
     assert y[1, 0] == pytest.approx(2j)
     assert y[0, 0] == pytest.approx(-2j)
     assert y[1, 1] == pytest.approx(-2j)
+
+
+def test_vanishing_tap_rejected(two_bus):
+    # 1e-170 squares to zero, which the pi model divides by
+    branch = replace(two_bus.branches[0], tap_ratio=1e-170)
+    with pytest.raises(InvalidBranch, match="1-2 has tap ratio 1e-170"):
+        pp.build_ybus(replace(two_bus, branches=(branch,)))
 
 
 def test_triangle_ybus(triangle):
@@ -44,14 +56,9 @@ def test_tap_asymmetry(ieee14):
 
 
 def test_parallel_branches_sum():
-    case = pp.parse_csv_fallback(
-        "[case]\nname = pair\nmva_base = 100\n[buses]\n"
-        "id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs\n"
-        "1,slack,1.0,0,0,0,0,0,0,0\n2,PQ,1.0,0,0,0,0,0,0,0\n"
-        "[branches]\nfrom,to,r,x,b,tap,shift_deg\n"
-        "1,2,0.0,0.5,0.0,1.0,0.0\n1,2,0.0,0.5,0.0,1.0,0.0\n")
+    case = pp.parse_csv_fallback(PARALLEL_PAIR_CSV)
     assert case.m == 2
-    assert pp.distinct_pairs(case) == 1
+    assert distinct_pairs(case) == 1
     y = pp.build_ybus(case)
     assert y[0, 1] == pytest.approx(4j)
 
@@ -106,7 +113,7 @@ def test_offdiagonal_count_is_twice_distinct_pairs(cases):
     for case in cases.values():
         a = pp.topological_adjacency(case)
         off = int(a.bits.sum()) - case.n
-        assert off == 2 * pp.distinct_pairs(case)
+        assert off == 2 * distinct_pairs(case)
 
 
 def test_adjacency_symmetric_unit_diagonal(cases):

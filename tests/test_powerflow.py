@@ -60,14 +60,13 @@ def _scipy_reference(case):
 class TestSolvePowerFlow:
     def test_two_bus_zero_load_flat_fixed_point(self, two_bus):
         op = pp.solve_power_flow(two_bus)
-        assert op.converged
+        assert op.mismatch_inf_norm <= 1e-8
         assert op.iterations <= 1
         assert np.allclose(op.v_ang, 0.0)
         assert np.allclose(op.v_mag, 1.0)
 
     def test_ieee14_converges_quickly(self, ieee14):
         op = pp.solve_power_flow(ieee14)
-        assert op.converged
         assert op.iterations <= 10
         assert op.mismatch_inf_norm <= 1e-8
 
@@ -116,7 +115,6 @@ class TestSolvePowerFlow:
     def test_all_bundled_cases_converge(self, cases):
         for name, case in cases.items():
             op = pp.solve_power_flow(case)
-            assert op.converged, name
             assert op.mismatch_inf_norm <= 1e-8, name
 
 

@@ -13,8 +13,8 @@ from pmuplace.network import BinaryAdjacency
 from pmuplace.pipeline import RunConfig, run_structure
 
 
-def adj(bits, kind="electrical"):
-    return BinaryAdjacency(n=bits.shape[0], bits=bits, kind=kind)
+def adj(bits):
+    return BinaryAdjacency(n=bits.shape[0], bits=bits)
 
 
 class TestAverageProfile:
