@@ -111,8 +111,33 @@ class PowerCase:
         raise MissingSlack("case has no slack bus")
 
 
-def _validate(name: str, mva_base: float, buses: list[Bus],
-              branches: list[Branch], checksum: str) -> PowerCase:
+def _assemble(name: str, mva_base: float, bus_rows, branch_rows,
+              checksum: str) -> PowerCase:
+    """The validated case built from per-unit records in file order.
+
+    A bus row is ``(external id, Bus fields)``, the fields after
+    `index` and `external_id`. A branch row is ``(where, (from id,
+    to id), Branch fields)``, the fields after the two ends, where
+    `where` ("line 7", "branches.csv line 2") locates the record in
+    error messages. External ids are remapped to 1..N in bus order.
+    """
+    ext_to_int: dict[int, int] = {}
+    buses: list[Bus] = []
+    for ext, fields in bus_rows:
+        if ext in ext_to_int:
+            raise DuplicateBusId(f"{name}: bus {ext} appears twice")
+        internal = ext_to_int[ext] = len(buses) + 1
+        buses.append(Bus(internal, ext, *fields))
+
+    branches: list[Branch] = []
+    for where, ends, fields in branch_rows:
+        for end in ends:
+            if end not in ext_to_int:
+                raise UnknownBusReference(f"{name}: {where}: branch "
+                                          f"references unknown bus {end}")
+        branches.append(Branch(ext_to_int[ends[0]], ext_to_int[ends[1]],
+                               *fields))
+
     n = len(buses)
     if n < 2:
         raise MissingSection(f"{name}: a case needs at least 2 buses, got {n}")
@@ -141,11 +166,6 @@ def _validate(name: str, mva_base: float, buses: list[Bus],
         if br.r == 0 and br.x == 0:
             raise InvalidBranch(f"{name}: branch {br.from_bus}-{br.to_bus} "
                                 "has zero impedance")
-        for end in (br.from_bus, br.to_bus):
-            if not 1 <= end <= n:
-                raise UnknownBusReference(
-                    f"{name}: branch references bus {end} "
-                    f"outside 1..{n}")
 
     if not _connected(n, branches):
         raise DisconnectedNetwork(f"{name}: branch graph is not connected")
@@ -220,8 +240,9 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
     mva_base = _num(title, 31, 37, 1) or 100.0
     case_name = name or _slice(title, 45, 73) or "case"
 
-    bus_records: list[tuple[int, dict]] = []
-    branch_records: list[tuple[int, dict]] = []
+    # (line, type code, external id, Bus fields); branch rows as is.
+    bus_records: list[tuple[int, int, int, tuple]] = []
+    branch_records: list[tuple[str, tuple[int, int], tuple]] = []
     section = None
 
     for line_no, line in enumerate(lines[1:], start=2):
@@ -242,78 +263,43 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
             section = "skip"
             continue
         if section == "bus":
-            bus_records.append((line_no, {
-                "external_id": _num(line, 0, 4, line_no, int),
-                "bus_type": _num(line, 24, 26, line_no, int),
-                "v_mag": _num(line, 27, 33, line_no),
-                "v_ang_deg": _num(line, 33, 40, line_no),
-                "p_load": _num(line, 40, 49, line_no),
-                "q_load": _num(line, 49, 59, line_no),
-                "p_gen": _num(line, 59, 67, line_no),
-                "q_gen": _num(line, 67, 75, line_no),
-                "shunt_g": _num(line, 106, 114, line_no),
-                "shunt_b": _num(line, 114, 122, line_no),
-            }))
+            ext = _num(line, 0, 4, line_no, int)
+            code = _num(line, 24, 26, line_no, int)
+            bus_records.append((line_no, code, ext, (
+                _CDF_TYPE_MAP.get(code),
+                _num(line, 27, 33, line_no) or 1.0,
+                math.radians(_num(line, 33, 40, line_no)),
+                _num(line, 40, 49, line_no) / mva_base,
+                _num(line, 49, 59, line_no) / mva_base,
+                _num(line, 59, 67, line_no) / mva_base,
+                _num(line, 67, 75, line_no) / mva_base,
+                _num(line, 106, 114, line_no),
+                _num(line, 114, 122, line_no))))
         elif section == "branch":
-            branch_records.append((line_no, {
-                "from_ext": _num(line, 0, 4, line_no, int),
-                "to_ext": _num(line, 5, 9, line_no, int),
-                "r": _num(line, 19, 29, line_no),
-                "x": _num(line, 29, 40, line_no),
-                "b": _num(line, 40, 50, line_no),
-                "tap": _num(line, 76, 82, line_no),
-                "shift_deg": _num(line, 83, 90, line_no),
-            }))
+            branch_records.append((f"line {line_no}", (
+                _num(line, 0, 4, line_no, int),
+                _num(line, 5, 9, line_no, int)), (
+                _num(line, 19, 29, line_no),
+                _num(line, 29, 40, line_no),
+                _num(line, 40, 50, line_no),
+                _num(line, 76, 82, line_no) or 1.0,
+                math.radians(_num(line, 83, 90, line_no)))))
 
     if not bus_records:
         raise MissingSection(f"{case_name}: no BUS DATA section")
     if not branch_records:
         raise MissingSection(f"{case_name}: no BRANCH DATA section")
 
-    ext_to_int: dict[int, int] = {}
-    buses: list[Bus] = []
-    for line_no, rec in bus_records:
-        ext = rec["external_id"]
-        if ext in ext_to_int:
-            raise DuplicateBusId(f"{case_name}: bus {ext} appears twice")
-        internal = len(buses) + 1
-        ext_to_int[ext] = internal
-        bus_type = _CDF_TYPE_MAP.get(rec["bus_type"])
-        if bus_type is None:
-            raise MalformedRecord(line_no, f"bus {ext}: unknown type code "
-                                  f"{rec['bus_type']}")
-        buses.append(Bus(
-            index=internal,
-            external_id=ext,
-            bus_type=bus_type,
-            v_mag=rec["v_mag"] or 1.0,
-            v_ang=math.radians(rec["v_ang_deg"]),
-            p_load=rec["p_load"] / mva_base,
-            q_load=rec["q_load"] / mva_base,
-            p_gen=rec["p_gen"] / mva_base,
-            q_gen=rec["q_gen"] / mva_base,
-            shunt_g=rec["shunt_g"],
-            shunt_b=rec["shunt_b"],
-        ))
+    def bus_rows():
+        # Each type code is checked as its bus is remapped.
+        for line_no, code, ext, fields in bus_records:
+            if fields[0] is None:
+                raise MalformedRecord(line_no, f"bus {ext}: unknown type "
+                                      f"code {code}")
+            yield ext, fields
 
-    branches: list[Branch] = []
-    for line_no, rec in branch_records:
-        for end in ("from_ext", "to_ext"):
-            if rec[end] not in ext_to_int:
-                raise UnknownBusReference(
-                    f"{case_name}: line {line_no}: branch references "
-                    f"unknown bus {rec[end]}")
-        branches.append(Branch(
-            from_bus=ext_to_int[rec["from_ext"]],
-            to_bus=ext_to_int[rec["to_ext"]],
-            r=rec["r"],
-            x=rec["x"],
-            b_charging=rec["b"],
-            tap_ratio=rec["tap"] or 1.0,
-            phase_shift=math.radians(rec["shift_deg"]),
-        ))
-
-    return _validate(case_name, mva_base, buses, branches, _checksum(text))
+    return _assemble(case_name, mva_base, bus_rows(), branch_records,
+                     _checksum(text))
 
 
 # --- CSV fallback ------------------------------------------------------------
@@ -408,49 +394,32 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
             out.append((line_no, cells))
         return out
 
-    bus_rows = parse_table("buses", _BUS_HEADER, 10)
-    branch_rows = parse_table("branches", _BRANCH_HEADER, 7)
+    bus_table = parse_table("buses", _BUS_HEADER, 10)
+    branch_table = parse_table("branches", _BRANCH_HEADER, 7)
 
-    ext_to_int: dict[int, int] = {}
-    buses: list[Bus] = []
-    for line_no, cells in bus_rows:
-        try:
-            ext = int(cells[0])
-            bus_type = _CSV_TYPE_MAP[cells[1]]
-            nums = [_finite(c) for c in cells[2:]]
-        except (ValueError, KeyError) as exc:
-            raise bad("buses", line_no, f"bad bus record {cells}") from exc
-        if ext in ext_to_int:
-            raise DuplicateBusId(f"{name}: bus {ext} appears twice")
-        internal = len(buses) + 1
-        ext_to_int[ext] = internal
-        buses.append(Bus(
-            index=internal, external_id=ext, bus_type=bus_type,
-            v_mag=nums[0], v_ang=math.radians(nums[1]),
-            p_load=nums[2], q_load=nums[3], p_gen=nums[4], q_gen=nums[5],
-            shunt_g=nums[6], shunt_b=nums[7],
-        ))
+    def bus_rows():
+        for line_no, cells in bus_table:
+            try:
+                ext = int(cells[0])
+                bus_type = _CSV_TYPE_MAP[cells[1]]
+                v_mag, v_ang_deg, *rest = [_finite(c) for c in cells[2:]]
+            except (ValueError, KeyError) as exc:
+                raise bad("buses", line_no, f"bad bus record {cells}") from exc
+            yield ext, (bus_type, v_mag, math.radians(v_ang_deg), *rest)
 
-    branches: list[Branch] = []
-    for line_no, cells in branch_rows:
-        try:
-            f_ext, t_ext = int(cells[0]), int(cells[1])
-            r, x, b, tap, shift_deg = (_finite(c) for c in cells[2:])
-        except ValueError as exc:
-            raise bad("branches", line_no,
-                      f"bad branch record {cells}") from exc
-        for end in (f_ext, t_ext):
-            if end not in ext_to_int:
-                where = f"{sources.get('branches', '')} line {line_no}"
-                raise UnknownBusReference(f"{name}: {where.lstrip()}: branch "
-                                          f"references unknown bus {end}")
-        branches.append(Branch(
-            from_bus=ext_to_int[f_ext], to_bus=ext_to_int[t_ext],
-            r=r, x=x, b_charging=b, tap_ratio=tap or 1.0,
-            phase_shift=math.radians(shift_deg),
-        ))
+    def branch_rows():
+        source = sources.get("branches", "")
+        for line_no, cells in branch_table:
+            try:
+                ends = int(cells[0]), int(cells[1])
+                r, x, b, tap, shift_deg = [_finite(c) for c in cells[2:]]
+            except ValueError as exc:
+                raise bad("branches", line_no,
+                          f"bad branch record {cells}") from exc
+            yield (f"{source} line {line_no}".lstrip(), ends,
+                   (r, x, b, tap or 1.0, math.radians(shift_deg)))
 
-    return _validate(name, mva_base, buses, branches, checksum)
+    return _assemble(name, mva_base, bus_rows(), branch_rows(), checksum)
 
 
 def _degrees_exact(rad: float) -> float:

@@ -7,12 +7,13 @@ Exit codes (warnings never change them):
 2      bad command line (argparse)
 3      input path missing or unreadable
 4      case file cannot be parsed
-5      case file parsed but the model is invalid
+5      case file parsed but the model is invalid (including an
+       admittance matrix that would hold a non-finite entry)
 6      network disconnected / grounded matrix singular
 7      power flow did not converge
 8      cover solver failure (defensive; should not occur)
 9      decomposition kernel failure
-10     report files could not be written
+10     output files could not be written (reports, dumps, summary)
 1      anything unexpected
 =====  =========================================================
 """

@@ -6,6 +6,7 @@ buses) do not justify sparse machinery.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,28 +34,46 @@ def build_ybus(case: PowerCase) -> np.ndarray:
 
     Standard pi model with the off-nominal tap on the from side;
     parallel branches accumulate. Bus shunts (and half the line
-    charging per end) land on the diagonal. A tap ratio whose square
-    underflows to zero raises `InvalidBranch`.
+    charging per end) land on the diagonal. A matrix that would hold a
+    non-finite entry raises `InvalidBranch` naming the case and the
+    branch (a tap ratio or series impedance so small that the pi model's
+    division overflows) or the bus (a sum that overflows).
     """
     n = case.n
     y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
-        i = br.from_bus - 1
-        j = br.to_bus - 1
-        y_series = 1.0 / complex(br.r, br.x)
-        y_shunt = 0.5j * br.b_charging
-        t = br.tap_ratio * np.exp(1j * br.phase_shift)
-        tap_sq = abs(t) ** 2
-        if tap_sq == 0:
-            raise InvalidBranch(f"{case.name}: branch {br.from_bus}-"
-                                f"{br.to_bus} has tap ratio {br.tap_ratio}, "
-                                "too close to zero")
-        y[i, i] += (y_series + y_shunt) / tap_sq
-        y[j, j] += y_series + y_shunt
-        y[i, j] += -y_series / np.conj(t)
-        y[j, i] += -y_series / t
-    for bus in case.buses:
-        y[bus.index - 1, bus.index - 1] += complex(bus.shunt_g, bus.shunt_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for br in case.branches:
+            i = br.from_bus - 1
+            j = br.to_bus - 1
+            y_series = 1.0 / complex(br.r, br.x)
+            y_shunt = 0.5j * br.b_charging
+            t = br.tap_ratio * np.exp(1j * br.phase_shift)
+            tap_sq = abs(t) ** 2
+            if tap_sq == 0:
+                raise InvalidBranch(f"{case.name}: branch {br.from_bus}-"
+                                    f"{br.to_bus} has tap ratio "
+                                    f"{br.tap_ratio}, too close to zero")
+            y_ii = (y_series + y_shunt) / tap_sq
+            y_ij = -y_series / np.conj(t)
+            y_ji = -y_series / t
+            if not (cmath.isfinite(y_ii) and cmath.isfinite(y_ij)
+                    and cmath.isfinite(y_ji)):
+                raise InvalidBranch(
+                    f"{case.name}: branch {br.from_bus}-{br.to_bus} has a "
+                    f"non-finite admittance (r {br.r}, x {br.x}, tap ratio "
+                    f"{br.tap_ratio})")
+            y[i, i] += y_ii
+            y[j, j] += y_series + y_shunt
+            y[i, j] += y_ij
+            y[j, i] += y_ji
+        for bus in case.buses:
+            y[bus.index - 1, bus.index - 1] += complex(bus.shunt_g,
+                                                       bus.shunt_b)
+    finite = np.isfinite(y)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise InvalidBranch(f"{case.name}: bus {case.external_id(row + 1)}: "
+                            "admittance sum is not finite")
     return y
 
 

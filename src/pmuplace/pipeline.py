@@ -148,14 +148,16 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
         written = report_mod.emit_report(artifacts, out)
 
     if config.dump_distance and dist is not None:
-        written.append(_dump_matrix(Path(config.dump_distance), dist.e, case))
+        written.append(report_mod._dump_matrix(Path(config.dump_distance),
+                                               dist.e, case))
     if config.dump_ybus and structure == config.structures()[0]:
-        written.append(_dump_matrix(Path(config.dump_ybus), ybus, case))
+        written.append(report_mod._dump_matrix(Path(config.dump_ybus), ybus,
+                                               case))
     if config.dump_adjacency:
         target = Path(config.dump_adjacency)
         if config.structure == "both":
             target = target.with_name(f"{structure}_{target.name}")
-        written.append(_dump_matrix(target, adjacency.bits, case))
+        written.append(report_mod._dump_matrix(target, adjacency.bits, case))
 
     return StructureResult(artifacts=artifacts, optima=optima,
                            written=tuple(written))
@@ -172,31 +174,6 @@ def run(config: RunConfig) -> RunResult:
         result.per_structure[structure] = run_structure(
             case, structure, config, ybus=ybus)
     return result
-
-
-def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
-    """CSV dump with external bus ids as header and row labels. Cells
-    are Python number reprs (complex ones as `re+imj`), which parse back
-    to the exact matrix."""
-    ids = [str(case.external_id(i + 1)) for i in range(case.n)]
-    lines = ["bus," + ",".join(ids)]
-    matrix = np.ascontiguousarray(matrix)
-    if np.iscomplexobj(matrix):
-        # A Y-bus is mostly one zero: format each distinct bit pattern
-        # once (bits, not values, so 0.0 and -0.0 stay apart).
-        raw = matrix.view(np.dtype((np.void, matrix.itemsize)))
-        distinct, where = np.unique(raw.ravel(), return_inverse=True)
-        text = [f"{v.real!r}{v.imag:+}j"
-                for v in distinct.view(matrix.dtype).tolist()]
-        for label, row in zip(ids, where.reshape(matrix.shape)):
-            lines.append(f"{label}," + ",".join([text[k]
-                                                 for k in row.tolist()]))
-    else:
-        for label, row in zip(ids, matrix.tolist()):
-            lines.append(f"{label}," + ",".join([repr(v) for v in row]))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 SUMMARY_HEADER = ("case,n,topological_count,electrical_count(solved),"
@@ -240,11 +217,11 @@ def run_batch(cases_dir: str | Path, template: RunConfig) -> Path:
         stem = path.stem if path.is_file() else path.name
         try:
             case = load_case(path)
+            ybus = build_ybus(case)
         except (PmuPlaceError, OSError) as exc:
             rows.append(",".join([stem, ""]
                                  + [_error_cell(exc)] * len(_BATCH_CELLS)))
             continue
-        ybus = build_ybus(case)
         cells = [stem, str(case.n)]
         for structure, jac, subdir in _BATCH_CELLS:
             cfg = replace(template, case_path=path, structure=structure,
@@ -256,7 +233,4 @@ def run_batch(cases_dir: str | Path, template: RunConfig) -> Path:
                 cells.append(_error_cell(exc))
         rows.append(",".join(cells))
 
-    summary = out_root / "summary.csv"
-    summary.parent.mkdir(parents=True, exist_ok=True)
-    summary.write_text("\n".join(rows) + "\n")
-    return summary
+    return report_mod._write(out_root / "summary.csv", rows)

@@ -161,3 +161,25 @@ def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
 
     return written
 
+
+def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
+    """CSV dump with external bus ids as header and row labels. Cells
+    are Python number reprs (complex ones as `re+imj`), which parse back
+    to the exact matrix."""
+    ids = [str(case.external_id(i + 1)) for i in range(case.n)]
+    lines = ["bus," + ",".join(ids)]
+    matrix = np.ascontiguousarray(matrix)
+    if np.iscomplexobj(matrix):
+        # A Y-bus is mostly one zero: format each distinct bit pattern
+        # once (bits, not values, so 0.0 and -0.0 stay apart).
+        raw = matrix.view(np.dtype((np.void, matrix.itemsize)))
+        distinct, where = np.unique(raw.ravel(), return_inverse=True)
+        text = [f"{v.real!r}{v.imag:+}j"
+                for v in distinct.view(matrix.dtype).tolist()]
+        for label, row in zip(ids, where.reshape(matrix.shape)):
+            lines.append(f"{label}," + ",".join([text[k]
+                                                 for k in row.tolist()]))
+    else:
+        for label, row in zip(ids, matrix.tolist()):
+            lines.append(f"{label}," + ",".join([repr(v) for v in row]))
+    return _write(path, lines)

@@ -110,6 +110,17 @@ def triangle():
     return pp.parse_csv_fallback(TRIANGLE_CSV)
 
 
+def write_bundle(directory, text):
+    """Write a CSV fallback document as a case.toml/buses.csv/branches.csv
+    bundle directory."""
+    directory.mkdir()
+    for fname, section in zip(("case.toml", "buses.csv", "branches.csv"),
+                              text.split("\n\n")):
+        body = section.split("\n", 1)[1]
+        (directory / fname).write_text(body.rstrip("\n") + "\n")
+    return directory
+
+
 def random_connected_adjacency(rng: np.random.Generator, n: int):
     """Unit-diagonal adjacency of a random connected graph (random
     spanning tree plus a few extra edges)."""

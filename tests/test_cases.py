@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace import errors
-from conftest import TRIANGLE_CSV, TWO_BUS_CDF, TWO_SLACK_CDF
+from conftest import TRIANGLE_CSV, TWO_BUS_CDF, TWO_SLACK_CDF, write_bundle
 
 
 class TestCdfParser:
@@ -159,6 +159,37 @@ class TestCsvFallback:
         assert again.branches == ieee14.branches
         assert again.mva_base == ieee14.mva_base
         assert again.name == ieee14.name
+
+
+# Both readers hand their records to one assembler, which remaps the ids
+# and checks every reference.
+@pytest.mark.parametrize("fmt, old, new, error, message", [
+    ("cdf", "   2 BUS 2", "   1 BUS 2", errors.DuplicateBusId,
+     "TWO BUS MINIMAL: bus 1 appears twice"),
+    ("cdf", "   1    2  1", "   1    3  1", errors.UnknownBusReference,
+     "TWO BUS MINIMAL: line 7: branch references unknown bus 3"),
+    ("csv", "2,PQ,", "1,PQ,", errors.DuplicateBusId,
+     "triangle: bus 1 appears twice"),
+    ("csv", "1,3,0.0", "1,99,0.0", errors.UnknownBusReference,
+     "triangle: line 15: branch references unknown bus 99"),
+    ("bundle", "2,PQ,", "1,PQ,", errors.DuplicateBusId,
+     "triangle: bus 1 appears twice"),
+    ("bundle", "1,3,0.0", "1,99,0.0", errors.UnknownBusReference,
+     "triangle: branches.csv line 4: branch references unknown bus 99")],
+    ids=[f"{fmt}-{fault}" for fmt in ("cdf", "csv", "bundle")
+         for fault in ("duplicate", "unknown")])
+def test_bus_reference_faults(tmp_path, fmt, old, new, error, message):
+    base = TWO_BUS_CDF if fmt == "cdf" else TRIANGLE_CSV
+    text = base.replace(old, new)
+    assert text != base
+    with pytest.raises(error) as exc:
+        if fmt == "cdf":
+            pp.parse_cdf(text)
+        elif fmt == "csv":
+            pp.parse_csv_fallback(text)
+        else:
+            pp.load_case(write_bundle(tmp_path / "bundle", text))
+    assert str(exc.value) == message
 
 
 def _union_find_connected(n, pairs):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import pmuplace as pp
-from pmuplace import cli, pipeline
+from pmuplace import cli, pipeline, report
 from pmuplace.errors import AsymmetryWarning
 from conftest import (PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV, TWO_BUS_CDF,
-                      TWO_SLACK_CDF)
+                      TWO_SLACK_CDF, write_bundle)
 
 DATA = Path(pp.__file__).parent / "data"
 
@@ -26,17 +26,6 @@ def _quiet_asymmetry():
 
 def run_cli(*args):
     return cli.main(list(args))
-
-
-def write_bundle(directory, text):
-    """Write a CSV fallback document as a case.toml/buses.csv/branches.csv
-    bundle directory."""
-    directory.mkdir()
-    for fname, section in zip(("case.toml", "buses.csv", "branches.csv"),
-                              text.split("\n\n")):
-        body = section.split("\n", 1)[1]
-        (directory / fname).write_text(body.rstrip("\n") + "\n")
-    return directory
 
 
 class TestExitCodes:
@@ -95,6 +84,39 @@ class TestExitCodes:
         assert run_cli("--case", str(bundle)) == 5
         assert "branches.csv line 2: branch references unknown bus 3" in \
             capsys.readouterr().err
+
+    # 1/x and 1/tap^2 overflow; the model is rejected before any stage
+    # computes with the infinity.
+    @pytest.mark.parametrize("x, tap", [("1e-320", "1.0"), ("0.5", "1e-160")],
+                             ids=["x", "tap"])
+    @pytest.mark.parametrize("structure, jacobian", [
+        ("topological", "solved"), ("electrical", "solved"),
+        ("electrical", "flat")])
+    def test_non_finite_admittance_is_invalid_model(self, tmp_path, capsys,
+                                                    x, tap, structure,
+                                                    jacobian):
+        text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,0.0,1.0,",
+                                             f"1,2,0.0,{x},0.0,{tap},")
+        bundle = write_bundle(tmp_path / "bundle", text)
+        assert run_cli("--case", str(bundle), "--structure", structure,
+                       "--jacobian", jacobian) == 5
+        assert "error: singular: branch 1-2 has a non-finite admittance" in \
+            capsys.readouterr().err
+
+    # A path below a regular file cannot be created.
+    @pytest.mark.parametrize("source, flag", [("--case", "--dump-ybus"),
+                                              ("--cases-dir", "--out")],
+                             ids=["dump", "summary"])
+    def test_unwritable_output_is_report_error(self, tmp_path, capsys,
+                                               source, flag):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        shutil.copy(DATA / "ieee9.txt", cases)
+        path = cases / "ieee9.txt" if source == "--case" else cases
+        assert run_cli(source, str(path), flag, str(afile / "o")) == 10
+        assert f"error: {afile / 'o'}" in capsys.readouterr().err
 
     def test_regulated_bus_without_voltage_is_invalid_model(self, tmp_path,
                                                             capsys):
@@ -249,7 +271,7 @@ class TestOutputs:
                      rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
         y[0, :4] = [complex(0.0, 0.0), complex(-0.0, 0.0),
                     complex(0.0, -0.0), complex(-0.0, -0.0)]
-        path = pipeline._dump_matrix(tmp_path / "y.csv", y, ieee9)
+        path = report._dump_matrix(tmp_path / "y.csv", y, ieee9)
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[1:] for row in rows] == \
             [[f"{v.real!r}{v.imag:+}j" for v in row] for row in y.tolist()]
@@ -292,6 +314,19 @@ class TestBatch:
         broken = next(line for line in lines if line.startswith("broken"))
         assert broken == ("broken,,error:MissingSection,"
                           "error:MissingSection,error:MissingSection")
+        assert any(line.startswith("ieee9,9,3") for line in lines)
+
+    def test_ybus_failure_recorded_batch_continues(self, small_dir,
+                                                   tmp_path):
+        # 1e-300 squares to zero, so no admittance matrix can be built
+        write_bundle(small_dir / "tiny", SINGULAR_JACOBIAN_CSV.replace(
+            "1,2,0.0,0.5,0.0,1.0,", "1,2,0.0,0.5,0.0,1e-300,"))
+        out = tmp_path / "out"
+        assert run_cli("--cases-dir", str(small_dir),
+                       "--out", str(out)) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert ("tiny,,error:InvalidBranch,error:InvalidBranch,"
+                "error:InvalidBranch") in lines
         assert any(line.startswith("ieee9,9,3") for line in lines)
 
     def test_parallel_circuits_row(self, small_dir, tmp_path):

@@ -27,6 +27,24 @@ def test_vanishing_tap_rejected(two_bus):
         pp.build_ybus(replace(two_bus, branches=(branch,)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x", float("nan")), ("x", 1e-320), ("tap_ratio", 1e-160)])
+def test_non_finite_branch_admittance_rejected(two_bus, field, value):
+    # 1/x and 1/tap^2 overflow; the readers reject nan, in-memory cases
+    # reach the same check
+    branch = replace(two_bus.branches[0], **{field: value})
+    with pytest.raises(InvalidBranch, match="branch 1-2 has a non-finite"):
+        pp.build_ybus(replace(two_bus, branches=(branch,)))
+
+
+def test_overflowing_admittance_sum_rejected():
+    # each circuit's admittance is finite; the two sum past the float range
+    case = pp.parse_csv_fallback(
+        PARALLEL_PAIR_CSV.replace(",0.5,", ",1e-308,"))
+    with pytest.raises(InvalidBranch, match="pair: bus 1: admittance sum"):
+        pp.build_ybus(case)
+
+
 def test_triangle_ybus(triangle):
     y = pp.build_ybus(triangle)
     assert np.allclose(np.diag(y), -2j)
