@@ -20,9 +20,8 @@ from .pipeline import (RunConfig, RunResult, StructureResult, run,
                        run_batch, run_structure)
 from .powerflow import (OperatingPoint, flat_point, p_theta_jacobian,
                         solve_power_flow)
-from .report import (AverageDistanceProfile, PatternReport, RunArtifacts,
-                     average_profile, emit_report, pattern_check,
-                     report_dict)
+from .report import (AverageDistanceProfile, RunArtifacts, average_profile,
+                     emit_report, report_dict)
 from .spectral import (Assignment, CouplingRanking, SingularDecomposition,
                        assign_buses, compute_svd, rank_vectors)
 

@@ -103,9 +103,10 @@ def _print_structure(name: str, result, enumerate_cap: int):
         print(f"[{name}] placement buses: "
               f"{[ext(b) for b in art.ranking.buses]}")
     lam_min = float(art.profile.lam_min)
+    above = art.profile.above_minimum(art.solution.nodes)
     print(f"[{name}] lambda_min = {lam_min:.6g} at buses "
           f"{[ext(b) for b in art.profile.argmins]}; chosen buses above "
-          f"the minimum: {[ext(b) for b in art.pattern.above_minimum]}")
+          f"the minimum: {[ext(b) for b in above]}")
     if result.optima is not None:
         sets = [[ext(b) for b in sol.nodes] for sol in result.optima]
         suffix = " (truncated)" if result.optima.truncated else ""

@@ -34,10 +34,11 @@ def build_ybus(case: PowerCase) -> np.ndarray:
 
     Standard pi model with the off-nominal tap on the from side;
     parallel branches accumulate. Bus shunts (and half the line
-    charging per end) land on the diagonal. A matrix that would hold a
-    non-finite entry raises `InvalidBranch` naming the case and the
-    branch (a tap ratio or series impedance so small that the pi model's
-    division overflows) or the bus (a sum that overflows).
+    charging per end) land on the diagonal. `InvalidBranch` names the
+    case and the branch whose tap ratio squares to zero or to infinity,
+    or whose pi model would hold a non-finite entry (a tap ratio or
+    series impedance so small that the division overflows), or the bus
+    whose sum overflows.
     """
     n = case.n
     y = np.zeros((n, n), dtype=complex)
@@ -49,10 +50,13 @@ def build_ybus(case: PowerCase) -> np.ndarray:
             y_shunt = 0.5j * br.b_charging
             t = br.tap_ratio * np.exp(1j * br.phase_shift)
             tap_sq = abs(t) ** 2
-            if tap_sq == 0:
+            # An infinite square would leave the branch electrically
+            # open while the topological path still counts it.
+            if tap_sq == 0 or tap_sq == np.inf:
+                size = "too close to zero" if tap_sq == 0 else "too large"
                 raise InvalidBranch(f"{case.name}: branch {br.from_bus}-"
                                     f"{br.to_bus} has tap ratio "
-                                    f"{br.tap_ratio}, too close to zero")
+                                    f"{br.tap_ratio}, {size}")
             y_ii = (y_series + y_shunt) / tap_sq
             y_ij = -y_series / np.conj(t)
             y_ji = -y_series / t

@@ -29,7 +29,7 @@ from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
                         flat_point, p_theta_jacobian, solve_power_flow)
-from .report import PatternReport, RunArtifacts, average_profile, pattern_check
+from .report import RunArtifacts, average_profile
 from .spectral import assign_buses, compute_svd, rank_vectors
 
 MODE_COUNT = "count"
@@ -133,12 +133,10 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
     if config.enumerate_cap > 0:
         optima = enumerate_optima(inst, config.enumerate_cap)
 
-    profile = average_profile(adjacency)
-    pattern: PatternReport = pattern_check(profile, solution)
     artifacts = RunArtifacts(case=case, structure=structure,
                              jacobian_mode=jac_mode, solution=solution,
                              ranking=ranking, decomposition=decomposition,
-                             profile=profile, pattern=pattern)
+                             profile=average_profile(adjacency))
 
     written: list[Path] = []
     if config.output_dir is not None:

@@ -2,8 +2,9 @@
 
 The solver is a plain full-Newton method in polar coordinates: active
 mismatch at PV and PQ buses, reactive mismatch at PQ buses, no reactive
-limit enforcement. Everything is deterministic; identical inputs give
-bit-identical outputs.
+limit enforcement. One derivative builder serves the Newton step and
+the sensitivity, its dP/dtheta block. Everything is deterministic;
+identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
     """
     if ybus is None:
         ybus = build_ybus(case)
-    n = case.n
-    g, b = ybus.real, ybus.imag
 
     types = [bus.bus_type for bus in case.buses]
     pv = np.array([i for i, t in enumerate(types) if t == PV], dtype=int)
@@ -65,23 +64,21 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
     slack = next(i for i, t in enumerate(types) if t == SLACK)
     ang_idx = np.sort(np.concatenate([pv, pq]))  # unknown angles
     n_ang = len(ang_idx)
+    unknowns = (ang_idx, pq)  # P and theta at PV+PQ, Q and V at PQ
 
     p_sched = np.array([bus.p_gen - bus.p_load for bus in case.buses])
     q_sched = np.array([bus.q_gen - bus.q_load for bus in case.buses])
 
-    v_mag = np.ones(n)
+    v_mag = np.ones(case.n)
     for i in (*pv, slack):
         v_mag[i] = case.buses[i].v_mag
-    v_ang = np.zeros(n)
-
-    def mismatch(v_mag, v_ang):
-        p, q = _injections(ybus, v_mag, v_ang)
-        return np.concatenate([p_sched[ang_idx] - p[ang_idx],
-                               q_sched[pq] - q[pq]])
+    v_ang = np.zeros(case.n)
 
     iterations = 0
     while True:
-        mis = mismatch(v_mag, v_ang)
+        p, q = _injections(ybus, v_mag, v_ang)
+        mis = np.concatenate([p_sched[ang_idx] - p[ang_idx],
+                              q_sched[pq] - q[pq]])
         norm = float(np.abs(mis).max()) if mis.size else 0.0
         # A NaN mismatch compares false against any tolerance, so test
         # for finiteness before convergence.
@@ -91,9 +88,13 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
             break
         if iterations >= max_iter:
             raise NonConvergence(iterations, norm)
-        jac = _newton_jacobian(g, b, v_mag, v_ang, ang_idx, pq)
+        # Mismatch is (scheduled - computed), so Newton solves J step = mis
+        # with J the derivative of the computed injections.
+        blocks = _derivatives(ybus, v_mag, v_ang, p, q)
         try:
-            step = np.linalg.solve(jac, mis)
+            step = np.linalg.solve(np.block(
+                [[blk[np.ix_(rows, cols)] for blk, cols in zip(row, unknowns)]
+                 for row, rows in zip(blocks, unknowns)]), mis)
         except np.linalg.LinAlgError:
             raise NonConvergence(iterations, norm) from None
         v_ang = v_ang.copy()
@@ -106,39 +107,26 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
                           iterations=iterations)
 
 
-def _angle_block(g, b, v_mag, v_ang, q=None):
-    """Full N x N matrix of dP_i/dtheta_j at the given voltages."""
+def _derivatives(ybus: np.ndarray, v_mag, v_ang, p, q):
+    """Injection derivatives [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]] as
+    full N x N blocks at the given voltages, where `p`, `q` are the
+    injections at the same voltages."""
+    g, b = ybus.real, ybus.imag
     theta = v_ang[:, None] - v_ang[None, :]
     vv = v_mag[:, None] * v_mag[None, :]
-    h = vv * (g * np.sin(theta) - b * np.cos(theta))
-    if q is None:
-        _, q = _injections(g + 1j * b, v_mag, v_ang)
+    sin, cos = np.sin(theta), np.cos(theta)
+    gs_bc = g * sin - b * cos
+    gc_bs = g * cos + b * sin
+    del theta, sin, cos  # three fewer N x N arrays alive below
+    h = vv * gs_bc
     np.fill_diagonal(h, -q - b.diagonal() * v_mag ** 2)
-    return h
-
-
-def _newton_jacobian(g, b, v_mag, v_ang, ang_idx, pq):
-    """Mismatch Jacobian: angle block over PV+PQ, voltage block over PQ."""
-    theta = v_ang[:, None] - v_ang[None, :]
-    vv = v_mag[:, None] * v_mag[None, :]
-    p, q = _injections(g + 1j * b, v_mag, v_ang)
-
-    h_full = _angle_block(g, b, v_mag, v_ang, q)
-    # dP_i/dV_j and dQ_i/dtheta_j, dQ_i/dV_j
-    n_mat = v_mag[:, None] * (g * np.cos(theta) + b * np.sin(theta))
+    n_mat = v_mag[:, None] * gc_bs
     np.fill_diagonal(n_mat, p / v_mag + g.diagonal() * v_mag)
-    j_mat = -vv * (g * np.cos(theta) + b * np.sin(theta))
+    j_mat = -vv * gc_bs
     np.fill_diagonal(j_mat, p - g.diagonal() * v_mag ** 2)
-    l_mat = v_mag[:, None] * (g * np.sin(theta) - b * np.cos(theta))
+    l_mat = v_mag[:, None] * gs_bc
     np.fill_diagonal(l_mat, q / v_mag - b.diagonal() * v_mag)
-
-    top = np.hstack([h_full[np.ix_(ang_idx, ang_idx)],
-                     n_mat[np.ix_(ang_idx, pq)]])
-    bottom = np.hstack([j_mat[np.ix_(pq, ang_idx)],
-                        l_mat[np.ix_(pq, pq)]])
-    # Mismatch is (scheduled - computed), so Newton solves J step = mis
-    # with J the derivative of the computed injections.
-    return np.vstack([top, bottom])
+    return [[h, n_mat], [j_mat, l_mat]]
 
 
 def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
@@ -154,5 +142,7 @@ def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
         ybus = build_ybus(case)
     if len(op.v_mag) != case.n or len(op.v_ang) != case.n:
         raise ValueError("operating point does not match the case size")
-    return _angle_block(ybus.real, ybus.imag, np.asarray(op.v_mag, float),
-                        np.asarray(op.v_ang, float))
+    v_mag = np.asarray(op.v_mag, float)
+    v_ang = np.asarray(op.v_ang, float)
+    p, q = _injections(ybus, v_mag, v_ang)
+    return _derivatives(ybus, v_mag, v_ang, p, q)[0][0]

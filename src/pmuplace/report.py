@@ -3,7 +3,7 @@
 The average electrical (or topological) distance of a bus is its
 adjacency row sum, diagonal included, divided by N-1. Values are kept
 as exact rationals so that ties at the minimum are genuine ties, not
-float accidents: the placement pattern check is an equality test.
+float accidents: whether a bus sits at the minimum is an equality test.
 
 Reports are plain JSON plus per-figure CSV files; rendering is left to
 external tooling so outputs stay diffable.
@@ -37,6 +37,13 @@ class AverageDistanceProfile:
     def floats(self) -> list[float]:
         return [float(v) for v in self.lam]
 
+    def above_minimum(self, nodes) -> tuple[int, ...]:
+        """The given buses whose average distance exceeds the minimum.
+        The expected electrical pattern for a chosen monitor set: every
+        bus sits at the minimum except the single representative of the
+        well-connected cluster, i.e. at most one bus above."""
+        return tuple(b for b in nodes if self.lam[b - 1] > self.lam_min)
+
 
 def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
     """Row-sum fractions lambda_i = (sum_j adj_ij) / (N-1).
@@ -53,27 +60,6 @@ def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
 
 
 @dataclass(frozen=True)
-class PatternReport:
-    """How the chosen monitor buses sit against the distance minimum."""
-
-    at_minimum: tuple[int, ...]
-    above_minimum: tuple[int, ...]
-    pattern_holds: bool
-
-
-def pattern_check(profile: AverageDistanceProfile,
-                  sol: PlacementSolution) -> PatternReport:
-    """Classify each chosen bus as at or above the minimum average
-    distance. The expected electrical pattern: every chosen bus sits at
-    the minimum except the single representative of the well-connected
-    cluster, i.e. at most one bus above."""
-    at_min = tuple(b for b in sol.nodes if profile.lam[b - 1] == profile.lam_min)
-    above = tuple(b for b in sol.nodes if profile.lam[b - 1] > profile.lam_min)
-    return PatternReport(at_minimum=at_min, above_minimum=above,
-                         pattern_holds=len(above) <= 1)
-
-
-@dataclass(frozen=True)
 class RunArtifacts:
     """Everything one structure's pipeline run produced."""
 
@@ -84,7 +70,6 @@ class RunArtifacts:
     ranking: CouplingRanking | None
     decomposition: SingularDecomposition | None
     profile: AverageDistanceProfile
-    pattern: PatternReport
 
 
 def report_dict(art: RunArtifacts) -> dict:

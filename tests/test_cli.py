@@ -103,6 +103,21 @@ class TestExitCodes:
         assert "error: singular: branch 1-2 has a non-finite admittance" in \
             capsys.readouterr().err
 
+    # 1e200 squares to inf: the pi model would leave the branch
+    # electrically open while the topological path still counts it.
+    @pytest.mark.parametrize("structure, jacobian", [
+        ("topological", "solved"), ("electrical", "solved"),
+        ("electrical", "flat")])
+    def test_overflowing_tap_is_invalid_model(self, tmp_path, capsys,
+                                              structure, jacobian):
+        text = SINGULAR_JACOBIAN_CSV.replace("1,2,0.0,0.5,0.0,1.0,",
+                                             "1,2,0.0,0.5,0.0,1e200,")
+        bundle = write_bundle(tmp_path / "bundle", text)
+        assert run_cli("--case", str(bundle), "--structure", structure,
+                       "--jacobian", jacobian) == 5
+        assert "error: singular: branch 1-2 has tap ratio 1e+200, too large" \
+            in capsys.readouterr().err
+
     # A path below a regular file cannot be created.
     @pytest.mark.parametrize("source, flag", [("--case", "--dump-ybus"),
                                               ("--cases-dir", "--out")],

@@ -1,0 +1,34 @@
+"""The README against the program: its flag list and its library example."""
+
+import ast
+import contextlib
+import io
+import re
+import warnings
+from pathlib import Path
+
+from pmuplace import cli
+from pmuplace.errors import AsymmetryWarning
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_flags_paragraph_lists_every_long_option():
+    paragraph = README.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    options = {opt for action in cli.build_parser()._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert documented == options
+
+
+def test_library_example_runs():
+    section = README.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    buf = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
+        warnings.simplefilter("ignore", AsymmetryWarning)
+        exec(compile(block, "README.md", "exec"), {})
+    buses = ast.literal_eval(buf.getvalue().strip())
+    assert buses and all(1 <= b <= 14 for b in buses)
+    assert len(set(buses)) == len(buses)

@@ -13,7 +13,7 @@ from scipy.optimize import root
 import pmuplace as pp
 from pmuplace.cases import PQ, PV, SLACK
 from pmuplace.errors import NonConvergence
-from pmuplace.powerflow import flat_point
+from pmuplace.powerflow import _derivatives, flat_point
 from conftest import SINGULAR_JACOBIAN_CSV
 
 
@@ -117,6 +117,42 @@ class TestSolvePowerFlow:
         for name, case in cases.items():
             op = pp.solve_power_flow(case)
             assert op.mismatch_inf_norm <= 1e-8, name
+            assert op.iterations == 4, name
+
+
+class TestNewtonJacobian:
+    """The four N x N blocks the Newton step takes its Jacobian from,
+    against central differences of the complex injections."""
+
+    @pytest.mark.parametrize("perturbed", [False, True],
+                             ids=["solved", "perturbed"])
+    @pytest.mark.parametrize("name", ["ieee14", "ieee118"])
+    def test_blocks_match_central_differences(self, cases, name, perturbed):
+        case = cases[name]
+        op = pp.solve_power_flow(case)
+        v_mag, v_ang = op.v_mag.copy(), op.v_ang.copy()
+        if perturbed:
+            rng = np.random.default_rng(0)
+            v_mag += rng.uniform(-0.05, 0.05, case.n)
+            v_ang += rng.uniform(-0.1, 0.1, case.n)
+        s = _complex_injections(case, v_mag, v_ang)
+        # [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]], each N x N
+        blocks = np.array(_derivatives(pp.build_ybus(case), v_mag, v_ang,
+                                       s.real, s.imag))
+        fd = np.zeros_like(blocks)
+        step = 1e-6
+        width = 2 * step
+        for j in range(case.n):
+            e = np.zeros(case.n)
+            e[j] = step
+            d_ang = (_complex_injections(case, v_mag, v_ang + e)
+                     - _complex_injections(case, v_mag, v_ang - e)) / width
+            d_mag = (_complex_injections(case, v_mag + e, v_ang)
+                     - _complex_injections(case, v_mag - e, v_ang)) / width
+            fd[:, :, :, j] = [[d_ang.real, d_mag.real],
+                              [d_ang.imag, d_mag.imag]]
+        err = np.abs(blocks - fd) / np.maximum(np.abs(blocks), 1.0)
+        assert (err.max(axis=(2, 3)) <= 1e-6).all(), err.max(axis=(2, 3))
 
 
 class TestAngleSensitivity:
