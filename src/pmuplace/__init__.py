@@ -12,9 +12,8 @@ from .cases import (Bus, Branch, PowerCase, dumps_csv_fallback,
                     parse_csv_fallback)
 from .cover import (CoverInstance, Optima, PlacementSolution,
                     enumerate_optima, optimal_count, solve_cover)
-from .distance import (GroundedInverse, ResistanceDistance,
-                       electrical_adjacency, grounded_inverse,
-                       resistance_matrix)
+from .distance import (ResistanceDistance, electrical_adjacency,
+                       grounded_inverse, resistance_matrix)
 from .network import BinaryAdjacency, build_ybus, topological_adjacency
 from .pipeline import (RunConfig, RunResult, StructureResult, run,
                        run_batch, run_structure)

@@ -465,6 +465,22 @@ def dumps_csv_fallback(case: PowerCase) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read(path: Path, source: str = "") -> str:
+    """The UTF-8 text of a case file, newlines translated as a text-mode
+    read does; a byte that is not UTF-8 is a `MalformedRecord` on its
+    line, of file `source` in a bundle."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The sentinel makes a bad byte right after a line break count
+        # as the start of the next line.
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise MalformedRecord(line_no, f"byte {data[exc.start]:#04x} is "
+                              "not UTF-8", source) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_case(path: str | Path) -> PowerCase:
     """Load a case from a CDF text file or a CSV-bundle directory.
 
@@ -479,7 +495,7 @@ def load_case(path: str | Path) -> PowerCase:
             member = path / fname
             if not member.exists():
                 raise MissingSection(f"{path}: missing {fname}")
-            text = member.read_text()
+            text = _read(member, fname)
             parts.append(f"[{section}]\n" + text)
             for name, rows in _csv_sections(text, section).items():
                 sections[name], sources[name] = rows, fname
@@ -488,8 +504,7 @@ def load_case(path: str | Path) -> PowerCase:
         if case.name == "case":
             case = replace(case, name=path.name)
         return case
-    text = path.read_text()
-    return parse_cdf(text, name=path.stem)
+    return parse_cdf(_read(path), name=path.stem)
 
 
 def load_bundled_case(name: str) -> PowerCase:

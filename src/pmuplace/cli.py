@@ -1,22 +1,5 @@
-"""Command-line front end.
-
-Exit codes (warnings never change them):
-
-=====  =========================================================
-0      success
-2      bad command line (argparse)
-3      input path missing or unreadable
-4      case file cannot be parsed
-5      case file parsed but the model is invalid (including an
-       admittance matrix that would hold a non-finite entry)
-6      network disconnected / grounded matrix singular
-7      power flow did not converge
-8      cover solver failure (defensive; should not occur)
-9      decomposition kernel failure
-10     output files could not be written (reports, dumps, summary)
-1      anything unexpected
-=====  =========================================================
-"""
+"""Command-line front end; README lists the exit codes (warnings never
+change them)."""
 
 from __future__ import annotations
 
@@ -28,24 +11,11 @@ from .pipeline import (JAC_FLAT, JAC_SOLVED, MODE_COUNT, MODE_FULL,
                        RunConfig, run, run_batch)
 from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-# Ordered: specific classes must precede their base-class catch-alls.
-_EXIT_CODES = [
-    ((errors.DisconnectedNetwork, errors.SingularSubmatrix), 6),
-    ((errors.MalformedRecord, errors.MissingSection), 4),
-    ((errors.NonConvergence,), 7),
-    ((errors.SolverError,), 8),
-    ((errors.DecompositionError,), 9),
-    ((errors.ReportError,), 10),
-    ((errors.CaseError,), 5),
-    ((OSError,), 3),
-]
-
 
 def _exit_code(exc: BaseException) -> int:
-    for classes, code in _EXIT_CODES:
-        if isinstance(exc, classes):
-            return code
-    return 1
+    if isinstance(exc, errors.PmuPlaceError):
+        return exc.exit_code
+    return 3 if isinstance(exc, OSError) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

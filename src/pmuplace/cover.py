@@ -85,9 +85,11 @@ class CoverInstance:
 class PlacementSolution:
     """A feasible monitor set; `nodes` are sorted internal bus indices."""
 
-    x: tuple[int, ...]
-    count: int
     nodes: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,6 @@ class Optima:
 
     def __len__(self):
         return len(self.solutions)
-
-
-def _solution(n: int, members: set[int]) -> PlacementSolution:
-    nodes = tuple(sorted(i + 1 for i in members))
-    x = tuple(1 if i in members else 0 for i in range(n))
-    return PlacementSolution(x=x, count=len(nodes), nodes=nodes)
 
 
 class _Engine:
@@ -362,15 +358,9 @@ def solve_cover(inst: CoverInstance) -> PlacementSolution:
     # solver bug.
     if first is None:
         raise Infeasible("internal error: optimal witness extraction failed")
-    sol = _solution(eng.n, set(first))
-    _check_feasible(inst, sol)
-    return sol
-
-
-def _check_feasible(inst: CoverInstance, sol: PlacementSolution):
-    cover = inst.adjacency.bits @ np.array(sol.x, dtype=np.int64)
-    if not np.all(cover >= 1):
+    if not inst.adjacency.bits[:, first].any(axis=1).all():
         raise Infeasible("solution leaves buses unobserved")
+    return PlacementSolution(tuple(i + 1 for i in first))
 
 
 def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
@@ -380,7 +370,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
         raise ValueError("cap must be nonnegative")
     eng = inst._engine
     covers = eng.covers(eng.full, eng.full, optimal_count(inst))
-    found = tuple(_solution(eng.n, set(c))
+    found = tuple(PlacementSolution(tuple(i + 1 for i in c))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,
                   truncated=next(covers, None) is not None)

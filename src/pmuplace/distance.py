@@ -36,20 +36,10 @@ class ResistanceDistance:
     e: np.ndarray
 
 
-@dataclass(frozen=True)
-class GroundedInverse:
-    """Inverse of the conductance matrix with one node removed.
-
-    `kept` maps positions in the reduced matrix back to full
-    (0-based) node positions.
-    """
-
-    matrix: np.ndarray
-    kept: np.ndarray
-
-
-def grounded_inverse(g: np.ndarray, r: int) -> GroundedInverse:
-    """Invert `g` with row and column of node `r` (1-based) deleted.
+def grounded_inverse(g: np.ndarray, r: int) -> np.ndarray:
+    """Inverse of `g` with node `r` (1-based) grounded: the inverse of
+    the matrix without row and column r, at full size with a zero row
+    and column at r.
 
     Raises `SingularSubmatrix` when the reduced matrix is not
     invertible to working precision, which for these inputs means the
@@ -61,8 +51,9 @@ def grounded_inverse(g: np.ndarray, r: int) -> GroundedInverse:
         raise ValueError("conductance matrix must be square")
     if not 1 <= r <= n:
         raise ValueError(f"reference node {r} outside 1..{n}")
-    kept = np.array([i for i in range(n) if i != r - 1], dtype=int)
-    sub = g[np.ix_(kept, kept)]
+    others = np.arange(n) != r - 1
+    kept = np.ix_(others, others)
+    sub = g[kept]
     try:
         inv = np.linalg.inv(sub)
     except np.linalg.LinAlgError as exc:
@@ -74,7 +65,9 @@ def grounded_inverse(g: np.ndarray, r: int) -> GroundedInverse:
         raise SingularSubmatrix(
             f"grounded matrix at node {r} is numerically singular "
             f"(inverse residual {residual:.3e})")
-    return GroundedInverse(matrix=inv, kept=kept)
+    full = np.zeros((n, n))
+    full[kept] = inv
+    return full
 
 
 def _laplacian_part(g: np.ndarray) -> np.ndarray:
@@ -107,27 +100,16 @@ def resistance_matrix(g: np.ndarray, r: int) -> ResistanceDistance:
     """Full pairwise resistance-distance matrix from conductances `g`.
 
     `g` is first projected onto its Laplacian part (see
-    `_laplacian_part`). The block over non-reference nodes combines the
-    grounded-inverse diagonal with both inverse transposes; the
-    reference row and column are the grounded-inverse diagonal itself
-    (the remaining terms vanish at the grounded node).
+    `_laplacian_part`). With G the grounded inverse and γ its diagonal,
+    entry (i, j) is γᵢ + γⱼ − Gᵢⱼ − Gⱼᵢ; the zero row and column of G
+    at the reference node make its distances the γⱼ themselves.
     """
-    g = _laplacian_part(g)
-    n = g.shape[0]
-    gi = grounded_inverse(g, r)
-    inv = gi.matrix
-    gamma = np.diag(inv).copy()
-
-    e = np.zeros((n, n))
-    block = gamma[None, :] + gamma[:, None] - inv - inv.T
-    e[np.ix_(gi.kept, gi.kept)] = block
-    e[r - 1, gi.kept] = gamma
-    e[gi.kept, r - 1] = gamma
-    e[r - 1, r - 1] = 0.0
-
+    inv = grounded_inverse(_laplacian_part(g), r)
+    gamma = np.diag(inv)
+    e = gamma[None, :] + gamma[:, None] - inv - inv.T
     e = 0.5 * (e + e.T)
     np.fill_diagonal(e, 0.0)
-    return ResistanceDistance(n=n, e=e)
+    return ResistanceDistance(n=e.shape[0], e=e)
 
 
 def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every error raised by the library derives from PmuPlaceError so callers
-(and the CLI exit-code mapping) can distinguish failure classes without
-string matching.
+can distinguish failure classes without string matching. Each class's
+`exit_code` is the command line's exit status for it; a subclass
+without its own inherits its base's.
 """
 
 from __future__ import annotations
@@ -11,14 +12,20 @@ from __future__ import annotations
 class PmuPlaceError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class CaseError(PmuPlaceError):
     """Problems with case-file content or the parsed network model."""
+
+    exit_code = 5
 
 
 class MalformedRecord(CaseError):
     """A record that cannot be read; `source` names the file of a
     multi-file bundle, and `line_no` is a line of that file."""
+
+    exit_code = 4
 
     def __init__(self, line_no: int, detail: str, source: str = ""):
         self.line_no = line_no
@@ -26,7 +33,7 @@ class MalformedRecord(CaseError):
 
 
 class MissingSection(CaseError):
-    pass
+    exit_code = 4
 
 
 class DuplicateBusId(CaseError):
@@ -50,10 +57,12 @@ class InvalidBranch(CaseError):
 
 
 class DisconnectedNetwork(CaseError):
-    pass
+    exit_code = 6
 
 
 class NonConvergence(PmuPlaceError):
+    exit_code = 7
+
     def __init__(self, iterations: int, mismatch: float):
         self.iterations = iterations
         self.mismatch = mismatch
@@ -67,9 +76,11 @@ class SingularSubmatrix(PmuPlaceError):
     """Grounded conductance matrix is not invertible (rank deficiency
     beyond the single zero mode of a connected network)."""
 
+    exit_code = 6
+
 
 class SolverError(PmuPlaceError):
-    pass
+    exit_code = 8
 
 
 class Infeasible(SolverError):
@@ -80,8 +91,12 @@ class Infeasible(SolverError):
 class DecompositionError(PmuPlaceError):
     """The SVD kernel failed to converge, or its input was not finite."""
 
+    exit_code = 9
+
 
 class ReportError(PmuPlaceError):
+    exit_code = 10
+
     def __init__(self, path, detail: str):
         super().__init__(f"{path}: {detail}")
 

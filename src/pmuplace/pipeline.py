@@ -70,6 +70,9 @@ class RunConfig:
                              f"got {self.pf_max_iter!r}")
         if not self.pf_tol > 0:
             raise ValueError(f"pf_tol must be > 0, got {self.pf_tol!r}")
+        if self.dump_distance and self.structure == TOPOLOGICAL:
+            raise ValueError("dump_distance needs the electrical structure; "
+                             "the topological path computes no distances")
 
     def structures(self) -> tuple[str, ...]:
         if self.structure == "both":

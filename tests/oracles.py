@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmuplace.cases import PowerCase
-from pmuplace.cover import CoverInstance, PlacementSolution, _solution
+from pmuplace.cover import CoverInstance, PlacementSolution
 from pmuplace.distance import ResistanceDistance
 from pmuplace.errors import SolverError
 from pmuplace.spectral import SingularDecomposition
@@ -29,7 +29,7 @@ def brute_force_cover(inst: CoverInstance, k_max: int) -> PlacementSolution:
     for k in range(1, min(k_max, n) + 1):
         for combo in itertools.combinations(range(n), k):
             if bits[:, combo].any(axis=1).all():
-                return _solution(n, set(combo))
+                return PlacementSolution(tuple(i + 1 for i in combo))
     raise NoSolutionWithinK(f"no cover of size <= {k_max} exists")
 
 

@@ -305,3 +305,26 @@ def test_unnamed_bundle_takes_directory_name(tmp_path, ieee9):
     assert case.name == "unnamed9"
     assert (case.mva_base, case.buses, case.branches, case.external_ids) == \
         (named.mva_base, named.buses, named.branches, named.external_ids)
+
+
+# The line of the first byte that is not UTF-8, counted as the readers
+# count lines: a byte right after a line break starts the next line.
+@pytest.mark.parametrize("prefix, line_no", [
+    (b"", 1), (b"x", 1), (b"a\nb\n", 3), (b"a\r\nb", 2), (b"a\rb\r", 3),
+    (b"\xc3\xa9\n", 2)])
+def test_non_utf8_byte_is_malformed_record(tmp_path, prefix, line_no):
+    path = tmp_path / "case.txt"
+    path.write_bytes(prefix + b"\xff\n" + TWO_BUS_CDF.encode())
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.load_case(path)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: byte 0xff is not UTF-8"
+
+
+def test_crlf_case_file_reads_as_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(TWO_BUS_CDF.encode())
+    crlf.write_bytes(TWO_BUS_CDF.replace("\n", "\r\n").encode())
+    a, b = pp.load_case(lf), pp.load_case(crlf)
+    assert (a.name, a.buses, a.branches, a.source_checksum) == \
+        ("lf", b.buses, b.branches, b.source_checksum)

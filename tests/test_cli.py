@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, stage isolation, batch mode."""
 
+import inspect
 import json
 import shutil
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import pmuplace as pp
-from pmuplace import cli, pipeline, report
+from pmuplace import cli, errors, pipeline, report
 from pmuplace.errors import AsymmetryWarning
 from conftest import (PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV, TWO_BUS_CDF,
                       TWO_SLACK_CDF, write_bundle)
@@ -26,6 +27,14 @@ def _quiet_asymmetry():
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def with_latin1_byte(text: str, line_no: int) -> bytes:
+    """`text` as UTF-8 with a Latin-1 "e acute" (0xe9) ending line
+    `line_no`."""
+    lines = text.encode().split(b"\n")
+    lines[line_no - 1] += b"\xe9"
+    return b"\n".join(lines)
 
 
 class TestExitCodes:
@@ -53,6 +62,21 @@ class TestExitCodes:
         bad = tmp_path / "garbage.txt"
         bad.write_text("not a case file\nat all\n")
         assert run_cli("--case", str(bad)) == 4
+
+    def test_non_utf8_case_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(with_latin1_byte((DATA / "ieee9.txt").read_text(), 3))
+        assert run_cli("--case", str(bad)) == 4
+        assert "error: line 3: byte 0xe9 is not UTF-8" in \
+            capsys.readouterr().err
+
+    def test_non_utf8_bundle_member(self, tmp_path, capsys):
+        bundle = write_bundle(tmp_path / "bundle", SINGULAR_JACOBIAN_CSV)
+        member = bundle / "branches.csv"
+        member.write_bytes(with_latin1_byte(member.read_text(), 2))
+        assert run_cli("--case", str(bundle)) == 4
+        assert "error: branches.csv line 2: byte 0xe9 is not UTF-8" in \
+            capsys.readouterr().err
 
     def test_nonconvergence_exit(self, tmp_path):
         code = run_cli("--case", str(DATA / "ieee14.txt"),
@@ -189,6 +213,51 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
 
 
+    def test_distance_dump_without_distances_is_usage_error(self, tmp_path,
+                                                            capsys):
+        target = tmp_path / "e.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(DATA / "ieee9.txt"), "--structure",
+                    "topological", "--dump-distance", str(target))
+        assert exc.value.code == 2
+        assert "dump_distance" in capsys.readouterr().err
+        assert not target.exists()
+
+
+# Each failure class's exit status; a new class must be added here.
+EXIT_CODES = {
+    errors.PmuPlaceError: 1, errors.CaseError: 5, errors.MalformedRecord: 4,
+    errors.MissingSection: 4, errors.DuplicateBusId: 5,
+    errors.DuplicateSlack: 5, errors.MissingSlack: 5,
+    errors.UnknownBusReference: 5, errors.InvalidBranch: 5,
+    errors.DisconnectedNetwork: 6, errors.NonConvergence: 7,
+    errors.SingularSubmatrix: 6, errors.SolverError: 8,
+    errors.Infeasible: 8, errors.DecompositionError: 9,
+    errors.ReportError: 10,
+}
+
+
+@pytest.mark.parametrize("cls, code", EXIT_CODES.items(),
+                         ids=[cls.__name__ for cls in EXIT_CODES])
+def test_error_class_exit_code(cls, code):
+    assert cls.exit_code == code
+    assert cli._exit_code(cls.__new__(cls)) == code
+
+
+def test_every_error_class_has_pinned_exit_code():
+    assert set(EXIT_CODES) == {
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.PmuPlaceError)}
+
+
+@pytest.mark.parametrize("exc, code", [
+    (FileNotFoundError("x"), 3), (PermissionError("x"), 3),
+    (IsADirectoryError("x"), 3), (ValueError("x"), 1), (KeyError("x"), 1)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_other_exception_exit_code(exc, code):
+    assert cli._exit_code(exc) == code
+
+
 @pytest.mark.parametrize("field, value", [
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
     ("mode", "place"),
@@ -197,6 +266,15 @@ class TestExitCodes:
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         pipeline.RunConfig(case_path="unused", **{field: value})
+
+
+def test_run_config_rejects_distance_dump_without_distances():
+    with pytest.raises(ValueError, match="dump_distance"):
+        pipeline.RunConfig(case_path="unused", structure="topological",
+                           dump_distance="e.csv")
+    for structure in ("electrical", "both"):
+        pipeline.RunConfig(case_path="unused", structure=structure,
+                           dump_distance="e.csv")
 
 
 class TestStageIsolation:
@@ -330,6 +408,19 @@ class TestBatch:
         assert broken == ("broken,,error:MissingSection,"
                           "error:MissingSection,error:MissingSection")
         assert any(line.startswith("ieee9,9,3") for line in lines)
+
+    def test_non_utf8_file_recorded_batch_continues(self, small_dir,
+                                                    tmp_path):
+        (small_dir / "latin1.txt").write_bytes(
+            with_latin1_byte((DATA / "ieee9.txt").read_text(), 3))
+        out = tmp_path / "out"
+        assert run_cli("--cases-dir", str(small_dir),
+                       "--out", str(out)) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert ("latin1,,error:MalformedRecord,error:MalformedRecord,"
+                "error:MalformedRecord") in lines
+        assert any(line.startswith("ieee9,9,3") for line in lines)
+        assert any(line.startswith("ieee14,14,4") for line in lines)
 
     def test_ybus_failure_recorded_batch_continues(self, small_dir,
                                                    tmp_path):

@@ -33,13 +33,15 @@ def pinv_distance(g):
 class TestGroundedInverse:
     def test_two_node_unit(self):
         g = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        gi = pp.grounded_inverse(g, 2)
-        assert gi.matrix == pytest.approx(np.array([[1.0]]))
-        assert gi.kept.tolist() == [0]
+        inv = pp.grounded_inverse(g, 2)
+        assert inv.shape == (2, 2)
+        assert inv == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_triangle(self):
-        gi = pp.grounded_inverse(TRIANGLE_LAP, 3)
-        assert np.allclose(gi.matrix, np.array([[2, 1], [1, 2]]) / 3.0)
+        inv = pp.grounded_inverse(TRIANGLE_LAP, 3)
+        assert np.allclose(inv, np.array([[2, 1, 0], [1, 2, 0],
+                                          [0, 0, 0]]) / 3.0)
+        assert not inv[2].any() and not inv[:, 2].any()
 
     def test_disconnected_singular(self):
         g = laplacian_from_adjacency(np.array([

@@ -1,13 +1,15 @@
-"""The README against the program: its flag list and its library example."""
+"""The README against the program: its flag list, its exit-code table and
+its library example."""
 
 import ast
 import contextlib
+import inspect
 import io
 import re
 import warnings
 from pathlib import Path
 
-from pmuplace import cli
+from pmuplace import cli, errors
 from pmuplace.errors import AsymmetryWarning
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -20,6 +22,15 @@ def test_flags_paragraph_lists_every_long_option():
                for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+def test_exit_code_table_lists_every_code():
+    section = README.split("### Exit codes", 1)[1].split("\n\n", 2)[1]
+    documented = {int(code)
+                  for code in re.findall(r"^\| (\d+) \|", section, re.M)}
+    raised = {cls.exit_code for _, cls in inspect.getmembers(
+        errors, inspect.isclass) if issubclass(cls, errors.PmuPlaceError)}
+    assert documented == {0, 1, 2, 3} | raised
 
 
 def test_library_example_runs():
