@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -508,6 +507,4 @@ def load_case(path: str | Path) -> PowerCase:
 
 
 def load_bundled_case(name: str) -> PowerCase:
-    root = resources.files("pmuplace").joinpath("data")
-    text = root.joinpath(f"{name}.txt").read_text()
-    return parse_cdf(text, name=name)
+    return load_case(Path(__file__).parent / "data" / f"{name}.txt")

@@ -9,7 +9,6 @@ import sys
 from . import errors
 from .pipeline import (JAC_FLAT, JAC_SOLVED, MODE_COUNT, MODE_FULL,
                        RunConfig, run, run_batch)
-from .powerflow import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -19,6 +18,7 @@ def _exit_code(exc: BaseException) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Settings store into their `RunConfig` field; None means its default."""
     parser = argparse.ArgumentParser(
         prog="pmuplace",
         description="Minimum monitor sets and locations for complete "
@@ -28,17 +28,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "or CSV-bundle directory")
     source.add_argument("--cases-dir", help="directory of case files; runs "
                         "every case and writes a summary table")
-    parser.add_argument("--structure", default="both",
+    parser.add_argument("--structure",
                         choices=["topological", "electrical", "both"])
-    parser.add_argument("--jacobian", default=JAC_SOLVED,
+    parser.add_argument("--jacobian", dest="jacobian_mode",
                         choices=[JAC_SOLVED, JAC_FLAT],
                         help="operating point for the electrical path: the "
                              "power-flow solution or the flat profile")
-    parser.add_argument("--mode", default=MODE_FULL,
-                        choices=[MODE_COUNT, MODE_FULL])
-    parser.add_argument("--out", default=None, metavar="DIR",
+    parser.add_argument("--mode", choices=[MODE_COUNT, MODE_FULL])
+    parser.add_argument("--out", dest="output_dir", metavar="DIR",
                         help="directory for report.json and figure CSVs")
-    parser.add_argument("--enumerate", type=int, default=0, metavar="N",
+    parser.add_argument("--enumerate", type=int, metavar="N",
                         dest="enumerate_cap",
                         help="list up to N optimal monitor sets")
     parser.add_argument("--dump-distance", metavar="CSV",
@@ -47,13 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the bus admittance matrix")
     parser.add_argument("--dump-adjacency", metavar="CSV",
                         help="write the binary adjacency")
-    parser.add_argument("--pf-tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--pf-tol", type=float,
                         help="power-flow mismatch tolerance, per-unit")
-    parser.add_argument("--pf-max-iter", type=int, default=DEFAULT_MAX_ITER)
+    parser.add_argument("--pf-max-iter", type=int)
     return parser
 
 
-def _print_structure(name: str, result, enumerate_cap: int):
+def _print_structure(name: str, result, config: RunConfig):
     art = result.artifacts
     ext = art.case.external_id
     mode_note = f" ({art.jacobian_mode} operating point)" \
@@ -80,49 +79,29 @@ def _print_structure(name: str, result, enumerate_cap: int):
     if result.optima is not None:
         sets = [[ext(b) for b in sol.nodes] for sol in result.optima]
         suffix = " (truncated)" if result.optima.truncated else ""
-        print(f"[{name}] optimal sets (cap {enumerate_cap}){suffix}: {sets}")
+        print(f"[{name}] optimal sets (cap {config.enumerate_cap})"
+              f"{suffix}: {sets}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cases_dir:
-        if not args.out:
-            parser.error("--cases-dir requires --out (summary and per-case "
-                         "reports are written there)")
-        if (args.dump_distance or args.dump_ybus or args.dump_adjacency
-                or args.enumerate_cap):
-            parser.error("--cases-dir would lose the output of --dump-* "
-                         "(every cell writes the same path) and --enumerate "
-                         "(the summary lists no optima)")
+    settings = {key: value for key, value in vars(args).items()
+                if value is not None and key not in ("case", "cases_dir")}
     try:
-        config = RunConfig(
-            case_path=args.case or args.cases_dir,
-            structure=args.structure,
-            jacobian_mode=args.jacobian,
-            mode=args.mode,
-            output_dir=args.out,
-            pf_tol=args.pf_tol,
-            pf_max_iter=args.pf_max_iter,
-            enumerate_cap=args.enumerate_cap,
-            dump_distance=args.dump_distance,
-            dump_ybus=args.dump_ybus,
-            dump_adjacency=args.dump_adjacency,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
+        config = RunConfig(case_path=args.case or args.cases_dir, **settings)
         if args.cases_dir:
-            summary = run_batch(args.cases_dir, config)
+            summary = run_batch(config)
             print(f"summary written to {summary}")
             print(summary.read_text(), end="")
-            return 0
-        result = run(config)
-        for structure, sres in result.per_structure.items():
-            _print_structure(structure, sres, args.enumerate_cap)
-            for path in sres.written:
-                print(f"[{structure}] wrote {path}")
+        else:
+            for structure, sres in run(config).per_structure.items():
+                _print_structure(structure, sres, config)
+                for path in sres.written:
+                    print(f"[{structure}] wrote {path}")
         return 0
+    except errors.UsageError as exc:
+        parser.error(str(exc))
     except Exception as exc:  # mapped to the documented exit codes
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -3,7 +3,8 @@
 Every error raised by the library derives from PmuPlaceError so callers
 can distinguish failure classes without string matching. Each class's
 `exit_code` is the command line's exit status for it; a subclass
-without its own inherits its base's.
+without its own inherits its base's. `UsageError` is a run setting that
+cannot be honoured, reported as a bad command line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ class PmuPlaceError(Exception):
     """Base class for all library errors."""
 
     exit_code = 1
+
+
+class UsageError(PmuPlaceError, ValueError):
+    exit_code = 2
 
 
 class CaseError(PmuPlaceError):

@@ -15,7 +15,7 @@ deterministic: rerunning a config writes byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import report as report_mod
 from .cases import PowerCase, load_case
 from .cover import CoverInstance, Optima, enumerate_optima, solve_cover
 from .distance import ResistanceDistance, electrical_adjacency, resistance_matrix
-from .errors import PmuPlaceError
+from .errors import PmuPlaceError, UsageError
 from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
@@ -56,22 +56,20 @@ class RunConfig:
     dump_adjacency: str | Path | None = None
 
     def __post_init__(self):
-        for name, allowed in (("structure", STRUCTURES + ("both",)),
-                              ("jacobian_mode", (JAC_SOLVED, JAC_FLAT)),
-                              ("mode", (MODE_COUNT, MODE_FULL))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, "
+        rules = [(name, getattr(self, name) in allowed, f"one of {allowed}")
+                 for name, allowed in (
+                     ("structure", STRUCTURES + ("both",)),
+                     ("jacobian_mode", (JAC_SOLVED, JAC_FLAT)),
+                     ("mode", (MODE_COUNT, MODE_FULL)))]
+        rules += [("enumerate_cap", self.enumerate_cap >= 0, ">= 0"),
+                  ("pf_max_iter", self.pf_max_iter >= 0, ">= 0"),
+                  ("pf_tol", self.pf_tol > 0, "> 0")]
+        for name, ok, rule in rules:
+            if not ok:
+                raise UsageError(f"{name} must be {rule}, "
                                  f"got {getattr(self, name)!r}")
-        if not self.enumerate_cap >= 0:
-            raise ValueError(f"enumerate_cap must be >= 0, "
-                             f"got {self.enumerate_cap!r}")
-        if not self.pf_max_iter >= 0:
-            raise ValueError(f"pf_max_iter must be >= 0, "
-                             f"got {self.pf_max_iter!r}")
-        if not self.pf_tol > 0:
-            raise ValueError(f"pf_tol must be > 0, got {self.pf_tol!r}")
         if self.dump_distance and self.structure == TOPOLOGICAL:
-            raise ValueError("dump_distance needs the electrical structure; "
+            raise UsageError("dump_distance needs the electrical structure; "
                              "the topological path computes no distances")
 
     def structures(self) -> tuple[str, ...]:
@@ -90,7 +88,7 @@ class StructureResult:
 @dataclass(frozen=True)
 class RunResult:
     case: PowerCase
-    per_structure: dict[str, StructureResult] = field(default_factory=dict)
+    per_structure: dict[str, StructureResult]
 
 
 def _electrical_distance(case: PowerCase, ybus: np.ndarray,
@@ -170,11 +168,9 @@ def run(config: RunConfig) -> RunResult:
     files are created unless the case loads and validates."""
     case = load_case(config.case_path)
     ybus = build_ybus(case)
-    result = RunResult(case=case)
-    for structure in config.structures():
-        result.per_structure[structure] = run_structure(
-            case, structure, config, ybus=ybus)
-    return result
+    return RunResult(case, {
+        structure: run_structure(case, structure, config, ybus=ybus)
+        for structure in config.structures()})
 
 
 SUMMARY_HEADER = ("case,n,topological_count,electrical_count(solved),"
@@ -187,35 +183,56 @@ _BATCH_CELLS = ((TOPOLOGICAL, JAC_SOLVED, TOPOLOGICAL),
                 (ELECTRICAL, JAC_FLAT, f"electrical_{JAC_FLAT}"))
 
 
-def _case_paths(directory: Path) -> list[Path]:
-    paths = [p for p in directory.iterdir()
-             if (p.is_file() and p.suffix in (".txt", ".cdf"))
-             or (p.is_dir() and (p / "case.toml").exists())]
-    return sorted(paths, key=lambda p: p.name)
+def _batch_cases(directory: Path) -> dict[str, Path]:
+    """The directory's case files and bundles by name, in file-name order."""
+    cases: dict[str, Path] = {}
+    for path in sorted(directory.iterdir(), key=lambda p: p.name):
+        if path.is_file() and path.suffix in (".txt", ".cdf"):
+            name = path.stem
+        elif path.is_dir() and (path / "case.toml").exists():
+            name = path.name
+        else:
+            continue
+        if name in cases:
+            raise UsageError(f"batch (--cases-dir) has two cases named "
+                             f"{name!r}: {cases[name].name} and {path.name}")
+        cases[name] = path
+    return cases
 
 
 def _error_cell(exc: Exception) -> str:
     return f"error:{type(exc).__name__}"
 
 
-def run_batch(cases_dir: str | Path, template: RunConfig) -> Path:
-    """Run every case in a directory and write a summary table.
+def run_batch(template: RunConfig) -> Path:
+    """Run every case in the directory `template.case_path` and write a
+    summary table.
 
     Per case the summary reports the topological count and the
     electrical count under both operating-point conventions. A failing
     case yields an error marker in its row; the batch continues.
+    Template settings the batch would lose or ignore, and two cases of
+    one name, are a `UsageError` before anything is written.
     Returns the summary path.
     """
-    directory = Path(cases_dir)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"{directory} is not a directory")
-    if template.output_dir is None:
-        raise ValueError("batch runs need an output directory")
+    refused = [name for name in ("dump_distance", "dump_ybus",
+                                 "dump_adjacency", "enumerate_cap")
+               if getattr(template, name)]
+    refused += [name for name, value in (("structure", "both"),
+                                         ("jacobian_mode", JAC_SOLVED))
+                if getattr(template, name) != value]
+    if not template.output_dir:
+        raise UsageError("batch (--cases-dir) needs output_dir (--out): the "
+                         "summary and per-case reports are written there")
+    if refused:
+        raise UsageError(f"batch (--cases-dir) cannot honour "
+                         f"{', '.join(refused)}: it runs every case under "
+                         "both structures and both operating points and "
+                         "writes only the summary and per-case reports")
     out_root = Path(template.output_dir)
 
     rows = [SUMMARY_HEADER]
-    for path in _case_paths(directory):
-        stem = path.stem if path.is_file() else path.name
+    for stem, path in _batch_cases(Path(template.case_path)).items():
         try:
             case = load_case(path)
             ybus = build_ybus(case)

@@ -297,8 +297,7 @@ def test_criterion_8_batch_determinism(tmp_path):
     outputs = []
     for tag in ("first", "second"):
         out = tmp_path / tag
-        run_batch(cases_dir, RunConfig(case_path=cases_dir,
-                                       output_dir=out))
+        run_batch(RunConfig(case_path=cases_dir, output_dir=out))
         outputs.append(out)
     rel_a = sorted(p.relative_to(outputs[0])
                    for p in outputs[0].rglob("*") if p.is_file())

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, stage isolation, batch mode."""
 
+import dataclasses
 import inspect
 import json
 import shutil
@@ -184,11 +185,13 @@ class TestExitCodes:
             run_cli("--cases-dir", str(tmp_path))
         assert exc.value.code == 2
 
-    # Every cell of every case would write the one dump path, and the
-    # summary has no column for listed optima.
+    # Every cell of every case would write the one dump path, the
+    # summary has no column for listed optima, and every case runs both
+    # structures under both operating points.
     @pytest.mark.parametrize("flag, value", [
         ("--dump-distance", "e.csv"), ("--dump-ybus", "y.csv"),
-        ("--dump-adjacency", "b.csv"), ("--enumerate", "3")])
+        ("--dump-adjacency", "b.csv"), ("--enumerate", "3"),
+        ("--structure", "topological"), ("--jacobian", "flat")])
     def test_batch_rejects_lost_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -196,6 +199,25 @@ class TestExitCodes:
                     flag, value)
         assert exc.value.code == 2
         assert "--cases-dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Both would write their reports under out/ieee9.
+    @pytest.mark.parametrize("other", ["ieee9.cdf", "ieee9"])
+    def test_batch_rejects_two_cases_of_one_name(self, tmp_path, capsys,
+                                                 other):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        shutil.copy(DATA / "ieee9.txt", cases)
+        if other.endswith(".cdf"):
+            shutil.copy(DATA / "ieee9.txt", cases / other)
+        else:
+            write_bundle(cases / other, PARALLEL_PAIR_CSV)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--cases-dir", str(cases), "--out", str(out))
+        assert exc.value.code == 2
+        assert f"two cases named 'ieee9': {other} and ieee9.txt" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_place_mode_removed(self):
@@ -233,7 +255,7 @@ EXIT_CODES = {
     errors.DisconnectedNetwork: 6, errors.NonConvergence: 7,
     errors.SingularSubmatrix: 6, errors.SolverError: 8,
     errors.Infeasible: 8, errors.DecompositionError: 9,
-    errors.ReportError: 10,
+    errors.ReportError: 10, errors.UsageError: 2,
 }
 
 
@@ -275,6 +297,36 @@ def test_run_config_rejects_distance_dump_without_distances():
     for structure in ("electrical", "both"):
         pipeline.RunConfig(case_path="unused", structure=structure,
                            dump_distance="e.csv")
+
+
+# RunConfig holds the only defaults: every setting's flag stores into
+# the field of that name and leaves it None when not given.
+def test_parser_settings_are_run_config_fields_without_defaults():
+    settings = {action.dest: action.default
+                for action in cli.build_parser()._actions
+                if action.dest not in ("case", "cases_dir", "help")}
+    fields = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+    assert settings == dict.fromkeys(fields - {"case_path"})
+
+
+# A batch runs each case under every structure and operating point and
+# writes one summary row; the template may ask for nothing else.
+@pytest.mark.parametrize("field, value", [
+    ("output_dir", None), ("dump_distance", "e.csv"), ("dump_ybus", "y.csv"),
+    ("dump_adjacency", "b.csv"), ("enumerate_cap", 3),
+    ("structure", "topological"), ("jacobian_mode", "flat")])
+def test_run_batch_refuses_template_before_writing(tmp_path, field, value):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    shutil.copy(DATA / "ieee9.txt", cases)
+    settings = {"output_dir": tmp_path / "out", field: value}
+    if field.startswith("dump_"):
+        settings[field] = tmp_path / value
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(errors.UsageError,
+                       match=rf"^batch \(--cases-dir\) .*{field}"):
+        pipeline.run_batch(pipeline.RunConfig(case_path=cases, **settings))
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestStageIsolation:

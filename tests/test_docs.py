@@ -1,8 +1,9 @@
-"""The README against the program: its flag list, its exit-code table and
-its library example."""
+"""The README against the program: its flag list and defaults, its
+exit-code table and its library example."""
 
 import ast
 import contextlib
+import dataclasses
 import inspect
 import io
 import re
@@ -11,17 +12,31 @@ from pathlib import Path
 
 from pmuplace import cli, errors
 from pmuplace.errors import AsymmetryWarning
+from pmuplace.pipeline import RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+FLAGS = README.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
 
 
 def test_flags_paragraph_lists_every_long_option():
-    paragraph = README.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
-    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    documented = set(re.findall(r"--[a-z][a-z-]*", FLAGS))
     options = {opt for action in cli.build_parser()._actions
                for opt in action.option_strings
                if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+# "`--pf-tol X` (default 1e-8)" and "`--mode full` (the default)".
+def test_flags_paragraph_defaults_match_run_config():
+    claims = re.findall(r"`(--[a-z-]+) ([^`]+)`\s+\((?:default ([^)]+)|the "
+                        r"default)\)", FLAGS)
+    dests = {opt: action.dest for action in cli.build_parser()._actions
+             for opt in action.option_strings}
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert len(claims) >= 5
+    for flag, value, default in claims:
+        expected = defaults[dests[flag]]
+        assert type(expected)(default or value) == expected, flag
 
 
 def test_exit_code_table_lists_every_code():
