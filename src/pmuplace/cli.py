@@ -88,9 +88,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     settings = {key: value for key, value in vars(args).items()
                 if value is not None and key not in ("case", "cases_dir")}
+    batch = args.cases_dir is not None
     try:
-        config = RunConfig(case_path=args.case or args.cases_dir, **settings)
-        if args.cases_dir:
+        config = RunConfig(case_path=args.cases_dir if batch else args.case,
+                           **settings)
+        if batch:
             summary = run_batch(config)
             print(f"summary written to {summary}")
             print(summary.read_text(), end="")

@@ -9,7 +9,9 @@ Stage order per structure:
   distances grounded at the slack, closest-pair adjacency with as many
   links as branches, exact cover, then the distance-matrix placement.
 
-Counting mode never touches the singular-value stage. All outputs are
+Counting mode never touches the singular-value stage. A single run and
+each batch cell compute every structure first, then write every file,
+so a failing stage leaves nothing on disk. All outputs are
 deterministic: rerunning a config writes byte-identical files.
 """
 
@@ -64,6 +66,9 @@ class RunConfig:
         rules += [("enumerate_cap", self.enumerate_cap >= 0, ">= 0"),
                   ("pf_max_iter", self.pf_max_iter >= 0, ">= 0"),
                   ("pf_tol", self.pf_tol > 0, "> 0")]
+        rules += [(name, getattr(self, name) != "", "a non-empty path")
+                  for name in ("case_path", "output_dir", "dump_distance",
+                               "dump_ybus", "dump_adjacency")]
         for name, ok, rule in rules:
             if not ok:
                 raise UsageError(f"{name} must be {rule}, "
@@ -72,17 +77,14 @@ class RunConfig:
             raise UsageError("dump_distance needs the electrical structure; "
                              "the topological path computes no distances")
 
-    def structures(self) -> tuple[str, ...]:
-        if self.structure == "both":
-            return STRUCTURES
-        return (self.structure,)
-
 
 @dataclass(frozen=True)
 class StructureResult:
     artifacts: RunArtifacts
     optima: Optima | None
-    written: tuple[Path, ...]
+    adjacency: BinaryAdjacency
+    distance: ResistanceDistance | None   # electrical structure only
+    written: tuple[Path, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -91,86 +93,82 @@ class RunResult:
     per_structure: dict[str, StructureResult]
 
 
-def _electrical_distance(case: PowerCase, ybus: np.ndarray,
-                         config: RunConfig) -> ResistanceDistance:
-    if config.jacobian_mode == JAC_FLAT:
-        op: OperatingPoint = flat_point(case)
-    else:
-        op = solve_power_flow(case, tol=config.pf_tol,
-                              max_iter=config.pf_max_iter, ybus=ybus)
-    conductance = p_theta_jacobian(case, op, ybus=ybus)
-    return resistance_matrix(conductance, case.slack_index)
-
-
 def run_structure(case: PowerCase, structure: str, config: RunConfig,
-                  ybus: np.ndarray | None = None) -> StructureResult:
-    """Run one structure's stages; emits files when an output directory
-    is configured."""
-    if ybus is None:
-        ybus = build_ybus(case)
-
+                  ybus: np.ndarray) -> StructureResult:
+    """Run one structure's stages. Reads only `config`'s stage settings
+    (operating point, power-flow limits, mode, cap); writes nothing."""
     dist: ResistanceDistance | None = None
     if structure == TOPOLOGICAL:
         adjacency: BinaryAdjacency = topological_adjacency(case)
-        placement_matrix = ybus
-        jac_mode = None
     else:
-        dist = _electrical_distance(case, ybus, config)
+        if config.jacobian_mode == JAC_FLAT:
+            op: OperatingPoint = flat_point(case)
+        else:
+            op = solve_power_flow(case, tol=config.pf_tol,
+                                  max_iter=config.pf_max_iter, ybus=ybus)
+        dist = resistance_matrix(p_theta_jacobian(case, op, ybus=ybus),
+                                 case.slack_index)
         adjacency = electrical_adjacency(dist, case.m)
-        placement_matrix = dist.e
-        jac_mode = config.jacobian_mode
 
     inst = CoverInstance(adjacency=adjacency)
     solution = solve_cover(inst)
 
-    decomposition = None
-    ranking = None
+    decomposition = ranking = None
     if config.mode != MODE_COUNT:
-        decomposition = compute_svd(placement_matrix)
+        decomposition = compute_svd(ybus if dist is None else dist.e)
         ranked = rank_vectors(decomposition, solution.count)
         ranking = assign_buses(decomposition, ranked, solution.count)
 
-    optima = None
-    if config.enumerate_cap > 0:
-        optima = enumerate_optima(inst, config.enumerate_cap)
+    optima = (enumerate_optima(inst, config.enumerate_cap)
+              if config.enumerate_cap > 0 else None)
 
+    jac_mode = None if dist is None else config.jacobian_mode
     artifacts = RunArtifacts(case=case, structure=structure,
                              jacobian_mode=jac_mode, solution=solution,
                              ranking=ranking, decomposition=decomposition,
                              profile=average_profile(adjacency))
-
-    written: list[Path] = []
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        if config.structure == "both":
-            out = out / structure
-        written = report_mod.emit_report(artifacts, out)
-
-    if config.dump_distance and dist is not None:
-        written.append(report_mod._dump_matrix(Path(config.dump_distance),
-                                               dist.e, case))
-    if config.dump_ybus and structure == config.structures()[0]:
-        written.append(report_mod._dump_matrix(Path(config.dump_ybus), ybus,
-                                               case))
-    if config.dump_adjacency:
-        target = Path(config.dump_adjacency)
-        if config.structure == "both":
-            target = target.with_name(f"{structure}_{target.name}")
-        written.append(report_mod._dump_matrix(target, adjacency.bits, case))
-
     return StructureResult(artifacts=artifacts, optima=optima,
-                           written=tuple(written))
+                           adjacency=adjacency, distance=dist)
+
+
+def _run_loaded(case: PowerCase, ybus: np.ndarray,
+                config: RunConfig) -> RunResult:
+    """Compute every configured structure, then write every configured
+    file: the one writer of the file layout. Under `both` the reports go
+    to `<structure>/` and each adjacency dump gets a `<structure>_`
+    prefix; the Y-bus is written once, under the first structure."""
+    both = config.structure == "both"
+    results = {structure: run_structure(case, structure, config, ybus)
+               for structure in (STRUCTURES if both else (config.structure,))}
+    for i, (structure, sres) in enumerate(results.items()):
+        written: list[Path] = []
+        if config.output_dir is not None:
+            out = Path(config.output_dir)
+            written = report_mod.emit_report(sres.artifacts,
+                                             out / structure if both else out)
+        if config.dump_distance and sres.distance is not None:
+            written.append(report_mod._dump_matrix(
+                Path(config.dump_distance), sres.distance.e, case))
+        if config.dump_ybus and i == 0:
+            written.append(report_mod._dump_matrix(Path(config.dump_ybus),
+                                                   ybus, case))
+        if config.dump_adjacency:
+            target = Path(config.dump_adjacency)
+            if both:
+                target = target.with_name(f"{structure}_{target.name}")
+            written.append(report_mod._dump_matrix(target,
+                                                   sres.adjacency.bits, case))
+        results[structure] = replace(sres, written=tuple(written))
+    return RunResult(case, results)
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute the configured stages; raises PmuPlaceError subclasses
-    on stage failures (the CLI maps them to exit codes). No output
-    files are created unless the case loads and validates."""
+    """Execute the configured stages, then write the configured files;
+    raises PmuPlaceError subclasses on failures (the CLI maps them to
+    exit codes). A run whose case does not load or whose stage fails
+    writes no file and creates no directory."""
     case = load_case(config.case_path)
-    ybus = build_ybus(case)
-    return RunResult(case, {
-        structure: run_structure(case, structure, config, ybus=ybus)
-        for structure in config.structures()})
+    return _run_loaded(case, build_ybus(case), config)
 
 
 SUMMARY_HEADER = ("case,n,topological_count,electrical_count(solved),"
@@ -221,7 +219,7 @@ def run_batch(template: RunConfig) -> Path:
     refused += [name for name, value in (("structure", "both"),
                                          ("jacobian_mode", JAC_SOLVED))
                 if getattr(template, name) != value]
-    if not template.output_dir:
+    if template.output_dir is None:
         raise UsageError("batch (--cases-dir) needs output_dir (--out): the "
                          "summary and per-case reports are written there")
     if refused:
@@ -245,7 +243,7 @@ def run_batch(template: RunConfig) -> Path:
             cfg = replace(template, case_path=path, structure=structure,
                           jacobian_mode=jac, output_dir=out_root / stem / subdir)
             try:
-                sres = run_structure(case, structure, cfg, ybus=ybus)
+                sres, = _run_loaded(case, ybus, cfg).per_structure.values()
                 cells.append(str(sres.artifacts.solution.count))
             except PmuPlaceError as exc:
                 cells.append(_error_cell(exc))

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, stage isolation, batch mode."""
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import shutil
@@ -28,6 +29,13 @@ def _quiet_asymmetry():
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def read_dump(path: Path, number) -> np.ndarray:
+    """A matrix dump parsed back, each cell with `number`."""
+    lines = path.read_text().splitlines()
+    return np.array([[number(c) for c in line.split(",")[1:]]
+                     for line in lines[1:]])
 
 
 def with_latin1_byte(text: str, line_no: int) -> bytes:
@@ -234,6 +242,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert field in capsys.readouterr().err
 
+    # An empty path would name the current directory or be skipped.
+    @pytest.mark.parametrize("args, field", [
+        (["--case", ""], "case_path"),
+        (["--cases-dir", "", "--out", "o"], "case_path"),
+        (["--out", ""], "output_dir"),
+        (["--dump-distance", ""], "dump_distance"),
+        (["--dump-ybus", ""], "dump_ybus"),
+        (["--dump-adjacency", ""], "dump_adjacency")],
+        ids=["case", "cases-dir", "out", "dump-distance", "dump-ybus",
+             "dump-adjacency"])
+    def test_empty_path_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                       args, field):
+        if args[0] not in ("--case", "--cases-dir"):
+            args = ["--case", str(DATA / "ieee9.txt")] + args
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
+        assert f"{field} must be a non-empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_distance_dump_without_distances_is_usage_error(self, tmp_path,
                                                             capsys):
@@ -284,10 +312,12 @@ def test_other_exception_exit_code(exc, code):
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
     ("mode", "place"),
     ("enumerate_cap", -1), ("pf_max_iter", -1), ("pf_tol", 0.0),
-    ("pf_tol", -1e-8), ("pf_tol", float("nan"))])
+    ("pf_tol", -1e-8), ("pf_tol", float("nan")),
+    ("case_path", ""), ("output_dir", ""), ("dump_distance", ""),
+    ("dump_ybus", ""), ("dump_adjacency", "")])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
-        pipeline.RunConfig(case_path="unused", **{field: value})
+        pipeline.RunConfig(**{"case_path": "unused", field: value})
 
 
 def test_run_config_rejects_distance_dump_without_distances():
@@ -404,10 +434,82 @@ class TestOutputs:
         for name, number, exact in (("y.csv", complex, ybus),
                                     ("e.csv", float, dist.e),
                                     ("b.csv", int, bits)):
-            lines = (tmp_path / name).read_text().splitlines()
-            parsed = np.array([[number(c) for c in line.split(",")[1:]]
-                               for line in lines[1:]])
-            assert np.array_equal(parsed, exact), name
+            assert np.array_equal(read_dump(tmp_path / name, number),
+                                  exact), name
+
+    # The benchmark's count-export operation, on the grid it builds:
+    # two IEEE-118 copies joined by a seeded tie line.
+    def test_count_export_on_tied_grid(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "tied", Path(__file__).resolve().parents[1] / "perfbench"
+            / "tied.py")
+        tied = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tied)
+        grid = tmp_path / "ieee118x2"
+        tied.write_case(tied.tied_case(2, 1), grid)
+        dumps = {name: tmp_path / f"{name}.csv"
+                 for name in ("distance", "ybus", "adjacency")}
+        assert run_cli("--case", str(grid), "--structure", "electrical",
+                       "--jacobian", "solved", "--mode", "count",
+                       "--dump-distance", str(dumps["distance"]),
+                       "--dump-ybus", str(dumps["ybus"]),
+                       "--dump-adjacency", str(dumps["adjacency"])) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if " wrote " in line]
+        assert wrote == [f"[electrical] wrote {dumps[name]}"
+                         for name in ("distance", "ybus", "adjacency")]
+        case = pp.load_case(grid)
+        ybus = pp.build_ybus(case)
+        g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus=ybus),
+                                ybus=ybus)
+        dist = pp.resistance_matrix(g, case.slack_index)
+        bits = pp.electrical_adjacency(dist, case.m).bits
+        for name, number, exact in (("ybus", complex, ybus),
+                                    ("distance", float, dist.e),
+                                    ("adjacency", int, bits)):
+            assert np.array_equal(read_dump(dumps[name], number),
+                                  exact), name
+
+    # Reports go to one directory per structure, the Y-bus is written
+    # once, under the first structure, and each adjacency dump carries
+    # its structure's name.
+    def test_file_layout_under_both(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("--case", str(DATA / "ieee14.txt"),
+                       "--structure", "both", "--out", "o",
+                       "--dump-distance", "e.csv", "--dump-ybus", "y.csv",
+                       "--dump-adjacency", "b.csv") == 0
+        reports = ["report.json", "fig_lambda.csv", "fig_sigma.csv",
+                   "fig_assignment.csv"]
+        expected = [("topological", f"o/topological/{name}")
+                    for name in reports]
+        expected += [("topological", "y.csv"),
+                     ("topological", "topological_b.csv")]
+        expected += [("electrical", f"o/electrical/{name}")
+                     for name in reports]
+        expected += [("electrical", "e.csv"),
+                     ("electrical", "electrical_b.csv")]
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if " wrote " in line]
+        assert wrote == [f"[{s}] wrote {path}" for s, path in expected]
+        files = {p.relative_to(tmp_path).as_posix()
+                 for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == {path for _, path in expected}
+
+    # Every stage of every structure runs before the first file is
+    # written: the topological structure succeeds, the power flow fails.
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("--case", str(DATA / "ieee14.txt"), "--out", "o",
+                       "--dump-ybus", "y.csv", "--dump-adjacency", "b.csv",
+                       "--pf-max-iter", "0") == 7
+        assert " wrote " not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(errors.NonConvergence):
+            pipeline.run(pipeline.RunConfig(case_path=DATA / "ieee14.txt",
+                                            output_dir=tmp_path / "lib",
+                                            pf_max_iter=0))
+        assert list(tmp_path.iterdir()) == []
 
     def test_complex_dump_formats_every_cell(self, tmp_path, ieee9):
         # Signed zeros compare equal but must be written apart.

@@ -86,7 +86,8 @@ class TestEmitReport:
                         jacobian_mode="flat", mode="full")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AsymmetryWarning)
-            return run_structure(ieee9, "electrical", cfg).artifacts
+            return run_structure(ieee9, "electrical", cfg,
+                                 pp.build_ybus(ieee9)).artifacts
 
     def test_report_round_trips(self, artifacts, tmp_path):
         paths = pp.emit_report(artifacts, tmp_path)
