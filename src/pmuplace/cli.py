@@ -71,9 +71,8 @@ def _print_structure(name: str, result, config: RunConfig):
                   f"{a.magnitude:.6g}  -> bus {ext(a.bus)}{note}")
         print(f"[{name}] placement buses: "
               f"{[ext(b) for b in art.ranking.buses]}")
-    lam_min = float(art.profile.lam_min)
     above = art.profile.above_minimum(art.solution.nodes)
-    print(f"[{name}] lambda_min = {lam_min:.6g} at buses "
+    print(f"[{name}] lambda_min = {art.profile.lam_min:.6g} at buses "
           f"{[ext(b) for b in art.profile.argmins]}; chosen buses above "
           f"the minimum: {[ext(b) for b in above]}")
     if result.optima is not None:

@@ -2,9 +2,9 @@
 
 The problem: pick the fewest buses so that every bus is adjacent
 (including self-adjacency) to a picked one. One exact search answers
-it: `_Engine.exists_cover` decides by branch and bound over bit masks
-whether at most `budget` allowed buses cover the uncovered ones. At
-each node it applies
+it: `CoverInstance.exists_cover` decides by branch and bound over bit
+masks whether at most `budget` allowed buses cover the uncovered ones.
+At each node it applies
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
@@ -19,13 +19,14 @@ with disjoint candidates are independent, so the node is feasible
 exactly when the group minima sum to at most `budget`; each group's
 minimum is found by raising its budget from its packing bound while
 the shared slack lasts. A single group is decided by the
-disjoint-candidate-packing lower bound and by branching on the bus
-with the fewest candidates. Every decision is memoised per
-`(uncovered, allowed)` as the largest budget proven infeasible and
-the smallest proven feasible, so a later probe of the same residual
-group, as the witness scan makes again and again, costs one lookup.
+disjoint-candidate-packing lower bound and by branching on the first
+bus of the packing order, the one with the fewest candidates. Every
+decision is memoised per `(uncovered, allowed)` as the largest budget
+proven infeasible and the smallest proven feasible, so a later probe
+of the same residual group, as the witness scan makes again and
+again, costs one lookup.
 
-`_Engine.covers` builds on it to yield the minimum covers of a
+`CoverInstance.covers` builds on it to yield the minimum covers of a
 residual in set-lexicographic order; its budget is always the
 residual's exact minimum, so no cover is ever padded with a useless
 bus. It drops implied constraints and splits the rest into the same
@@ -41,8 +42,8 @@ complete a cover of the rest, and the scan goes past i only while
 covers without i remain. The minimum count is the smallest feasible
 budget, the witness is the first cover yielded and the enumeration is
 a prefix of the sequence, so the witness is always the first
-enumerated optimum. Each `CoverInstance` holds one engine, so the
-count, the witness and the enumeration share its memo.
+enumerated optimum. The count, the witness and the enumeration of
+one `CoverInstance` share its memo.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,27 +58,6 @@ from .errors import Infeasible
 from .network import BinaryAdjacency
 
 _INF = 10 ** 9
-
-
-@dataclass(frozen=True)
-class CoverInstance:
-    adjacency: BinaryAdjacency
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.n
-
-    def __post_init__(self):
-        bits = self.adjacency.bits
-        if not np.all(np.diag(bits) == 1):
-            raise ValueError("cover instance needs a unit diagonal "
-                             "(every bus must be able to cover itself)")
-
-    @cached_property
-    def _engine(self) -> _Engine:
-        """One search engine per instance, so the count, the witness
-        and the enumeration share its memo."""
-        return _Engine(self.adjacency.bits)
 
 
 @dataclass(frozen=True)
@@ -106,13 +85,17 @@ class Optima:
         return len(self.solutions)
 
 
-class _Engine:
-    """Bitmask search shared by the count, the witness and the
-    enumeration."""
+class CoverInstance:
+    """The cover problem on a bus adjacency and its bitmask search; the
+    count, the witness and the enumeration share the instance's memo."""
 
-    def __init__(self, bits: np.ndarray):
-        self.n = int(bits.shape[0])
-        b = np.asarray(bits, dtype=bool)
+    def __init__(self, adjacency: BinaryAdjacency):
+        if not np.all(np.diag(adjacency.bits) == 1):
+            raise ValueError("cover instance needs a unit diagonal "
+                             "(every bus must be able to cover itself)")
+        self.adjacency = adjacency
+        self.n = adjacency.n
+        b = np.asarray(adjacency.bits, dtype=bool)
         # Plain-int shifts: numpy scalars would overflow past 63 bits.
         self.rows = [sum(1 << int(j) for j in np.nonzero(b[i])[0])
                      for i in range(self.n)]
@@ -192,9 +175,11 @@ class _Engine:
             rest &= ~group
         return groups
 
-    def lower_bound(self, uncovered: int, allowed: int) -> int:
+    def lower_bound(self, uncovered: int, allowed: int) -> tuple[int, int]:
         """Uncovered buses with pairwise-disjoint candidate sets each
-        need their own pick."""
+        need their own pick. Returns the bound and the first bus of the
+        packing order: the lowest-index bus with the fewest candidates,
+        the one to branch on."""
         order = sorted(self._bits_of(uncovered),
                        key=lambda i: ((self.rows[i] & allowed).bit_count(), i))
         used = 0
@@ -202,19 +187,11 @@ class _Engine:
         for i in order:
             cand = self.rows[i] & allowed
             if cand == 0:
-                return _INF
+                return _INF, order[0]
             if cand & used == 0:
                 bound += 1
                 used |= cand
-        return bound
-
-    def _branch_bus(self, uncovered: int, allowed: int) -> int:
-        best_i, best_k = -1, _INF + 1
-        for i in self._bits_of(uncovered):
-            k = (self.rows[i] & allowed).bit_count()
-            if k < best_k:
-                best_i, best_k = i, k
-        return best_i
+        return bound, order[0]
 
     def exists_cover(self, uncovered: int, allowed: int, budget: int) -> bool:
         """Whether some selection of at most `budget` allowed buses
@@ -243,21 +220,17 @@ class _Engine:
             # Groups share no candidate, so the minimum is the sum of
             # the group minima: raise each group's budget from its
             # packing bound while the shared slack lasts.
-            bounds = [self.lower_bound(u, a) for u, a in groups]
+            bounds = [self.lower_bound(u, a)[0] for u, a in groups]
             slack = budget - sum(bounds)
-            if slack < 0:
-                return False
             for (u, a), need in zip(groups, bounds):
-                while not self.exists_cover(u, a, need):
-                    need += 1
-                    slack -= 1
-                    if slack < 0:
-                        return False
-            return True
+                if slack < 0:
+                    return False
+                slack -= self.minimum(u, a, need, need + slack) - need
+            return slack >= 0
         uncovered, allowed = groups[0]
-        if self.lower_bound(uncovered, allowed) > budget:
+        bound, pivot = self.lower_bound(uncovered, allowed)
+        if bound > budget:
             return False
-        pivot = self._branch_bus(uncovered, allowed)
         remaining = allowed
         for j in self._bits_of(self.rows[pivot] & allowed):
             remaining &= ~(1 << j)
@@ -266,11 +239,12 @@ class _Engine:
                 return True
         return False
 
-    def minimum(self, uncovered: int, allowed: int) -> int:
-        """Size of the smallest cover of a feasible residual: the first
-        budget, counting up from the packing bound, that admits one."""
-        k = self.lower_bound(uncovered, allowed)
-        while not self.exists_cover(uncovered, allowed, k):
+    def minimum(self, uncovered: int, allowed: int, start: int,
+                cap: int = _INF) -> int:
+        """The first budget from `start` up to `cap` that admits a cover
+        of the residual, or `cap + 1` when none does."""
+        k = start
+        while k <= cap and not self.exists_cover(uncovered, allowed, k):
             k += 1
         return k
 
@@ -288,8 +262,9 @@ class _Engine:
         if len(groups) == 1:
             yield from self._scan(*groups[0], budget)
         else:
-            yield from self._merge([self._scan(u, a, self.minimum(u, a))
-                                    for u, a in groups])
+            yield from self._merge([
+                self._scan(u, a, self.minimum(u, a, self.lower_bound(u, a)[0]))
+                for u, a in groups])
 
     def _scan(self, uncovered: int, allowed: int, budget: int):
         """`covers` of one group: take bus i, in index order, when the
@@ -344,16 +319,14 @@ class _Engine:
 def optimal_count(inst: CoverInstance) -> int:
     """Size of the minimum cover: the smallest budget, counting up from
     the packing lower bound, for which a cover exists."""
-    eng = inst._engine
-    return eng.minimum(eng.full, eng.full)
+    full = inst.full
+    return inst.minimum(full, full, inst.lower_bound(full, full)[0])
 
 
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
-    eng = inst._engine
-    first = next(eng.covers(eng.full, eng.full, optimal_count(inst)),
-                 None)
+    first = next(inst.covers(inst.full, inst.full, optimal_count(inst)), None)
     # A cover of the optimal size always exists; none would be a
     # solver bug.
     if first is None:
@@ -368,8 +341,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
     `truncated` says that more exist."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    eng = inst._engine
-    covers = eng.covers(eng.full, eng.full, optimal_count(inst))
+    covers = inst.covers(inst.full, inst.full, optimal_count(inst))
     found = tuple(PlacementSolution(tuple(i + 1 for i in c))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,

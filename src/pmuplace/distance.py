@@ -32,8 +32,11 @@ class ResistanceDistance:
     the conductances come from the power/angle sensitivity).
     """
 
-    n: int
     e: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.e.shape[0]
 
 
 def grounded_inverse(g: np.ndarray, r: int) -> np.ndarray:
@@ -109,7 +112,7 @@ def resistance_matrix(g: np.ndarray, r: int) -> ResistanceDistance:
     e = gamma[None, :] + gamma[:, None] - inv - inv.T
     e = 0.5 * (e + e.T)
     np.fill_diagonal(e, 0.0)
-    return ResistanceDistance(n=e.shape[0], e=e)
+    return ResistanceDistance(e)
 
 
 def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
@@ -139,4 +142,4 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     bits = np.eye(n, dtype=np.int8)
     bits[iu[chosen], ju[chosen]] = 1
     bits[ju[chosen], iu[chosen]] = 1
-    return BinaryAdjacency(n=n, bits=bits)
+    return BinaryAdjacency(bits)

@@ -22,11 +22,14 @@ ELECTRICAL = "electrical"
 class BinaryAdjacency:
     """Symmetric 0/1 connectivity matrix with a unit diagonal."""
 
-    n: int
     bits: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int8))
+
+    @property
+    def n(self) -> int:
+        return self.bits.shape[0]
 
 
 def build_ybus(case: PowerCase) -> np.ndarray:
@@ -88,4 +91,4 @@ def topological_adjacency(case: PowerCase) -> BinaryAdjacency:
     for br in case.branches:
         bits[br.from_bus - 1, br.to_bus - 1] = 1
         bits[br.to_bus - 1, br.from_bus - 1] = 1
-    return BinaryAdjacency(n=n, bits=bits)
+    return BinaryAdjacency(bits)

@@ -26,7 +26,7 @@ from . import report as report_mod
 from .cases import PowerCase, load_case
 from .cover import CoverInstance, Optima, enumerate_optima, solve_cover
 from .distance import ResistanceDistance, electrical_adjacency, resistance_matrix
-from .errors import PmuPlaceError, UsageError
+from .errors import PmuPlaceError, ReportError, UsageError
 from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
@@ -117,7 +117,7 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
     if config.mode != MODE_COUNT:
         decomposition = compute_svd(ybus if dist is None else dist.e)
         ranked = rank_vectors(decomposition, solution.count)
-        ranking = assign_buses(decomposition, ranked, solution.count)
+        ranking = assign_buses(decomposition, ranked)
 
     optima = (enumerate_optima(inst, config.enumerate_cap)
               if config.enumerate_cap > 0 else None)
@@ -136,29 +136,37 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
     """Compute every configured structure, then write every configured
     file: the one writer of the file layout. Under `both` the reports go
     to `<structure>/` and each adjacency dump gets a `<structure>_`
-    prefix; the Y-bus is written once, under the first structure."""
+    prefix; the Y-bus is written once, under the first structure. A
+    failed write removes the files the run wrote before it."""
     both = config.structure == "both"
     results = {structure: run_structure(case, structure, config, ybus)
                for structure in (STRUCTURES if both else (config.structure,))}
-    for i, (structure, sres) in enumerate(results.items()):
-        written: list[Path] = []
-        if config.output_dir is not None:
-            out = Path(config.output_dir)
-            written = report_mod.emit_report(sres.artifacts,
-                                             out / structure if both else out)
-        if config.dump_distance and sres.distance is not None:
-            written.append(report_mod._dump_matrix(
-                Path(config.dump_distance), sres.distance.e, case))
-        if config.dump_ybus and i == 0:
-            written.append(report_mod._dump_matrix(Path(config.dump_ybus),
-                                                   ybus, case))
-        if config.dump_adjacency:
-            target = Path(config.dump_adjacency)
-            if both:
-                target = target.with_name(f"{structure}_{target.name}")
-            written.append(report_mod._dump_matrix(target,
-                                                   sres.adjacency.bits, case))
-        results[structure] = replace(sres, written=tuple(written))
+    written: list[Path] = []
+    try:
+        for i, (structure, sres) in enumerate(results.items()):
+            first = len(written)
+            if config.output_dir is not None:
+                out = Path(config.output_dir)
+                written += report_mod.emit_report(
+                    sres.artifacts, out / structure if both else out)
+            if config.dump_distance and sres.distance is not None:
+                written.append(report_mod._dump_matrix(
+                    Path(config.dump_distance), sres.distance.e, case))
+            if config.dump_ybus and i == 0:
+                written.append(report_mod._dump_matrix(
+                    Path(config.dump_ybus), ybus, case))
+            if config.dump_adjacency:
+                target = Path(config.dump_adjacency)
+                if both:
+                    target = target.with_name(f"{structure}_{target.name}")
+                written.append(report_mod._dump_matrix(
+                    target, sres.adjacency.bits, case))
+            results[structure] = replace(sres,
+                                         written=tuple(written[first:]))
+    except ReportError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return RunResult(case, results)
 
 
@@ -166,7 +174,8 @@ def run(config: RunConfig) -> RunResult:
     """Execute the configured stages, then write the configured files;
     raises PmuPlaceError subclasses on failures (the CLI maps them to
     exit codes). A run whose case does not load or whose stage fails
-    writes no file and creates no directory."""
+    writes no file and creates no directory; a run whose write fails
+    leaves no file from the run."""
     case = load_case(config.case_path)
     return _run_loaded(case, build_ybus(case), config)
 

@@ -1,9 +1,10 @@
 """Average-distance diagnostics and machine-readable run reports.
 
 The average electrical (or topological) distance of a bus is its
-adjacency row sum, diagonal included, divided by N-1. Values are kept
-as exact rationals so that ties at the minimum are genuine ties, not
-float accidents: whether a bus sits at the minimum is an equality test.
+adjacency row sum, diagonal included, divided by N-1. The row sums are
+kept as integers so that ties at the minimum are genuine ties, not
+float accidents: whether a bus sits at the minimum is an integer
+equality test.
 
 Reports are plain JSON plus per-figure CSV files; rendering is left to
 external tooling so outputs stay diffable.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,36 +27,40 @@ from .spectral import CouplingRanking, SingularDecomposition
 
 @dataclass(frozen=True)
 class AverageDistanceProfile:
-    """Per-bus average connectivity fractions with exact-tie argmins."""
+    """Per-bus adjacency row sums s_i with exact-tie argmins; the
+    average distance is lambda_i = s_i / (N-1)."""
 
-    lam: tuple[Fraction, ...]
-    lam_min: Fraction
+    sums: tuple[int, ...]
     argmins: tuple[int, ...]
 
     @property
     def floats(self) -> list[float]:
-        return [float(v) for v in self.lam]
+        """lambda_i, each the correctly rounded quotient s_i / (N-1)."""
+        return [s / (len(self.sums) - 1) for s in self.sums]
+
+    @property
+    def lam_min(self) -> float:
+        return min(self.sums) / (len(self.sums) - 1)
 
     def above_minimum(self, nodes) -> tuple[int, ...]:
         """The given buses whose average distance exceeds the minimum.
         The expected electrical pattern for a chosen monitor set: every
         bus sits at the minimum except the single representative of the
         well-connected cluster, i.e. at most one bus above."""
-        return tuple(b for b in nodes if self.lam[b - 1] > self.lam_min)
+        low = min(self.sums)
+        return tuple(b for b in nodes if self.sums[b - 1] > low)
 
 
 def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
-    """Row-sum fractions lambda_i = (sum_j adj_ij) / (N-1).
+    """Row sums s_i = sum_j adj_ij, for lambda_i = s_i / (N-1).
 
-    The diagonal term is included, so every value lies in
-    [1/(N-1), N/(N-1)]. Argmins use exact rational comparison.
+    The diagonal term is included, so every lambda lies in
+    [1/(N-1), N/(N-1)]. Argmins compare the integer sums.
     """
-    n = adj.n
-    sums = adj.bits.sum(axis=1)
-    lam = tuple(Fraction(int(s), n - 1) for s in sums)
-    lam_min = min(lam)
-    argmins = tuple(i + 1 for i, v in enumerate(lam) if v == lam_min)
-    return AverageDistanceProfile(lam=lam, lam_min=lam_min, argmins=argmins)
+    sums = tuple(adj.bits.sum(axis=1).tolist())
+    low = min(sums)
+    argmins = tuple(i + 1 for i, s in enumerate(sums) if s == low)
+    return AverageDistanceProfile(sums=sums, argmins=argmins)
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def report_dict(art: RunArtifacts) -> dict:
         "ilp_buses": [ext(b) for b in art.solution.nodes],
         "svd_buses": svd_buses,
         "lambda": art.profile.floats,
-        "lambda_min": float(art.profile.lam_min),
+        "lambda_min": art.profile.lam_min,
         "sigma": sigma,
         "conflicts": conflicts,
         "source_checksum": case.source_checksum,
@@ -123,8 +127,8 @@ def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
     ext = art.case.external_id
     chosen = set(art.solution.nodes)
     lines = ["bus,lambda,x"]
-    for i, lam in enumerate(art.profile.lam, start=1):
-        lines.append(f"{ext(i)},{float(lam)!r},{1 if i in chosen else 0}")
+    for i, lam in enumerate(art.profile.floats, start=1):
+        lines.append(f"{ext(i)},{lam!r},{1 if i in chosen else 0}")
     written.append(_write(out / "fig_lambda.csv", lines))
 
     if art.decomposition is not None:

@@ -92,20 +92,19 @@ def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
     return [(int(n) + 1, float(magnitudes[n])) for n in order[:p]]
 
 
-def assign_buses(d: SingularDecomposition, ranked: list[tuple[int, float]],
-                 p: int) -> CouplingRanking:
-    """Place `p` monitors by walking `ranked` strongest-first.
+def assign_buses(d: SingularDecomposition,
+                 ranked: list[tuple[int, float]]) -> CouplingRanking:
+    """Place one monitor per entry of `ranked`, walking it
+    strongest-first.
 
     Every decision uses absolute entry values, so singular-vector sign
     indeterminacy cannot change the outcome. Within a vector, equal
-    magnitudes resolve to the lower bus index. Terminates with `p`
-    distinct buses whenever p <= N.
+    magnitudes resolve to the lower bus index. Terminates with
+    `len(ranked)` distinct buses whenever that is at most N.
     """
-    if len(ranked) < p:
-        raise ValueError("ranked list shorter than the budget")
     taken: set[int] = set()
     selected: list[Assignment] = []
-    for vector_index, magnitude in ranked[:p]:
+    for vector_index, magnitude in ranked:
         column = np.abs(d.u[:, vector_index - 1])
         order = np.argsort(-column, kind="stable")
         intended = int(order[0]) + 1

@@ -112,7 +112,7 @@ def test_criterion_2_electrical_counts(electrical):
 
 def _placement(matrix, p):
     d = pp.compute_svd(matrix)
-    return pp.assign_buses(d, pp.rank_vectors(d, p), p)
+    return pp.assign_buses(d, pp.rank_vectors(d, p))
 
 
 def test_criterion_3a_nine_bus_electrical_placement(electrical):
@@ -167,8 +167,7 @@ def test_criterion_4_nine_bus_ilp_witness_and_lambda(electrical):
     for mode in ("solved", "flat"):
         entry = electrical["ieee9", mode]
         profile = entry["profile"]
-        above = [b for b in entry["solution"].nodes
-                 if profile.lam[b - 1] > profile.lam_min]
+        above = list(profile.above_minimum(entry["solution"].nodes))
         results[mode] = (entry["solution"].nodes, set(profile.argmins), above)
     good_modes = [
         m for m, (nodes, argmins, above) in results.items()
@@ -202,8 +201,7 @@ def test_criterion_5_oracle_equivalence(cases, electrical):
     for trial in range(200):
         n = int(rng.integers(3, 13))
         bits = random_connected_adjacency(rng, n)
-        inst = pp.CoverInstance(adjacency=pp.BinaryAdjacency(
-            n=n, bits=bits))
+        inst = pp.CoverInstance(adjacency=pp.BinaryAdjacency(bits))
         if pp.solve_cover(inst).count != brute_force_cover(inst, n).count:
             mismatches.append(f"random-{trial}")
     ok = not mismatches

@@ -511,6 +511,43 @@ class TestOutputs:
                                             pf_max_iter=0))
         assert list(tmp_path.iterdir()) == []
 
+    # The reports are written before the Y-bus dump, which then fails.
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        assert run_cli("--case", str(DATA / "ieee9.txt"), "--structure",
+                       "both", "--out", "o", "--dump-ybus",
+                       "afile/y.csv") == 10
+        assert " wrote " not in capsys.readouterr().out
+        assert [p for p in Path("o").rglob("*") if p.is_file()] == []
+
+    def test_figure_csvs_hold_exact_values(self, tmp_path):
+        def rows(path):
+            return [line.split(",")
+                    for line in path.read_text().splitlines()[1:]]
+
+        case_path = DATA / "ieee14.txt"
+        assert run_cli("--case", str(case_path), "--structure", "both",
+                       "--out", str(tmp_path)) == 0
+        result = pipeline.run(pipeline.RunConfig(case_path=case_path))
+        case = result.case
+        ids = [case.external_id(i) for i in range(1, case.n + 1)]
+        for structure, sres in result.per_structure.items():
+            out = tmp_path / structure
+            d = sres.artifacts.decomposition
+            lam = rows(out / "fig_lambda.csv")
+            assert [int(r[0]) for r in lam] == ids
+            assert [float(r[1]) for r in lam] == [
+                s / (case.n - 1) for s in sres.adjacency.bits.sum(axis=1)]
+            assert [float(r[1]) for r in rows(out / "fig_sigma.csv")] == \
+                d.sigma.tolist()
+            placed = rows(out / "fig_assignment.csv")
+            assert len(placed) == case.n * sres.artifacts.solution.count
+            # |u| as the assignment reads it: the whole column at once.
+            for _, vector, bus, entry, _, _ in placed:
+                assert float(entry) == np.abs(
+                    d.u[:, int(vector) - 1])[ids.index(int(bus))]
+
     def test_complex_dump_formats_every_cell(self, tmp_path, ieee9):
         # Signed zeros compare equal but must be written apart.
         rng = np.random.default_rng(9)

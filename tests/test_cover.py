@@ -4,7 +4,7 @@ search (`brute_force_cover` for the witness, every k-subset from
 instances, and an integer program solved by `scipy.optimize.milp` for
 the count on every bundled system. The search's dominance reductions
 are checked against the plain all-pairs versions kept here, and its
-memo against a fresh engine."""
+memo against a fresh instance."""
 
 import itertools
 import warnings
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pmuplace as pp
-from pmuplace.cover import _Engine
 from pmuplace.errors import AsymmetryWarning
 from pmuplace.network import BinaryAdjacency
 from conftest import BUNDLED, random_connected_adjacency
@@ -24,8 +23,7 @@ from oracles import NoSolutionWithinK, brute_force_cover
 
 
 def inst_from_bits(bits):
-    return pp.CoverInstance(adjacency=BinaryAdjacency(
-        n=bits.shape[0], bits=bits))
+    return pp.CoverInstance(adjacency=BinaryAdjacency(bits))
 
 
 def feasible(inst, sol):
@@ -58,9 +56,9 @@ def all_optima(bits):
     return []
 
 
-def quadratic_reduce_rows(eng, uncovered, allowed):
+def quadratic_reduce_rows(inst, uncovered, allowed):
     """Constraint dominance comparing every live pair."""
-    live = [(i, eng.rows[i] & allowed) for i in eng._bits_of(uncovered)]
+    live = [(i, inst.rows[i] & allowed) for i in inst._bits_of(uncovered)]
     dropped = 0
     for i, cand_i in live:
         for j, cand_j in live:
@@ -72,9 +70,9 @@ def quadratic_reduce_rows(eng, uncovered, allowed):
     return uncovered & ~dropped
 
 
-def quadratic_reduce_cols(eng, uncovered, allowed):
+def quadratic_reduce_cols(inst, uncovered, allowed):
     """Candidate dominance comparing every live pair."""
-    live = [(j, eng.cols[j] & uncovered) for j in eng._bits_of(allowed)]
+    live = [(j, inst.cols[j] & uncovered) for j in inst._bits_of(allowed)]
     banned = 0
     for j, cov_j in live:
         for k, cov_k in live:
@@ -351,21 +349,21 @@ class TestLocalDominance:
     """The reductions test only the pairs that can dominate; they must
     give the masks of the all-pairs versions."""
 
-    def check(self, eng, uncovered, allowed):
-        assert eng._reduce_rows(uncovered, allowed) == \
-            quadratic_reduce_rows(eng, uncovered, allowed)
-        assert eng._reduce_cols(uncovered, allowed) == \
-            quadratic_reduce_cols(eng, uncovered, allowed)
+    def check(self, inst, uncovered, allowed):
+        assert inst._reduce_rows(uncovered, allowed) == \
+            quadratic_reduce_rows(inst, uncovered, allowed)
+        assert inst._reduce_cols(uncovered, allowed) == \
+            quadratic_reduce_cols(inst, uncovered, allowed)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 14))
     def test_random_graphs(self, seed, n):
         rng = np.random.default_rng(seed)
-        eng = _Engine(random_connected_adjacency(rng, n))
+        inst = inst_from_bits(random_connected_adjacency(rng, n))
         for _ in range(10):
-            self.check(eng, random_mask(rng, n, rng.random()),
+            self.check(inst, random_mask(rng, n, rng.random()),
                        random_mask(rng, n, rng.random()))
-        self.check(eng, eng.full, eng.full)
+        self.check(inst, inst.full, inst.full)
 
     @pytest.mark.parametrize("structure", ["topological", "electrical"])
     def test_ieee118(self, cases, electrical_insts, structure):
@@ -373,13 +371,13 @@ class TestLocalDominance:
             bits = electrical_insts["ieee118"].adjacency.bits
         else:
             bits = pp.topological_adjacency(cases["ieee118"]).bits
-        eng = _Engine(bits)
+        inst = inst_from_bits(bits)
         rng = np.random.default_rng(118)
-        self.check(eng, eng.full, eng.full)
+        self.check(inst, inst.full, inst.full)
         for density in (0.1, 0.5, 0.9):
             for _ in range(5):
-                self.check(eng, random_mask(rng, eng.n, density),
-                           random_mask(rng, eng.n, density))
+                self.check(inst, random_mask(rng, inst.n, density),
+                           random_mask(rng, inst.n, density))
 
 
 class TestMemo:
@@ -393,16 +391,9 @@ class TestMemo:
             inst = pp.CoverInstance(
                 adjacency=pp.topological_adjacency(cases[name]))
         pp.enumerate_optima(inst, 10)
-        warmed = inst._engine
-        assert warmed.memo
-        full = warmed.full
+        assert inst.memo
+        full = inst.full
         for budget in range(inst.n + 1):
-            fresh = _Engine(inst.adjacency.bits)
-            assert warmed.exists_cover(full, full, budget) == \
+            fresh = pp.CoverInstance(adjacency=inst.adjacency)
+            assert inst.exists_cover(full, full, budget) == \
                 fresh.exists_cover(full, full, budget), budget
-
-    def test_one_engine_per_instance(self, cases):
-        inst = pp.CoverInstance(
-            adjacency=pp.topological_adjacency(cases["ieee14"]))
-        assert inst._engine is inst._engine
-        assert inst == pp.CoverInstance(adjacency=inst.adjacency)

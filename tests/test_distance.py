@@ -118,7 +118,7 @@ class TestElectricalAdjacency:
 
     def test_tie_at_threshold_warns(self):
         e = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        dist = pp.ResistanceDistance(n=3, e=e)
+        dist = pp.ResistanceDistance(e)
         with pytest.warns(TieAtThreshold):
             b = pp.electrical_adjacency(dist, 2)
         # deterministic index-order tie break: pairs (1,2) and (1,3)
@@ -145,7 +145,7 @@ class TestVerifyMetric:
 
     def test_hand_built_triangle_violation(self):
         e = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        rep = verify_metric(pp.ResistanceDistance(n=3, e=e))
+        rep = verify_metric(pp.ResistanceDistance(e))
         assert rep.triangle_violations == [(1, 2, 3)]
         assert not rep.ok
 

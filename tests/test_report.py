@@ -14,40 +14,42 @@ from pmuplace.pipeline import RunConfig, run_structure
 
 
 def adj(bits):
-    return BinaryAdjacency(n=bits.shape[0], bits=bits)
+    return BinaryAdjacency(bits)
 
 
 class TestAverageProfile:
     def test_all_ones(self):
         profile = pp.average_profile(adj(np.ones((3, 3), dtype=np.int8)))
-        assert profile.lam == (Fraction(3, 2),) * 3
+        assert profile.sums == (3,) * 3
+        assert all(type(s) is int for s in profile.sums)
+        assert profile.floats == [1.5] * 3
         assert profile.argmins == (1, 2, 3)
 
     def test_identity(self):
         profile = pp.average_profile(adj(np.eye(4, dtype=np.int8)))
-        assert profile.lam == (Fraction(1, 3),) * 4
-        assert profile.lam_min == Fraction(1, 3)
+        assert profile.sums == (1,) * 4
+        assert profile.lam_min == 1 / 3
 
     def test_exact_rational_ties(self):
         bits = np.eye(5, dtype=np.int8)
         bits[0, 1] = bits[1, 0] = 1
         profile = pp.average_profile(adj(bits))
         assert profile.argmins == (3, 4, 5)
-        assert profile.lam_min == Fraction(1, 4)
-        assert profile.lam[0] == Fraction(2, 4)
+        assert profile.sums == (2, 2, 1, 1, 1)
+        assert profile.lam_min == 0.25
+        assert profile.above_minimum((1, 3)) == (1,)
 
     def test_bounds(self, cases):
         for case in cases.values():
             profile = pp.average_profile(pp.topological_adjacency(case))
-            n = case.n
-            for lam in profile.lam:
-                assert Fraction(1, n - 1) <= lam <= Fraction(n, n - 1)
+            assert all(1 <= s <= case.n for s in profile.sums)
 
+    # s / (N-1) and float(Fraction(s, N-1)) are both correctly rounded.
     def test_float_emission_matches_rationals(self, cases):
-        profile = pp.average_profile(
-            pp.topological_adjacency(cases["ieee57"]))
-        for f, frac in zip(profile.floats, profile.lam):
-            assert abs(f - frac) <= 1e-12
+        for case in cases.values():
+            profile = pp.average_profile(pp.topological_adjacency(case))
+            assert profile.floats == [float(Fraction(s, case.n - 1))
+                                      for s in profile.sums]
 
 
 class TestPatternCheck:

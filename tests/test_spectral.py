@@ -99,7 +99,7 @@ class TestRankVectors:
 class TestAssignBuses:
     def test_two_by_two_diagonal(self):
         d = pp.compute_svd(np.diag([3.0, 1.0]))
-        ranking = pp.assign_buses(d, pp.rank_vectors(d, 2), 2)
+        ranking = pp.assign_buses(d, pp.rank_vectors(d, 2))
         assert ranking.buses == (1, 2)
         assert all(a.rank == 1 for a in ranking.selected)
 
@@ -110,7 +110,7 @@ class TestAssignBuses:
         # orthonormality is irrelevant for the assignment rule itself
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([3.0, 2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)], 3)
+        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)])
         first, second, third = ranking.selected
         assert (first.bus, first.rank) == (1, 1)
         assert (second.bus, second.rank) == (2, 2)  # bus 1 already taken
@@ -122,7 +122,7 @@ class TestAssignBuses:
         u = np.tile(np.array([[0.8], [0.5], [0.3]]), (1, 3))
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([3.0, 2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)], 3)
+        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)])
         assert ranking.buses == (1, 2, 3)
         assert [a.rank for a in ranking.selected] == [1, 2, 3]
 
@@ -130,13 +130,13 @@ class TestAssignBuses:
         u = np.array([[0.5, 1.0], [0.5, 0.0]])
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 2.0), (2, 1.0)], 2)
+        ranking = pp.assign_buses(d, [(1, 2.0), (2, 1.0)])
         assert ranking.selected[0].bus == 1
 
     def test_distinct_buses_always(self, nine_bus_distance):
         d = pp.compute_svd(nine_bus_distance)
         for p in range(1, d.n + 1):
-            ranking = pp.assign_buses(d, pp.rank_vectors(d, p), p)
+            ranking = pp.assign_buses(d, pp.rank_vectors(d, p))
             assert len(set(a.bus for a in ranking.selected)) == p
 
     def test_sign_invariance(self, nine_bus_distance):
@@ -144,14 +144,14 @@ class TestAssignBuses:
         flipped = pp.SingularDecomposition(
             u=d.u * np.where(np.arange(d.n) % 2 == 0, -1.0, 1.0),
             sigma=d.sigma, v=d.v)
-        r1 = pp.assign_buses(d, pp.rank_vectors(d, 4), 4)
-        r2 = pp.assign_buses(flipped, pp.rank_vectors(flipped, 4), 4)
+        r1 = pp.assign_buses(d, pp.rank_vectors(d, 4))
+        r2 = pp.assign_buses(flipped, pp.rank_vectors(flipped, 4))
         assert r1 == r2
 
     def test_priority_soundness(self, nine_bus_distance):
         # on conflict the stronger vector keeps the bus
         d = pp.compute_svd(nine_bus_distance)
-        ranking = pp.assign_buses(d, pp.rank_vectors(d, d.n), d.n)
+        ranking = pp.assign_buses(d, pp.rank_vectors(d, d.n))
         magnitudes = {a.vector_index: a.magnitude for a in ranking.selected}
         for a in ranking.conflicts:
             holder = next(b for b in ranking.selected
@@ -169,7 +169,7 @@ def test_random_matrices_invariants(seed, n):
     assert np.abs(d.u.conj().T @ d.u - np.eye(n)).max() <= 1e-10
     assert np.all(np.diff(d.sigma) <= 0)
     p = int(rng.integers(1, n + 1))
-    ranking = pp.assign_buses(d, pp.rank_vectors(d, p), p)
+    ranking = pp.assign_buses(d, pp.rank_vectors(d, p))
     assert len(set(a.bus for a in ranking.selected)) == p
     mags = [a.magnitude for a in ranking.selected]
     assert mags == sorted(mags, reverse=True)
