@@ -239,9 +239,8 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
     mva_base = _num(title, 31, 37, 1) or 100.0
     case_name = name or _slice(title, 45, 73) or "case"
 
-    # (line, type code, external id, Bus fields); branch rows as is.
-    bus_records: list[tuple[int, int, int, tuple]] = []
-    branch_records: list[tuple[str, tuple[int, int], tuple]] = []
+    bus_rows: list[tuple[int, tuple]] = []
+    branch_rows: list[tuple[str, tuple[int, int], tuple]] = []
     section = None
 
     for line_no, line in enumerate(lines[1:], start=2):
@@ -264,7 +263,7 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
         if section == "bus":
             ext = _num(line, 0, 4, line_no, int)
             code = _num(line, 24, 26, line_no, int)
-            bus_records.append((line_no, code, ext, (
+            fields = (
                 _CDF_TYPE_MAP.get(code),
                 _num(line, 27, 33, line_no) or 1.0,
                 math.radians(_num(line, 33, 40, line_no)),
@@ -273,9 +272,13 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
                 _num(line, 59, 67, line_no) / mva_base,
                 _num(line, 67, 75, line_no) / mva_base,
                 _num(line, 106, 114, line_no),
-                _num(line, 114, 122, line_no))))
+                _num(line, 114, 122, line_no))
+            if fields[0] is None:
+                raise MalformedRecord(line_no, f"bus {ext}: unknown type "
+                                      f"code {code}")
+            bus_rows.append((ext, fields))
         elif section == "branch":
-            branch_records.append((f"line {line_no}", (
+            branch_rows.append((f"line {line_no}", (
                 _num(line, 0, 4, line_no, int),
                 _num(line, 5, 9, line_no, int)), (
                 _num(line, 19, 29, line_no),
@@ -284,20 +287,11 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
                 _num(line, 76, 82, line_no) or 1.0,
                 math.radians(_num(line, 83, 90, line_no)))))
 
-    if not bus_records:
+    if not bus_rows:
         raise MissingSection(f"{case_name}: no BUS DATA section")
-    if not branch_records:
+    if not branch_rows:
         raise MissingSection(f"{case_name}: no BRANCH DATA section")
-
-    def bus_rows():
-        # Each type code is checked as its bus is remapped.
-        for line_no, code, ext, fields in bus_records:
-            if fields[0] is None:
-                raise MalformedRecord(line_no, f"bus {ext}: unknown type "
-                                      f"code {code}")
-            yield ext, fields
-
-    return _assemble(case_name, mva_base, bus_rows(), branch_records,
+    return _assemble(case_name, mva_base, bus_rows, branch_rows,
                      _checksum(text))
 
 

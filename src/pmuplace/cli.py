@@ -7,8 +7,7 @@ import argparse
 import sys
 
 from . import errors
-from .pipeline import (JAC_FLAT, JAC_SOLVED, MODE_COUNT, MODE_FULL,
-                       RunConfig, run, run_batch)
+from .pipeline import CHOICES, RunConfig, run, run_batch
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -28,13 +27,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "or CSV-bundle directory")
     source.add_argument("--cases-dir", help="directory of case files; runs "
                         "every case and writes a summary table")
-    parser.add_argument("--structure",
-                        choices=["topological", "electrical", "both"])
+    parser.add_argument("--structure", choices=CHOICES["structure"])
     parser.add_argument("--jacobian", dest="jacobian_mode",
-                        choices=[JAC_SOLVED, JAC_FLAT],
+                        choices=CHOICES["jacobian_mode"],
                         help="operating point for the electrical path: the "
                              "power-flow solution or the flat profile")
-    parser.add_argument("--mode", choices=[MODE_COUNT, MODE_FULL])
+    parser.add_argument("--mode", choices=CHOICES["mode"])
     parser.add_argument("--out", dest="output_dir", metavar="DIR",
                         help="directory for report.json and figure CSVs")
     parser.add_argument("--enumerate", type=int, metavar="N",

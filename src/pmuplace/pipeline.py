@@ -17,7 +17,7 @@ deterministic: rerunning a config writes byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,12 @@ JAC_FLAT = "flat"
 
 STRUCTURES = (TOPOLOGICAL, ELECTRICAL)
 
+# The allowed values of each `RunConfig` choice, in the order usage
+# lists them.
+CHOICES = {"structure": STRUCTURES + ("both",),
+           "jacobian_mode": (JAC_SOLVED, JAC_FLAT),
+           "mode": (MODE_COUNT, MODE_FULL)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -59,10 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         rules = [(name, getattr(self, name) in allowed, f"one of {allowed}")
-                 for name, allowed in (
-                     ("structure", STRUCTURES + ("both",)),
-                     ("jacobian_mode", (JAC_SOLVED, JAC_FLAT)),
-                     ("mode", (MODE_COUNT, MODE_FULL)))]
+                 for name, allowed in CHOICES.items()]
         rules += [("enumerate_cap", self.enumerate_cap >= 0, ">= 0"),
                   ("pf_max_iter", self.pf_max_iter >= 0, ">= 0"),
                   ("pf_tol", self.pf_tol > 0, "> 0")]
@@ -137,7 +140,8 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
     file: the one writer of the file layout. Under `both` the reports go
     to `<structure>/` and each adjacency dump gets a `<structure>_`
     prefix; the Y-bus is written once, under the first structure. A
-    failed write removes the files the run wrote before it."""
+    failed write, or two outputs at one path (a `UsageError`), removes
+    every file the run wrote."""
     both = config.structure == "both"
     results = {structure: run_structure(case, structure, config, ybus)
                for structure in (STRUCTURES if both else (config.structure,))}
@@ -163,7 +167,12 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
                     target, sres.adjacency.bits, case))
             results[structure] = replace(sres,
                                          written=tuple(written[first:]))
-    except ReportError:
+        resolved = [path.resolve() for path in written]
+        for k, path in enumerate(resolved):
+            if path in resolved[:k]:
+                raise UsageError(f"two outputs of the run would be "
+                                 f"written to {path}")
+    except (ReportError, UsageError):
         for path in written:
             path.unlink(missing_ok=True)
         raise
@@ -222,12 +231,11 @@ def run_batch(template: RunConfig) -> Path:
     one name, are a `UsageError` before anything is written.
     Returns the summary path.
     """
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     refused = [name for name in ("dump_distance", "dump_ybus",
-                                 "dump_adjacency", "enumerate_cap")
-               if getattr(template, name)]
-    refused += [name for name, value in (("structure", "both"),
-                                         ("jacobian_mode", JAC_SOLVED))
-                if getattr(template, name) != value]
+                                 "dump_adjacency", "enumerate_cap",
+                                 "structure", "jacobian_mode")
+               if getattr(template, name) != defaults[name]]
     if template.output_dir is None:
         raise UsageError("batch (--cases-dir) needs output_dir (--out): the "
                          "summary and per-case reports are written there")

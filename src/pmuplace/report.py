@@ -65,7 +65,8 @@ def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything one structure's pipeline run produced."""
+    """Everything one structure's pipeline run produced. `ranking` and
+    `decomposition` are both set (full mode) or both None (count mode)."""
 
     case: PowerCase
     structure: str
@@ -80,18 +81,15 @@ def report_dict(art: RunArtifacts) -> dict:
     """Assemble the JSON-ready report (external bus ids throughout)."""
     case = art.case
     ext = case.external_id
-    conflicts = []
-    svd_buses: list[int] = []
-    sigma: list[float] = []
+    svd_buses, sigma, conflicts = [], [], []
     if art.ranking is not None:
         svd_buses = sorted(ext(a.bus) for a in art.ranking.selected)
+        sigma = art.decomposition.sigma.tolist()
         conflicts = [
             {"vector": a.vector_index, "intended_bus": ext(a.intended_bus),
              "assigned_bus": ext(a.bus), "rank": a.rank}
             for a in art.ranking.conflicts
         ]
-    if art.decomposition is not None:
-        sigma = [float(s) for s in art.decomposition.sigma]
     return {
         "case": case.name,
         "n": case.n,
@@ -119,35 +117,36 @@ def _write(path: Path, lines: list[str]) -> Path:
 
 
 def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
-    """Write report.json and the figure CSVs; returns written paths."""
-    out = Path(out_dir)
-    written = [_write(out / "report.json", [
-        json.dumps(report_dict(art), indent=2, sort_keys=True)])]
-
-    ext = art.case.external_id
+    """Write report.json and the figure CSVs; returns written paths. A
+    failed write removes the files this call wrote before it."""
+    ids = [b.external_id for b in art.case.buses]
     chosen = set(art.solution.nodes)
-    lines = ["bus,lambda,x"]
-    for i, lam in enumerate(art.profile.floats, start=1):
-        lines.append(f"{ext(i)},{lam!r},{1 if i in chosen else 0}")
-    written.append(_write(out / "fig_lambda.csv", lines))
-
-    if art.decomposition is not None:
-        lines = ["n,magnitude"]
-        for n, s in enumerate(art.decomposition.sigma, start=1):
-            lines.append(f"{n},{float(s)!r}")
-        written.append(_write(out / "fig_sigma.csv", lines))
-
-    if art.ranking is not None and art.decomposition is not None:
+    payload = report_dict(art)
+    files = {"report.json": [json.dumps(payload, indent=2, sort_keys=True)],
+             "fig_lambda.csv": ["bus,lambda,x"] + [
+                 f"{ids[i - 1]},{lam!r},{int(i in chosen)}"
+                 for i, lam in enumerate(payload["lambda"], start=1)]}
+    if art.ranking is not None:
+        files["fig_sigma.csv"] = ["n,magnitude"] + [
+            f"{n},{s!r}" for n, s in enumerate(payload["sigma"], start=1)]
         lines = ["vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"]
         for pos, a in enumerate(art.ranking.selected, start=1):
-            column = np.abs(art.decomposition.u[:, a.vector_index - 1])
-            for i in range(art.case.n):
-                assigned = 1 if (i + 1) == a.bus else 0
-                rank = a.rank if assigned else 0
-                lines.append(f"{pos},{a.vector_index},{ext(i + 1)},"
-                             f"{float(column[i])!r},{assigned},{rank}")
-        written.append(_write(out / "fig_assignment.csv", lines))
+            u = art.decomposition.u[:, a.vector_index - 1]
+            for i, entry in enumerate(np.abs(u).tolist(), start=1):
+                assigned = i == a.bus
+                lines.append(f"{pos},{a.vector_index},{ids[i - 1]},{entry!r},"
+                             f"{int(assigned)},{a.rank if assigned else 0}")
+        files["fig_assignment.csv"] = lines
 
+    out = Path(out_dir)
+    written: list[Path] = []
+    try:
+        for name, lines in files.items():
+            written.append(_write(out / name, lines))
+    except ReportError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return written
 
 
@@ -155,7 +154,7 @@ def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
     """CSV dump with external bus ids as header and row labels. Cells
     are Python number reprs (complex ones as `re+imj`), which parse back
     to the exact matrix."""
-    ids = [str(case.external_id(i + 1)) for i in range(case.n)]
+    ids = [str(b.external_id) for b in case.buses]
     lines = ["bus," + ",".join(ids)]
     matrix = np.ascontiguousarray(matrix)
     if np.iscomplexobj(matrix):

@@ -263,6 +263,47 @@ class TestExitCodes:
         assert f"{field} must be a non-empty path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # The two dumps would overwrite each other; under `both` the
+    # adjacency dump's prefixed name can meet the distance dump's path.
+    @pytest.mark.parametrize("args, shared", [
+        (["--structure", "electrical", "--mode", "count",
+          "--dump-distance", "x.csv", "--dump-adjacency", "x.csv"], "x.csv"),
+        (["--structure", "electrical", "--dump-distance", "x.csv",
+          "--dump-adjacency", "./x.csv"], "x.csv"),
+        (["--structure", "both", "--dump-distance", "electrical_x.csv",
+          "--dump-adjacency", "x.csv"], "electrical_x.csv")],
+        ids=["one-structure", "spelled-apart", "both"])
+    def test_two_outputs_at_one_path_is_usage_error(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    args, shared):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(DATA / "ieee9.txt"), *args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert " wrote " not in captured.out
+        assert f"would be written to {(tmp_path / shared).resolve()}" in \
+            captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    # The type code is checked on its own line, before the reader looks
+    # for the branch section or a repeated id.
+    @pytest.mark.parametrize("fault", ["no-branch-data", "duplicate-id"])
+    def test_unknown_type_code_names_its_line(self, tmp_path, capsys, fault):
+        lines = TWO_BUS_CDF.splitlines(keepends=True)
+        unknown = lines[3].replace("   2 BUS 2         1  1  0",
+                                   "   3 BUS 3         1  1  7")
+        if fault == "duplicate-id":
+            repeated = lines[3].replace("   2 BUS 2", "   1 BUS 2")
+            lines[3:4] = [repeated, unknown]
+        else:
+            lines[4:] = [unknown, "-999\n"]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines))
+        assert run_cli("--case", str(bad)) == 4
+        assert "error: line 5: bus 3: unknown type code 7" in \
+            capsys.readouterr().err
+
     def test_distance_dump_without_distances_is_usage_error(self, tmp_path,
                                                             capsys):
         target = tmp_path / "e.csv"
@@ -520,6 +561,26 @@ class TestOutputs:
                        "afile/y.csv") == 10
         assert " wrote " not in capsys.readouterr().out
         assert [p for p in Path("o").rglob("*") if p.is_file()] == []
+
+    # report.json is written, then fig_lambda.csv cannot be.
+    def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("o/fig_lambda.csv").mkdir(parents=True)
+        assert run_cli("--case", str(DATA / "ieee9.txt"), "--structure",
+                       "topological", "--out", "o") == 10
+        assert " wrote " not in capsys.readouterr().out
+        assert [p for p in Path("o").rglob("*") if p.is_file()] == []
+
+    # Under `both` one dump path gives each adjacency dump its own name.
+    def test_one_dump_path_under_both(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("--case", str(DATA / "ieee9.txt"), "--structure",
+                       "both", "--mode", "count", "--dump-distance", "x.csv",
+                       "--dump-adjacency", "x.csv") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "electrical_x.csv", "topological_x.csv", "x.csv"]
+        assert read_dump(Path("x.csv"), float).shape == (9, 9)
 
     def test_figure_csvs_hold_exact_values(self, tmp_path):
         def rows(path):

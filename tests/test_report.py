@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pmuplace as pp
-from pmuplace.errors import AsymmetryWarning
+from pmuplace.errors import AsymmetryWarning, ReportError
 from pmuplace.network import BinaryAdjacency
 from pmuplace.pipeline import RunConfig, run_structure
 
@@ -140,3 +140,10 @@ class TestEmitReport:
             assert conflict["rank"] > 1
             assert conflict["assigned_bus"] != conflict["intended_bus"]
             assert conflict["assigned_bus"] in payload["svd_buses"]
+
+    # report.json is written, then fig_lambda.csv cannot be.
+    def test_failed_write_removes_its_files(self, artifacts, tmp_path):
+        (tmp_path / "fig_lambda.csv").mkdir()
+        with pytest.raises(ReportError):
+            pp.emit_report(artifacts, tmp_path)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
