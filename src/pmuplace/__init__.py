@@ -20,7 +20,7 @@ from .pipeline import (RunConfig, RunResult, StructureResult, run,
 from .powerflow import (OperatingPoint, flat_point, p_theta_jacobian,
                         solve_power_flow)
 from .report import (AverageDistanceProfile, RunArtifacts, average_profile,
-                     emit_report, report_dict)
+                     emit_report, report_dict, report_files)
 from .spectral import (Assignment, CouplingRanking, SingularDecomposition,
                        assign_buses, compute_svd, rank_vectors)
 

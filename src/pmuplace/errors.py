@@ -102,9 +102,6 @@ class DecompositionError(PmuPlaceError):
 class ReportError(PmuPlaceError):
     exit_code = 10
 
-    def __init__(self, path, detail: str):
-        super().__init__(f"{path}: {detail}")
-
 
 class PmuPlaceWarning(UserWarning):
     """Base class for diagnostic warnings; warnings never change results

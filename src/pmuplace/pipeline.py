@@ -10,9 +10,9 @@ Stage order per structure:
   links as branches, exact cover, then the distance-matrix placement.
 
 Counting mode never touches the singular-value stage. A single run and
-each batch cell compute every structure first, then write every file,
-so a failing stage leaves nothing on disk. All outputs are
-deterministic: rerunning a config writes byte-identical files.
+each batch cell compute every structure first, then write all their
+files or none, so a failing stage leaves nothing on disk. All outputs
+are deterministic: rerunning a config writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from . import report as report_mod
 from .cases import PowerCase, load_case
 from .cover import CoverInstance, Optima, enumerate_optima, solve_cover
 from .distance import ResistanceDistance, electrical_adjacency, resistance_matrix
-from .errors import PmuPlaceError, ReportError, UsageError
+from .errors import PmuPlaceError, UsageError
 from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
                         flat_point, p_theta_jacobian, solve_power_flow)
-from .report import RunArtifacts, average_profile
+from .report import (RunArtifacts, average_profile, matrix_lines,
+                     report_files)
 from .spectral import assign_buses, compute_svd, rank_vectors
 
 MODE_COUNT = "count"
@@ -136,55 +137,48 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
 
 def _run_loaded(case: PowerCase, ybus: np.ndarray,
                 config: RunConfig) -> RunResult:
-    """Compute every configured structure, then write every configured
-    file: the one writer of the file layout. Under `both` the reports go
-    to `<structure>/` and each adjacency dump gets a `<structure>_`
-    prefix; the Y-bus is written once, under the first structure. A
-    failed write, or two outputs at one path (a `UsageError`), removes
-    every file the run wrote."""
+    """Compute every configured structure, then write the run's files in
+    one `emit_report` call. Under `both` the reports go to `<structure>/`,
+    each adjacency dump gets a `<structure>_` prefix and the Y-bus is
+    written once, under the first structure. Two outputs at one resolved
+    path are a `UsageError`, raised before any file is touched."""
     both = config.structure == "both"
     results = {structure: run_structure(case, structure, config, ybus)
                for structure in (STRUCTURES if both else (config.structure,))}
-    written: list[Path] = []
-    try:
-        for i, (structure, sres) in enumerate(results.items()):
-            first = len(written)
-            if config.output_dir is not None:
-                out = Path(config.output_dir)
-                written += report_mod.emit_report(
-                    sres.artifacts, out / structure if both else out)
-            if config.dump_distance and sres.distance is not None:
-                written.append(report_mod._dump_matrix(
-                    Path(config.dump_distance), sres.distance.e, case))
-            if config.dump_ybus and i == 0:
-                written.append(report_mod._dump_matrix(
-                    Path(config.dump_ybus), ybus, case))
-            if config.dump_adjacency:
-                target = Path(config.dump_adjacency)
-                if both:
-                    target = target.with_name(f"{structure}_{target.name}")
-                written.append(report_mod._dump_matrix(
-                    target, sres.adjacency.bits, case))
-            results[structure] = replace(sres,
-                                         written=tuple(written[first:]))
-        resolved = [path.resolve() for path in written]
-        for k, path in enumerate(resolved):
-            if path in resolved[:k]:
+    plan = {}
+    for i, (structure, sres) in enumerate(results.items()):
+        files = []
+        if config.output_dir is not None:
+            out = Path(config.output_dir, structure if both else "")
+            files += report_files(sres.artifacts, out).items()
+        if config.dump_distance and sres.distance is not None:
+            files.append((Path(config.dump_distance),
+                          matrix_lines(sres.distance.e, case)))
+        if config.dump_ybus and i == 0:
+            files.append((Path(config.dump_ybus), matrix_lines(ybus, case)))
+        if config.dump_adjacency:
+            target = Path(config.dump_adjacency)
+            if both:
+                target = target.with_name(f"{structure}_{target.name}")
+            files.append((target, matrix_lines(sres.adjacency.bits, case)))
+        for path, lines in files:
+            key = path.resolve()
+            if key in plan:
                 raise UsageError(f"two outputs of the run would be "
-                                 f"written to {path}")
-    except (ReportError, UsageError):
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+                                 f"written to {key}")
+            plan[key] = lines
+        results[structure] = replace(sres, written=tuple(p for p, _ in files))
+    if plan:
+        report_mod.emit_report(plan)
     return RunResult(case, results)
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute the configured stages, then write the configured files;
-    raises PmuPlaceError subclasses on failures (the CLI maps them to
-    exit codes). A run whose case does not load or whose stage fails
-    writes no file and creates no directory; a run whose write fails
-    leaves no file from the run."""
+    """Execute the configured stages, then write the configured files,
+    all or none; raises PmuPlaceError subclasses on failures (the CLI
+    maps them to exit codes). A run that fails or is refused leaves the
+    files at its output paths as they were; only one that fails in a
+    write (exit 10) may leave directories it created."""
     case = load_case(config.case_path)
     return _run_loaded(case, build_ybus(case), config)
 
@@ -266,4 +260,4 @@ def run_batch(template: RunConfig) -> Path:
                 cells.append(_error_cell(exc))
         rows.append(",".join(cells))
 
-    return report_mod._write(out_root / "summary.csv", rows)
+    return report_mod.emit_report({out_root / "summary.csv": rows})[0]

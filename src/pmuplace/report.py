@@ -13,6 +13,7 @@ external tooling so outputs stay diffable.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,18 +108,9 @@ def report_dict(art: RunArtifacts) -> dict:
     }
 
 
-def _write(path: Path, lines: list[str]) -> Path:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ReportError(path, str(exc)) from exc
-    return path
-
-
-def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
-    """Write report.json and the figure CSVs; returns written paths. A
-    failed write removes the files this call wrote before it."""
+def report_files(art: RunArtifacts, out_dir: Path) -> dict[Path, Iterable[str]]:
+    """report.json and the figure CSVs under `out_dir`, each path with
+    its lines; `fig_assignment.csv` is rendered as it is written."""
     ids = [b.external_id for b in art.case.buses]
     chosen = set(art.solution.nodes)
     payload = report_dict(art)
@@ -129,33 +121,26 @@ def emit_report(art: RunArtifacts, out_dir: str | Path) -> list[Path]:
     if art.ranking is not None:
         files["fig_sigma.csv"] = ["n,magnitude"] + [
             f"{n},{s!r}" for n, s in enumerate(payload["sigma"], start=1)]
-        lines = ["vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"]
-        for pos, a in enumerate(art.ranking.selected, start=1):
-            u = art.decomposition.u[:, a.vector_index - 1]
-            for i, entry in enumerate(np.abs(u).tolist(), start=1):
-                assigned = i == a.bus
-                lines.append(f"{pos},{a.vector_index},{ids[i - 1]},{entry!r},"
-                             f"{int(assigned)},{a.rank if assigned else 0}")
-        files["fig_assignment.csv"] = lines
-
-    out = Path(out_dir)
-    written: list[Path] = []
-    try:
-        for name, lines in files.items():
-            written.append(_write(out / name, lines))
-    except ReportError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return written
+        files["fig_assignment.csv"] = _assignment_lines(art, ids)
+    return {out_dir / name: lines for name, lines in files.items()}
 
 
-def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
+def _assignment_lines(art: RunArtifacts, ids: list[int]) -> Iterator[str]:
+    yield "vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"
+    for pos, a in enumerate(art.ranking.selected, start=1):
+        u = art.decomposition.u[:, a.vector_index - 1]
+        for i, entry in enumerate(np.abs(u).tolist(), start=1):
+            assigned = i == a.bus
+            yield (f"{pos},{a.vector_index},{ids[i - 1]},{entry!r},"
+                   f"{int(assigned)},{a.rank if assigned else 0}")
+
+
+def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
     """CSV dump with external bus ids as header and row labels. Cells
     are Python number reprs (complex ones as `re+imj`), which parse back
     to the exact matrix."""
     ids = [str(b.external_id) for b in case.buses]
-    lines = ["bus," + ",".join(ids)]
+    yield "bus," + ",".join(ids)
     matrix = np.ascontiguousarray(matrix)
     if np.iscomplexobj(matrix):
         # A Y-bus is mostly one zero: format each distinct bit pattern
@@ -165,9 +150,33 @@ def _dump_matrix(path: Path, matrix: np.ndarray, case: PowerCase) -> Path:
         text = [f"{v.real!r}{v.imag:+}j"
                 for v in distinct.view(matrix.dtype).tolist()]
         for label, row in zip(ids, where.reshape(matrix.shape)):
-            lines.append(f"{label}," + ",".join([text[k]
-                                                 for k in row.tolist()]))
+            yield f"{label}," + ",".join([text[k] for k in row.tolist()])
     else:
         for label, row in zip(ids, matrix.tolist()):
-            lines.append(f"{label}," + ",".join([repr(v) for v in row]))
-    return _write(path, lines)
+            yield f"{label}," + ",".join([repr(v) for v in row])
+
+
+def emit_report(files: dict[Path, Iterable[str]]) -> list[Path]:
+    """Write every file of `files` (path -> lines), all or none, and
+    return the paths. Each is first written to `<target>.tmp` (plus a
+    `~` per name taken by an output or a file); the temps replace their
+    targets only once all are written, and a failure removes them."""
+    targets = [Path(path).resolve() for path in files]
+    temps = [Path(f"{target}.tmp") for target in targets]
+    while any(temp in targets or temp.exists() for temp in temps):
+        temps = [Path(f"{temp}~") for temp in temps]
+    try:
+        for path, target, temp in zip(files, targets, temps):
+            if target.is_dir():
+                raise ReportError(f"{path}: is a directory")
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            temp.write_text("\n".join(files[path]) + "\n")
+        for path, target, temp in zip(files, targets, temps):
+            temp.replace(target)
+    except OSError as exc:
+        raise ReportError(f"{path}: {exc}") from exc
+    finally:
+        for temp in temps:
+            if temp.exists():
+                temp.unlink()
+    return list(files)

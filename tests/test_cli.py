@@ -552,7 +552,8 @@ class TestOutputs:
                                             pf_max_iter=0))
         assert list(tmp_path.iterdir()) == []
 
-    # The reports are written before the Y-bus dump, which then fails.
+    # The Y-bus dump cannot be written below a regular file, so no file
+    # of the run is.
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("afile").write_text("")
@@ -562,7 +563,7 @@ class TestOutputs:
         assert " wrote " not in capsys.readouterr().out
         assert [p for p in Path("o").rglob("*") if p.is_file()] == []
 
-    # report.json is written, then fig_lambda.csv cannot be.
+    # fig_lambda.csv is a directory, so no report file is written.
     def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch,
                                                 capsys):
         monkeypatch.chdir(tmp_path)
@@ -571,6 +572,31 @@ class TestOutputs:
                        "topological", "--out", "o") == 10
         assert " wrote " not in capsys.readouterr().out
         assert [p for p in Path("o").rglob("*") if p.is_file()] == []
+
+    # A refused run (two outputs at one path) and a failed one (a dump
+    # below a regular file) keep every file that was there before.
+    @pytest.mark.parametrize("args, kept, code", [
+        (["--structure", "electrical", "--mode", "count", "--dump-distance",
+          "x.csv", "--dump-adjacency", "x.csv"], "x.csv", 2),
+        (["--structure", "topological", "--out", "o", "--dump-adjacency",
+          "afile/b.csv"], "o/report.json", 10)],
+        ids=["two-outputs-at-one-path", "unwritable-dump"])
+    def test_failed_run_keeps_earlier_files(self, tmp_path, monkeypatch,
+                                            capsys, args, kept, code):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("a regular file\n")
+        Path(kept).parent.mkdir(exist_ok=True)
+        Path(kept).write_text("earlier\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        try:
+            got = run_cli("--case", str(DATA / "ieee9.txt"), *args)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert " wrote " not in capsys.readouterr().out
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
 
     # Under `both` one dump path gives each adjacency dump its own name.
     def test_one_dump_path_under_both(self, tmp_path, monkeypatch):
@@ -616,7 +642,8 @@ class TestOutputs:
                      rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
         y[0, :4] = [complex(0.0, 0.0), complex(-0.0, 0.0),
                     complex(0.0, -0.0), complex(-0.0, -0.0)]
-        path = report._dump_matrix(tmp_path / "y.csv", y, ieee9)
+        path, = pp.emit_report({tmp_path / "y.csv":
+                                report.matrix_lines(y, ieee9)})
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[1:] for row in rows] == \
             [[f"{v.real!r}{v.imag:+}j" for v in row] for row in y.tolist()]

@@ -1,8 +1,11 @@
 """Average-distance diagnostics and report emission tests."""
 
 import json
+import os
+import stat
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +95,7 @@ class TestEmitReport:
                                  pp.build_ybus(ieee9)).artifacts
 
     def test_report_round_trips(self, artifacts, tmp_path):
-        paths = pp.emit_report(artifacts, tmp_path)
+        paths = pp.emit_report(pp.report_files(artifacts, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["case"] == "ieee9"
         assert payload["n"] == 9 and payload["m"] == 9
@@ -110,13 +113,13 @@ class TestEmitReport:
             "fig_assignment.csv"}
 
     def test_counts_not_recomputed(self, artifacts, tmp_path):
-        pp.emit_report(artifacts, tmp_path)
+        pp.emit_report(pp.report_files(artifacts, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["pmu_count"] == len(payload["ilp_buses"])
         assert len(payload["svd_buses"]) == payload["pmu_count"]
 
     def test_fig_lambda_columns(self, artifacts, tmp_path):
-        pp.emit_report(artifacts, tmp_path)
+        pp.emit_report(pp.report_files(artifacts, tmp_path))
         lines = (tmp_path / "fig_lambda.csv").read_text().splitlines()
         assert lines[0] == "bus,lambda,x"
         assert len(lines) == 10
@@ -124,7 +127,7 @@ class TestEmitReport:
         assert len(marked) == artifacts.solution.count
 
     def test_fig_assignment_marks(self, artifacts, tmp_path):
-        pp.emit_report(artifacts, tmp_path)
+        pp.emit_report(pp.report_files(artifacts, tmp_path))
         lines = (tmp_path / "fig_assignment.csv").read_text().splitlines()
         header = "vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"
         assert lines[0] == header
@@ -134,16 +137,93 @@ class TestEmitReport:
 
     def test_conflict_entries_reference_real_vectors(self, artifacts,
                                                      tmp_path):
-        pp.emit_report(artifacts, tmp_path)
+        pp.emit_report(pp.report_files(artifacts, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         for conflict in payload["conflicts"]:
             assert conflict["rank"] > 1
             assert conflict["assigned_bus"] != conflict["intended_bus"]
             assert conflict["assigned_bus"] in payload["svd_buses"]
 
-    # report.json is written, then fig_lambda.csv cannot be.
+    # fig_lambda.csv is a directory, so no report file is written.
     def test_failed_write_removes_its_files(self, artifacts, tmp_path):
         (tmp_path / "fig_lambda.csv").mkdir()
         with pytest.raises(ReportError):
-            pp.emit_report(artifacts, tmp_path)
+            pp.emit_report(pp.report_files(artifacts, tmp_path))
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def contents(root: Path) -> dict[Path, bytes]:
+    """Every file under `root` with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestWriter:
+    """`emit_report` writes every file it is given or none."""
+
+    def test_writes_every_file_and_nothing_else(self, tmp_path):
+        files = {tmp_path / "a.csv": ["1"],
+                 tmp_path / "sub" / "b.csv": (line for line in "23")}
+        assert pp.emit_report(files) == list(files)
+        assert contents(tmp_path) == {tmp_path / "a.csv": b"1\n",
+                                      tmp_path / "sub" / "b.csv": b"2\n3\n"}
+
+    # The directory is refused before any file is moved into place.
+    def test_directory_target_keeps_earlier_files(self, tmp_path):
+        (tmp_path / "a.csv").write_text("earlier\n")
+        (tmp_path / "d").mkdir()
+        before = contents(tmp_path)
+        with pytest.raises(ReportError, match="is a directory"):
+            pp.emit_report({tmp_path / "a.csv": ["new"],
+                            tmp_path / "d": ["x"]})
+        assert contents(tmp_path) == before
+
+    # The second file cannot be created below a regular file.
+    def test_failed_write_keeps_earlier_files(self, tmp_path):
+        (tmp_path / "a.csv").write_text("earlier\n")
+        (tmp_path / "afile").write_text("")
+        before = contents(tmp_path)
+        with pytest.raises(ReportError, match="afile"):
+            pp.emit_report({tmp_path / "a.csv": ["new"],
+                            tmp_path / "afile" / "b.csv": ["x"]})
+        assert contents(tmp_path) == before
+
+    # A plain write_text under the same umask is the reference; a
+    # mkstemp-style temp file would leave 0600.
+    @pytest.mark.parametrize("umask", [0o022, 0o027],
+                             ids=["umask-022", "umask-027"])
+    def test_mode_is_that_of_a_plain_write(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "plain").write_text("x\n")
+            pp.emit_report({tmp_path / "out.csv": ["x"],
+                            tmp_path / "plain": ["y"]})
+        finally:
+            os.umask(old)
+        for name in ("out.csv", "plain"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == \
+                0o666 & ~umask
+
+    # The temp files are found by watching them move into place; a run
+    # whose outputs include one of those names, or that finds a file
+    # there, must neither lose an output nor touch that file.
+    def test_temp_never_meets_an_output_or_a_file(self, tmp_path,
+                                                  monkeypatch):
+        moved = []
+        real_replace = Path.replace
+
+        def replace(self, target):
+            moved.append(self)
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        pp.emit_report({tmp_path / "a.csv": ["a"]})
+        temp, = moved
+        moved.clear()
+        files = {tmp_path / "a.csv": ["A"], temp: ["T"]}
+        pp.emit_report(files)
+        assert len(moved) == 2 and not set(moved) & set(files)
+        assert contents(tmp_path) == {tmp_path / "a.csv": b"A\n",
+                                      temp: b"T\n"}
+        pp.emit_report({tmp_path / "a.csv": ["B"]})
+        assert contents(tmp_path) == {tmp_path / "a.csv": b"B\n",
+                                      temp: b"T\n"}
