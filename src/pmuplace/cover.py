@@ -3,8 +3,8 @@
 The problem: pick the fewest buses so that every bus is adjacent
 (including self-adjacency) to a picked one. One exact search answers
 it: `CoverInstance.exists_cover` decides by branch and bound over bit
-masks whether at most `budget` allowed buses cover the uncovered ones.
-At each node it applies
+masks whether at most `budget` allowed buses cover the uncovered ones,
+and returns such a cover when they do. At each node it applies
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
@@ -20,30 +20,45 @@ exactly when the group minima sum to at most `budget`; each group's
 minimum is found by raising its budget from its packing bound while
 the shared slack lasts. A single group is decided by the
 disjoint-candidate-packing lower bound and by branching on the first
-bus of the packing order, the one with the fewest candidates. Every
-decision is memoised per `(uncovered, allowed)` as the largest budget
-proven infeasible and the smallest proven feasible, so a later probe
-of the same residual group, as the witness scan makes again and
-again, costs one lookup.
+bus of the packing order, the one with the fewest candidates. A
+feasible search returns the cover it found as a bit mask: a branch
+adds its bus to the child's cover, and a split node joins its groups'
+covers.
+
+Every decision is memoised per `(uncovered, allowed)`, the residual as
+it was asked, before any reduction. An entry holds the decided
+budgets (below `lo` none suffices, from `hi` on one does), one cover
+of `hi` buses that proves the feasible side, and the node's reduction:
+the groups left after both dominance reductions and the split, each
+with its packing bound and branch bus. A probe at a decided budget
+costs one lookup and answers with that cover; a probe at an undecided
+one, as when `minimum` raises the budget of a group, searches again
+but reduces nothing again.
 
 `CoverInstance.covers` builds on it to yield the minimum covers of a
-residual in set-lexicographic order; its budget is always the
-residual's exact minimum, so no cover is ever padded with a useless
-bus. It drops implied constraints and splits the rest into the same
-groups. Every optimum then uses exactly each group's minimum, and the
-covers are the unions of one minimum cover per group. Their order
-follows from the groups having disjoint candidates: for same-size sets
-S < T exactly when min(S ^ T) lies in S, and that bus lies in one
-group, so the union of the groups' first covers is the first cover and
-raising one group's cover never lowers the union. A heap over index
+residual in set-lexicographic order, given one of them; its budget is
+always that known cover's size, the residual's exact minimum, so no
+cover is ever padded with a useless bus. It drops implied constraints
+and splits the rest into the same groups. Every bus of a minimum cover
+covers some bus left, so the known cover restricted to a group's
+candidates is a minimum cover of the group. Every optimum then uses
+exactly each group's minimum, and the covers are the unions of one
+minimum cover per group. Their order follows from the groups having
+disjoint candidates: for same-size sets S < T exactly when min(S ^ T)
+lies in S, and that bus lies in one group, so the union of the
+groups' first covers is the first cover and raising one group's cover
+never lowers the union. A heap over index
 tuples into the groups' lazily drawn sequences merges them. A single
 group is scanned by bus index: bus i is taken when the buses after it
 complete a cover of the rest, and the scan goes past i only while
-covers without i remain. The minimum count is the smallest feasible
-budget, the witness is the first cover yielded and the enumeration is
-a prefix of the sequence, so the witness is always the first
-enumerated optimum. The count, the witness and the enumeration of
-one `CoverInstance` share its memo.
+covers without i remain. A known cover answers both questions
+without a probe: a bus in it is taken, the rest of the cover
+completing the rest, and the scan goes past a bus it avoids. The
+minimum count is the smallest feasible budget, its cover is the
+known cover at the top, the witness is the first cover yielded and
+the enumeration is a prefix of the sequence, so the witness is always
+the first enumerated optimum. The count, the witness and the
+enumeration of one `CoverInstance` share its memo.
 """
 
 from __future__ import annotations
@@ -58,6 +73,20 @@ from .errors import Infeasible
 from .network import BinaryAdjacency
 
 _INF = 10 ** 9
+
+
+class _Node:
+    """A memo entry: budgets below `lo` admit no cover, budgets from
+    `hi` on admit `cover` (a mask of `hi` buses); `groups` is the
+    reduction, as (buses, candidates, bound, branch bus) per group."""
+
+    # A plain class: building a dataclass would slow every import.
+    __slots__ = ("lo", "hi", "cover", "groups")
+
+    def __init__(self):
+        self.lo, self.hi = 0, _INF
+        self.cover: int | None = None
+        self.groups: list[tuple[int, int, int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,9 +119,12 @@ class CoverInstance:
     count, the witness and the enumeration share the instance's memo."""
 
     def __init__(self, adjacency: BinaryAdjacency):
-        if not np.all(np.diag(adjacency.bits) == 1):
-            raise ValueError("cover instance needs a unit diagonal "
-                             "(every bus must be able to cover itself)")
+        bits = adjacency.bits
+        if (bits.ndim != 2 or bits.shape[0] != bits.shape[1]
+                or not bits.size or not np.all(np.diag(bits) == 1)):
+            raise ValueError("cover instance needs a nonempty square "
+                             "adjacency with a unit diagonal (every bus "
+                             "must be able to cover itself)")
         self.adjacency = adjacency
         self.n = adjacency.n
         b = np.asarray(adjacency.bits, dtype=bool)
@@ -102,9 +134,7 @@ class CoverInstance:
         self.cols = [sum(1 << int(i) for i in np.nonzero(b[:, j])[0])
                      for j in range(self.n)]
         self.full = (1 << self.n) - 1
-        # (uncovered, allowed) -> (lo, hi): budgets below lo are proven
-        # infeasible, budgets from hi on feasible.
-        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self.memo: dict[tuple[int, int], _Node] = {}
 
     @staticmethod
     def _bits_of(mask: int):
@@ -193,65 +223,80 @@ class CoverInstance:
                 used |= cand
         return bound, order[0]
 
-    def exists_cover(self, uncovered: int, allowed: int, budget: int) -> bool:
-        """Whether some selection of at most `budget` allowed buses
-        covers everything."""
+    def exists_cover(self, uncovered: int, allowed: int,
+                     budget: int) -> int | None:
+        """A cover of the uncovered buses by at most `budget` allowed
+        buses, as a bit mask, or None when there is none."""
         if uncovered == 0:
-            return True
+            return 0
         if budget <= 0:
-            return False
+            return None
         key = (uncovered, allowed)
-        lo, hi = self.memo.get(key, (0, _INF))
-        if budget >= hi:
-            return True
-        if budget < lo:
-            return False
-        found = self._search(uncovered, allowed, budget)
-        self.memo[key] = (lo, budget) if found else (budget + 1, hi)
-        return found
+        node = self.memo.get(key)
+        if node is None:
+            node = self.memo[key] = _Node()
+        if budget >= node.hi:
+            return node.cover
+        if budget < node.lo:
+            return None
+        cover = self._search(uncovered, allowed, budget, node)
+        if cover is None:
+            node.lo = budget + 1
+        else:
+            node.cover, node.hi = cover, cover.bit_count()
+        return cover
 
-    def _search(self, uncovered: int, allowed: int, budget: int) -> bool:
-        """`exists_cover` without the memo: reduce, split into
-        components, then bound and branch."""
-        uncovered = self._reduce_rows(uncovered, allowed)
-        allowed = self._reduce_cols(uncovered, allowed)
-        groups = self._components(uncovered, allowed)
+    def _search(self, uncovered: int, allowed: int, budget: int,
+                node: _Node) -> int | None:
+        """`exists_cover` past the memo's budgets: reduce and split into
+        components (once per node), then bound and branch."""
+        groups = node.groups
+        if groups is None:
+            uncovered = self._reduce_rows(uncovered, allowed)
+            allowed = self._reduce_cols(uncovered, allowed)
+            groups = node.groups = [
+                (u, a, *self.lower_bound(u, a))
+                for u, a in self._components(uncovered, allowed)]
         if len(groups) > 1:
             # Groups share no candidate, so the minimum is the sum of
             # the group minima: raise each group's budget from its
             # packing bound while the shared slack lasts.
-            bounds = [self.lower_bound(u, a)[0] for u, a in groups]
-            slack = budget - sum(bounds)
-            for (u, a), need in zip(groups, bounds):
+            slack = budget - sum(need for _, _, need, _ in groups)
+            for u, a, need, _ in groups:
                 if slack < 0:
-                    return False
+                    return None
                 slack -= self.minimum(u, a, need, need + slack) - need
-            return slack >= 0
-        uncovered, allowed = groups[0]
-        bound, pivot = self.lower_bound(uncovered, allowed)
+            if slack < 0:
+                return None
+            cover = 0
+            for u, a, _, _ in groups:
+                cover |= self.memo[u, a].cover
+            return cover
+        uncovered, allowed, bound, pivot = groups[0]
         if bound > budget:
-            return False
+            return None
         remaining = allowed
         for j in self._bits_of(self.rows[pivot] & allowed):
             remaining &= ~(1 << j)
-            if self.exists_cover(uncovered & ~self.cols[j], remaining,
-                                 budget - 1):
-                return True
-        return False
+            cover = self.exists_cover(uncovered & ~self.cols[j], remaining,
+                                      budget - 1)
+            if cover is not None:
+                return cover | 1 << j
+        return None
 
     def minimum(self, uncovered: int, allowed: int, start: int,
                 cap: int = _INF) -> int:
         """The first budget from `start` up to `cap` that admits a cover
         of the residual, or `cap + 1` when none does."""
         k = start
-        while k <= cap and not self.exists_cover(uncovered, allowed, k):
+        while k <= cap and self.exists_cover(uncovered, allowed, k) is None:
             k += 1
         return k
 
-    def covers(self, uncovered: int, allowed: int, budget: int):
-        """Yield every cover of `uncovered` by exactly `budget` allowed
-        buses, as tuples of indices in set-lexicographic order.
-        `budget` must be the residual's minimum."""
+    def covers(self, uncovered: int, allowed: int, known: int):
+        """Yield every cover of `uncovered` by as few allowed buses as
+        the minimum cover `known`, as tuples of indices in
+        set-lexicographic order."""
         if uncovered == 0:
             yield ()
             return
@@ -260,25 +305,32 @@ class CoverInstance:
         uncovered = self._reduce_rows(uncovered, allowed)
         groups = self._components(uncovered, allowed)
         if len(groups) == 1:
-            yield from self._scan(*groups[0], budget)
+            yield from self._scan(*groups[0], known)
         else:
-            yield from self._merge([
-                self._scan(u, a, self.minimum(u, a, self.lower_bound(u, a)[0]))
-                for u, a in groups])
+            yield from self._merge([self._scan(u, a, known & a)
+                                    for u, a in groups])
 
-    def _scan(self, uncovered: int, allowed: int, budget: int):
+    def _scan(self, uncovered: int, allowed: int, known: int):
         """`covers` of one group: take bus i, in index order, when the
         buses after it complete a cover."""
+        budget = known.bit_count()
         for i in self._bits_of(allowed):
             allowed &= ~(1 << i)
             rest = uncovered & ~self.cols[i]
-            if self.exists_cover(rest, allowed, budget - 1):
-                for tail in self.covers(rest, allowed, budget - 1):
-                    yield (i,) + tail
-                # Go on past bus i only while covers without it remain;
-                # when the probe for i fails, they remain whenever any
-                # cover does, so that case needs none.
-                if not self.exists_cover(uncovered, allowed, budget):
+            # The rest of the known cover completes a bus of it; any
+            # other bus needs a probe.
+            taken = known >> i & 1
+            tail_cover = (known & ~(1 << i) if taken else
+                          self.exists_cover(rest, allowed, budget - 1))
+            if tail_cover is None:
+                continue
+            for tail in self.covers(rest, allowed, tail_cover):
+                yield (i,) + tail
+            # Go on past bus i only while covers without it remain;
+            # past a bus the known cover avoids, that cover remains.
+            if taken:
+                known = self.exists_cover(uncovered, allowed, budget)
+                if known is None:
                     return
 
     @staticmethod
@@ -323,10 +375,18 @@ def optimal_count(inst: CoverInstance) -> int:
     return inst.minimum(full, full, inst.lower_bound(full, full)[0])
 
 
+def _optima(inst: CoverInstance):
+    """Every minimum cover, in set-lexicographic order, from the
+    count's cover."""
+    full = inst.full
+    return inst.covers(full, full,
+                       inst.exists_cover(full, full, optimal_count(inst)))
+
+
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
-    first = next(inst.covers(inst.full, inst.full, optimal_count(inst)), None)
+    first = next(_optima(inst), None)
     # A cover of the optimal size always exists; none would be a
     # solver bug.
     if first is None:
@@ -341,7 +401,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
     `truncated` says that more exist."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    covers = inst.covers(inst.full, inst.full, optimal_count(inst))
+    covers = _optima(inst)
     found = tuple(PlacementSolution(tuple(i + 1 for i in c))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,

@@ -1,7 +1,10 @@
 """Shared fixtures: bundled systems, tiny literal case files, random
-connected instances."""
+connected instances, the benchmark's tied-grid builder."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,17 @@ def random_connected_adjacency(rng: np.random.Generator, n: int):
         if i != j:
             bits[i, j] = bits[j, i] = 1
     return bits
+
+
+def load_tied():
+    """`perfbench/tied.py`, which builds k IEEE-118 copies joined by
+    seeded tie lines, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "tied", Path(__file__).resolve().parents[1] / "perfbench"
+        / "tied.py")
+    tied = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tied)
+    return tied
 
 
 def laplacian_from_adjacency(bits: np.ndarray,

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, stage isolation, batch mode."""
 
 import dataclasses
-import importlib.util
 import inspect
 import json
 import shutil
@@ -15,7 +14,7 @@ import pmuplace as pp
 from pmuplace import cli, errors, pipeline, report
 from pmuplace.errors import AsymmetryWarning
 from conftest import (PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV, TWO_BUS_CDF,
-                      TWO_SLACK_CDF, write_bundle)
+                      TWO_SLACK_CDF, load_tied, write_bundle)
 
 DATA = Path(pp.__file__).parent / "data"
 
@@ -481,11 +480,7 @@ class TestOutputs:
     # The benchmark's count-export operation, on the grid it builds:
     # two IEEE-118 copies joined by a seeded tie line.
     def test_count_export_on_tied_grid(self, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "tied", Path(__file__).resolve().parents[1] / "perfbench"
-            / "tied.py")
-        tied = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tied)
+        tied = load_tied()
         grid = tmp_path / "ieee118x2"
         tied.write_case(tied.tied_case(2, 1), grid)
         dumps = {name: tmp_path / f"{name}.csv"

@@ -4,7 +4,7 @@ search (`brute_force_cover` for the witness, every k-subset from
 instances, and an integer program solved by `scipy.optimize.milp` for
 the count on every bundled system. The search's dominance reductions
 are checked against the plain all-pairs versions kept here, and its
-memo against a fresh instance."""
+memo against a fresh instance and against the covers it holds."""
 
 import itertools
 import warnings
@@ -18,7 +18,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pmuplace as pp
 from pmuplace.errors import AsymmetryWarning
 from pmuplace.network import BinaryAdjacency
-from conftest import BUNDLED, random_connected_adjacency
+from conftest import BUNDLED, load_tied, random_connected_adjacency
 from oracles import NoSolutionWithinK, brute_force_cover
 
 
@@ -135,6 +135,11 @@ class TestSolveCover:
         bits[1, 1] = 0
         with pytest.raises(ValueError):
             inst_from_bits(bits)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 0), (3,)])
+    def test_square_nonempty_adjacency_required(self, shape):
+        with pytest.raises(ValueError, match="nonempty square"):
+            inst_from_bits(np.ones(shape, dtype=np.int8))
 
     def test_deterministic(self, cases):
         a = pp.topological_adjacency(cases["ieee57"])
@@ -395,5 +400,86 @@ class TestMemo:
         full = inst.full
         for budget in range(inst.n + 1):
             fresh = pp.CoverInstance(adjacency=inst.adjacency)
-            assert inst.exists_cover(full, full, budget) == \
-                fresh.exists_cover(full, full, budget), budget
+            # The covers found may differ; whether one exists may not.
+            assert (inst.exists_cover(full, full, budget) is None) == \
+                (fresh.exists_cover(full, full, budget) is None), budget
+
+    @staticmethod
+    def adjacencies(cases, electrical_insts):
+        for name in BUNDLED:
+            yield electrical_insts[name].adjacency
+            yield pp.topological_adjacency(cases[name])
+        rng = np.random.default_rng(15)
+        for n in (6, 9, 12, 12):
+            yield BinaryAdjacency(random_connected_adjacency(rng, n))
+
+    def test_entries_hold_their_covers(self, cases, electrical_insts):
+        for adjacency in self.adjacencies(cases, electrical_insts):
+            inst = pp.CoverInstance(adjacency=adjacency)
+            # A probe with slack first, whose cover is smaller than its
+            # budget; the count and the witness probe at the minimum.
+            inst.exists_cover(inst.full, inst.full, inst.n)
+            pp.enumerate_optima(inst, 10)
+            for (uncovered, allowed), node in inst.memo.items():
+                assert node.lo <= node.hi
+                if node.hi == pp.cover._INF:
+                    assert node.cover is None
+                    continue
+                cover = node.cover
+                covered = 0
+                for j in inst._bits_of(cover):
+                    covered |= inst.cols[j]
+                assert uncovered & ~covered == 0
+                assert cover & ~allowed == 0
+                assert cover.bit_count() == node.hi
+
+    def test_each_key_is_reduced_once(self, cases):
+        inst = pp.CoverInstance(
+            adjacency=pp.topological_adjacency(cases["ieee118"]))
+        keys, reductions = set(), []
+        search, reduce_cols = inst._search, inst._reduce_cols
+
+        def counted_search(uncovered, allowed, *rest):
+            keys.add((uncovered, allowed))
+            return search(uncovered, allowed, *rest)
+
+        def counted_reduce_cols(*args):
+            reductions.append(args)
+            return reduce_cols(*args)
+
+        # Only the search drops dominated candidates.
+        inst._search, inst._reduce_cols = counted_search, counted_reduce_cols
+        pp.optimal_count(inst)
+        pp.solve_cover(inst)
+        pp.enumerate_optima(inst, 10)
+        assert keys
+        assert len(reductions) == len(keys)
+
+
+# Tied 2x118 seed 1, topological: the witness, and the buses of it
+# that each of the first ten optima swaps for their successors.
+TIED_WITNESS = (
+    1, 5, 9, 11, 12, 17, 18, 20, 23, 25, 28, 34, 37, 40, 45, 49, 52, 56,
+    62, 63, 68, 71, 75, 77, 80, 85, 86, 90, 94, 101, 105, 110, 114, 119,
+    123, 127, 129, 130, 135, 139, 143, 146, 152, 155, 158, 163, 167, 170,
+    174, 180, 181, 186, 190, 193, 195, 198, 203, 204, 208, 212, 219, 223,
+    228, 232)
+TIED_SWAPS = ((), (219,), (208,), (208, 219), (204,), (204, 219),
+              (204, 208), (204, 208, 219), (181,), (181, 219))
+
+
+def test_tied_grid_witness_and_optima():
+    """Two IEEE-118 copies joined by a seeded tie line: the scan splits
+    known covers across groups there more often than on any bundled
+    system."""
+    inst = pp.CoverInstance(
+        adjacency=pp.topological_adjacency(load_tied().tied_case(2, 1)))
+    assert pp.optimal_count(inst) == milp_count(inst) == 64
+    witness = pp.solve_cover(inst)
+    assert feasible(inst, witness)
+    assert witness.nodes == TIED_WITNESS
+    optima = pp.enumerate_optima(inst, 10)
+    assert [s.nodes for s in optima] == [
+        tuple(sorted(b + 1 if b in swap else b for b in TIED_WITNESS))
+        for swap in TIED_SWAPS]
+    assert optima.truncated
