@@ -4,7 +4,10 @@ The problem: pick the fewest buses so that every bus is adjacent
 (including self-adjacency) to a picked one. One exact search answers
 it: `CoverInstance.exists_cover` decides by branch and bound over bit
 masks whether at most `budget` allowed buses cover the uncovered ones,
-and returns such a cover when they do. At each node it applies
+and returns such a cover when they do. The adjacency is symmetric, so
+one table, `nbr[i]` = bus i and its neighbours, gives both the buses
+that can cover bus i and the buses a monitor at i covers. At each node
+it applies
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
@@ -47,10 +50,10 @@ minimum cover per group. Their order follows from the groups having
 disjoint candidates: for same-size sets S < T exactly when min(S ^ T)
 lies in S, and that bus lies in one group, so the union of the
 groups' first covers is the first cover and raising one group's cover
-never lowers the union. A heap over index
-tuples into the groups' lazily drawn sequences merges them. A single
-group is scanned by bus index: bus i is taken when the buses after it
-complete a cover of the rest, and the scan goes past i only while
+never lowers the union. A heap over index tuples into the groups'
+lazily drawn sequences merges them; one group is a one-sequence merge.
+Each group is scanned by bus index: bus i is taken when the buses after
+it complete a cover of the rest, and the scan goes past i only while
 covers without i remain. A known cover answers both questions
 without a probe: a bus in it is taken, the rest of the cover
 completing the rest, and the scan goes past a bus it avoids. The
@@ -119,20 +122,11 @@ class CoverInstance:
     count, the witness and the enumeration share the instance's memo."""
 
     def __init__(self, adjacency: BinaryAdjacency):
-        bits = adjacency.bits
-        if (bits.ndim != 2 or bits.shape[0] != bits.shape[1]
-                or not bits.size or not np.all(np.diag(bits) == 1)):
-            raise ValueError("cover instance needs a nonempty square "
-                             "adjacency with a unit diagonal (every bus "
-                             "must be able to cover itself)")
         self.adjacency = adjacency
         self.n = adjacency.n
-        b = np.asarray(adjacency.bits, dtype=bool)
         # Plain-int shifts: numpy scalars would overflow past 63 bits.
-        self.rows = [sum(1 << int(j) for j in np.nonzero(b[i])[0])
-                     for i in range(self.n)]
-        self.cols = [sum(1 << int(i) for i in np.nonzero(b[:, j])[0])
-                     for j in range(self.n)]
+        self.nbr = [sum(1 << int(j) for j in np.flatnonzero(row))
+                    for row in adjacency.bits]
         self.full = (1 << self.n) - 1
         self.memo: dict[tuple[int, int], _Node] = {}
 
@@ -145,18 +139,18 @@ class CoverInstance:
 
     def _reduce_rows(self, uncovered: int, allowed: int) -> int:
         """Drop constraints implied by another constraint."""
-        rows, cols = self.rows, self.cols
+        nbr = self.nbr
         dropped = 0
         for i in self._bits_of(uncovered):
-            cand_i = rows[i] & allowed
+            cand_i = nbr[i] & allowed
             if not cand_i:
                 continue
             # Only a bus that shares i's lowest candidate can have a
             # candidate set containing i's.
             low = (cand_i & -cand_i).bit_length() - 1
-            for j in self._bits_of(cols[low] & uncovered & ~dropped
+            for j in self._bits_of(nbr[low] & uncovered & ~dropped
                                    & ~(1 << i)):
-                cand_j = rows[j] & allowed
+                cand_j = nbr[j] & allowed
                 # candidates of i inside candidates of j: covering i
                 # automatically covers j
                 if cand_i | cand_j == cand_j and (cand_i != cand_j or i < j):
@@ -165,17 +159,17 @@ class CoverInstance:
 
     def _reduce_cols(self, uncovered: int, allowed: int) -> int:
         """Drop candidates dominated by another candidate."""
-        rows, cols = self.rows, self.cols
+        nbr = self.nbr
         banned = 0
         for j in self._bits_of(allowed):
-            cov_j = cols[j] & uncovered
+            cov_j = nbr[j] & uncovered
             # Only a candidate covering j's lowest bus can cover a
             # superset of j's buses; any candidate dominates one that
             # covers nothing.
-            rivals = (rows[(cov_j & -cov_j).bit_length() - 1] & allowed
+            rivals = (nbr[(cov_j & -cov_j).bit_length() - 1] & allowed
                       if cov_j else allowed)
             for k in self._bits_of(rivals & ~banned & ~(1 << j)):
-                cov_k = cols[k] & uncovered
+                cov_k = nbr[k] & uncovered
                 if cov_j | cov_k == cov_k and (cov_j != cov_k or k < j):
                     banned |= 1 << j
                     break
@@ -193,12 +187,12 @@ class CoverInstance:
             while frontier:
                 new_cand = 0
                 for i in self._bits_of(frontier):
-                    new_cand |= self.rows[i]
+                    new_cand |= self.nbr[i]
                 new_cand &= allowed & ~cand
                 cand |= new_cand
                 reached = 0
                 for j in self._bits_of(new_cand):
-                    reached |= self.cols[j]
+                    reached |= self.nbr[j]
                 frontier = reached & rest & ~group
                 group |= frontier
             groups.append((group, cand))
@@ -211,11 +205,11 @@ class CoverInstance:
         packing order: the lowest-index bus with the fewest candidates,
         the one to branch on."""
         order = sorted(self._bits_of(uncovered),
-                       key=lambda i: ((self.rows[i] & allowed).bit_count(), i))
+                       key=lambda i: ((self.nbr[i] & allowed).bit_count(), i))
         used = 0
         bound = 0
         for i in order:
-            cand = self.rows[i] & allowed
+            cand = self.nbr[i] & allowed
             if cand == 0:
                 return _INF, order[0]
             if cand & used == 0:
@@ -276,9 +270,9 @@ class CoverInstance:
         if bound > budget:
             return None
         remaining = allowed
-        for j in self._bits_of(self.rows[pivot] & allowed):
+        for j in self._bits_of(self.nbr[pivot] & allowed):
             remaining &= ~(1 << j)
-            cover = self.exists_cover(uncovered & ~self.cols[j], remaining,
+            cover = self.exists_cover(uncovered & ~self.nbr[j], remaining,
                                       budget - 1)
             if cover is not None:
                 return cover | 1 << j
@@ -303,12 +297,9 @@ class CoverInstance:
         # Constraint dominance keeps the set of covers; candidate
         # dominance would lose optima, so it is not applied here.
         uncovered = self._reduce_rows(uncovered, allowed)
-        groups = self._components(uncovered, allowed)
-        if len(groups) == 1:
-            yield from self._scan(*groups[0], known)
-        else:
-            yield from self._merge([self._scan(u, a, known & a)
-                                    for u, a in groups])
+        yield from self._merge([
+            self._scan(u, a, known & a)
+            for u, a in self._components(uncovered, allowed)])
 
     def _scan(self, uncovered: int, allowed: int, known: int):
         """`covers` of one group: take bus i, in index order, when the
@@ -316,7 +307,7 @@ class CoverInstance:
         budget = known.bit_count()
         for i in self._bits_of(allowed):
             allowed &= ~(1 << i)
-            rest = uncovered & ~self.cols[i]
+            rest = uncovered & ~self.nbr[i]
             # The rest of the known cover completes a bus of it; any
             # other bus needs a probe.
             taken = known >> i & 1

@@ -20,12 +20,21 @@ ELECTRICAL = "electrical"
 
 @dataclass(frozen=True)
 class BinaryAdjacency:
-    """Symmetric 0/1 connectivity matrix with a unit diagonal."""
+    """Symmetric 0/1 connectivity matrix with a unit diagonal (a monitor
+    observes its own bus); any other matrix is a `ValueError`."""
 
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.int8))
+        bits = np.asarray(self.bits)
+        # A non-square matrix is never equal to its transpose.
+        if (bits.ndim != 2 or not bits.size
+                or not np.all((bits == 0) | (bits == 1))
+                or not np.array_equal(bits, bits.T)
+                or not np.all(bits.diagonal() == 1)):
+            raise ValueError("adjacency must be a nonempty square symmetric "
+                             "0/1 matrix with a unit diagonal")
+        object.__setattr__(self, "bits", np.asarray(bits, dtype=np.int8))
 
     @property
     def n(self) -> int:

@@ -84,7 +84,7 @@ def report_dict(art: RunArtifacts) -> dict:
     ext = case.external_id
     svd_buses, sigma, conflicts = [], [], []
     if art.ranking is not None:
-        svd_buses = sorted(ext(a.bus) for a in art.ranking.selected)
+        svd_buses = [ext(b) for b in art.ranking.buses]
         sigma = art.decomposition.sigma.tolist()
         conflicts = [
             {"vector": a.vector_index, "intended_bus": ext(a.intended_bus),

@@ -75,9 +75,9 @@ def compute_svd(matrix: np.ndarray) -> SingularDecomposition:
 
 
 def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
-    """Top `p` singular vectors, strongest first: by singular value,
-    ties to the smaller index. Each comes with its scaled-column
-    magnitude ||sigma_n u_n||.
+    """Top `p` singular vectors, strongest first: the first `p`, as
+    `sigma` is nonincreasing, so equal singular values keep index order.
+    Each comes with its scaled-column magnitude ||sigma_n u_n||.
 
     Unit-norm columns make the magnitude equal the singular value; the
     equality is asserted rather than assumed. Ranking by the singular
@@ -88,8 +88,7 @@ def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
     magnitudes = d.sigma * np.linalg.norm(d.u, axis=0)
     if not np.allclose(magnitudes, d.sigma, rtol=1e-10, atol=1e-12):
         raise AssertionError("singular-vector columns are not unit norm")
-    order = np.argsort(-d.sigma, kind="stable")
-    return [(int(n) + 1, float(magnitudes[n])) for n in order[:p]]
+    return [(n + 1, float(magnitudes[n])) for n in range(p)]
 
 
 def assign_buses(d: SingularDecomposition,

@@ -506,6 +506,33 @@ class TestOutputs:
             assert np.array_equal(read_dump(dumps[name], number),
                                   exact), name
 
+    # Bus ids that decrease along the file: every bus list in the
+    # reports and on stdout keeps the file order.
+    def test_bus_lists_keep_file_order(self, tmp_path, capsys):
+        base = pp.load_bundled_case("ieee14")
+        buses = tuple(dataclasses.replace(b, external_id=100 - b.index)
+                      for b in base.buses)
+        case = dataclasses.replace(
+            base, buses=buses,
+            external_ids={b.index: b.external_id for b in buses})
+        bundle = write_bundle(tmp_path / "reversed",
+                              pp.dumps_csv_fallback(case))
+        out = tmp_path / "out"
+        assert run_cli("--case", str(bundle), "--structure", "both",
+                       "--out", str(out)) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if "placement buses" in line]
+        expected = []
+        for structure in ("topological", "electrical"):
+            payload = json.loads(
+                (out / structure / "report.json").read_text())
+            for field in ("ilp_buses", "svd_buses"):
+                assert payload[field] == sorted(payload[field],
+                                                reverse=True), field
+            expected.append(f"[{structure}] placement buses: "
+                            f"{payload['svd_buses']}")
+        assert printed == expected
+
     # Reports go to one directory per structure, the Y-bus is written
     # once, under the first structure, and each adjacency dump carries
     # its structure's name.

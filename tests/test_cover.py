@@ -58,7 +58,7 @@ def all_optima(bits):
 
 def quadratic_reduce_rows(inst, uncovered, allowed):
     """Constraint dominance comparing every live pair."""
-    live = [(i, inst.rows[i] & allowed) for i in inst._bits_of(uncovered)]
+    live = [(i, inst.nbr[i] & allowed) for i in inst._bits_of(uncovered)]
     dropped = 0
     for i, cand_i in live:
         for j, cand_j in live:
@@ -72,7 +72,7 @@ def quadratic_reduce_rows(inst, uncovered, allowed):
 
 def quadratic_reduce_cols(inst, uncovered, allowed):
     """Candidate dominance comparing every live pair."""
-    live = [(j, inst.cols[j] & uncovered) for j in inst._bits_of(allowed)]
+    live = [(j, inst.nbr[j] & uncovered) for j in inst._bits_of(allowed)]
     banned = 0
     for j, cov_j in live:
         for k, cov_k in live:
@@ -133,13 +133,21 @@ class TestSolveCover:
     def test_unit_diagonal_required(self):
         bits = np.ones((3, 3), dtype=np.int8)
         bits[1, 1] = 0
-        with pytest.raises(ValueError):
-            inst_from_bits(bits)
+        with pytest.raises(ValueError, match="unit diagonal"):
+            BinaryAdjacency(bits)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 0), (3,)])
+    # All-ones matrices of four shapes, then square ones that are not
+    # symmetric or hold an entry other than 0 and 1 (which int8 would
+    # truncate, wrap or keep).
+    @pytest.mark.parametrize("shape", [
+        (2, 3), (3, 2), (0, 0), (3,), np.tri(3, dtype=np.int8),
+        np.array([[1, 0.5], [0.5, 1]]), np.array([[1, 257], [257, 1]]),
+        np.array([[1, 2], [2, 1]])])
     def test_square_nonempty_adjacency_required(self, shape):
-        with pytest.raises(ValueError, match="nonempty square"):
-            inst_from_bits(np.ones(shape, dtype=np.int8))
+        bits = (shape if isinstance(shape, np.ndarray)
+                else np.ones(shape, dtype=np.int8))
+        with pytest.raises(ValueError, match="nonempty square symmetric"):
+            BinaryAdjacency(bits)
 
     def test_deterministic(self, cases):
         a = pp.topological_adjacency(cases["ieee57"])
@@ -428,7 +436,7 @@ class TestMemo:
                 cover = node.cover
                 covered = 0
                 for j in inst._bits_of(cover):
-                    covered |= inst.cols[j]
+                    covered |= inst.nbr[j]
                 assert uncovered & ~covered == 0
                 assert cover & ~allowed == 0
                 assert cover.bit_count() == node.hi
