@@ -132,7 +132,7 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     m = min(m, max_pairs)
     iu, ju = np.triu_indices(n, k=1)
     values = dist.e[iu, ju]
-    order = np.lexsort((ju, iu, values))
+    order = np.argsort(values, kind="stable")
     if m < max_pairs and values[order[m - 1]] == values[order[m]]:
         warnings.warn(
             f"distance threshold ties at the {m}-th smallest entry "

@@ -128,32 +128,30 @@ def report_files(art: RunArtifacts, out_dir: Path) -> dict[Path, Iterable[str]]:
 def _assignment_lines(art: RunArtifacts, ids: list[int]) -> Iterator[str]:
     yield "vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"
     for pos, a in enumerate(art.ranking.selected, start=1):
-        u = art.decomposition.u[:, a.vector_index - 1]
-        for i, entry in enumerate(np.abs(u).tolist(), start=1):
-            assigned = i == a.bus
-            yield (f"{pos},{a.vector_index},{ids[i - 1]},{entry!r},"
-                   f"{int(assigned)},{a.rank if assigned else 0}")
+        prefix = f"{pos},{a.vector_index},"
+        u = np.abs(art.decomposition.u[:, a.vector_index - 1]).tolist()
+        for i, (bus, entry) in enumerate(zip(ids, map(repr, u)), start=1):
+            mark = f"1,{a.rank}" if i == a.bus else "0,0"
+            yield f"{prefix}{bus},{entry},{mark}"
 
 
 def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
     """CSV dump with external bus ids as header and row labels. Cells
     are Python number reprs (complex ones as `re+imj`), which parse back
-    to the exact matrix."""
+    to the exact matrix. Each distinct bit pattern is formatted once,
+    for every dtype: bits, not values, so 0.0 and -0.0 stay apart."""
     ids = [str(b.external_id) for b in case.buses]
     yield "bus," + ",".join(ids)
     matrix = np.ascontiguousarray(matrix)
-    if np.iscomplexobj(matrix):
-        # A Y-bus is mostly one zero: format each distinct bit pattern
-        # once (bits, not values, so 0.0 and -0.0 stay apart).
-        raw = matrix.view(np.dtype((np.void, matrix.itemsize)))
-        distinct, where = np.unique(raw.ravel(), return_inverse=True)
-        text = [f"{v.real!r}{v.imag:+}j"
-                for v in distinct.view(matrix.dtype).tolist()]
-        for label, row in zip(ids, where.reshape(matrix.shape)):
-            yield f"{label}," + ",".join([text[k] for k in row.tolist()])
-    else:
-        for label, row in zip(ids, matrix.tolist()):
-            yield f"{label}," + ",".join([repr(v) for v in row])
+    bits = "V16" if matrix.itemsize == 16 else f"u{matrix.itemsize}"
+    distinct, where = np.unique(matrix.view(bits).ravel(),
+                                return_inverse=True)
+    cell = (lambda v: f"{v.real!r}{v.imag:+}j") \
+        if np.iscomplexobj(matrix) else repr
+    text = np.array([cell(v) for v in distinct.view(matrix.dtype).tolist()],
+                    dtype=object)
+    for label, row in zip(ids, where.reshape(matrix.shape)):
+        yield f"{label}," + ",".join(text[row].tolist())
 
 
 def emit_report(files: dict[Path, Iterable[str]]) -> list[Path]:

@@ -138,6 +138,31 @@ class TestElectricalAdjacency:
         assert pp.electrical_adjacency(dist, 4).bits.sum() == 9
 
 
+# Tie-heavy distances, ±0.0 among them: the selected pairs and the tie
+# warning must follow (value, i, j) order, as a lexsort spells it out.
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_order_matches_lexsort(data):
+    n = data.draw(st.integers(2, 14))
+    iu, ju = np.triu_indices(n, k=1)
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0000000000000002]),
+        min_size=iu.size, max_size=iu.size)))
+    m = data.draw(st.integers(1, iu.size + 1))
+    e = np.zeros((n, n))
+    e[iu, ju] = e[ju, iu] = values
+    order = np.lexsort((ju, iu, values))
+    chosen = order[:m]
+    expected = np.eye(n, dtype=np.int8)
+    expected[iu[chosen], ju[chosen]] = expected[ju[chosen], iu[chosen]] = 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TieAtThreshold)
+        bits = pp.electrical_adjacency(pp.ResistanceDistance(e), m).bits
+    assert np.array_equal(bits, expected)
+    tie = bool(m < iu.size and values[order[m - 1]] == values[order[m]])
+    assert [w.category for w in caught] == [TieAtThreshold] * tie
+
+
 class TestVerifyMetric:
     def test_triangle_clean(self):
         dist = pp.resistance_matrix(TRIANGLE_LAP, 1)

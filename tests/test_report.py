@@ -6,11 +6,15 @@ import stat
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmuplace as pp
+from pmuplace import report
 from pmuplace.errors import AsymmetryWarning, ReportError
 from pmuplace.network import BinaryAdjacency
 from pmuplace.pipeline import RunConfig, run_structure
@@ -150,6 +154,104 @@ class TestEmitReport:
         with pytest.raises(ReportError):
             pp.emit_report(pp.report_files(artifacts, tmp_path))
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def reference_assignment_lines(art) -> list[str]:
+    """fig_assignment.csv rendered with one f-string per entry: the
+    bytes the writer must reproduce."""
+    ids = [b.external_id for b in art.case.buses]
+    lines = ["vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"]
+    for pos, a in enumerate(art.ranking.selected, start=1):
+        u = art.decomposition.u[:, a.vector_index - 1]
+        for i, entry in enumerate(np.abs(u).tolist(), start=1):
+            assigned = i == a.bus
+            lines.append(f"{pos},{a.vector_index},{ids[i - 1]},{entry!r},"
+                         f"{int(assigned)},{a.rank if assigned else 0}")
+    return lines
+
+
+@pytest.mark.parametrize("structure", ["topological", "electrical"])
+@pytest.mark.parametrize("name", ["ieee9", "ieee118"])
+def test_fig_assignment_bytes(cases, name, structure, tmp_path):
+    case = cases[name]
+    cfg = RunConfig(case_path="unused", structure=structure,
+                    jacobian_mode="flat", mode="full")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymmetryWarning)
+        art = run_structure(case, structure, cfg,
+                            pp.build_ybus(case)).artifacts
+    pp.emit_report(pp.report_files(art, tmp_path))
+    expected = "\n".join(reference_assignment_lines(art)) + "\n"
+    assert (tmp_path / "fig_assignment.csv").read_bytes() == expected.encode()
+
+
+def naive_matrix_lines(matrix: np.ndarray, case) -> list[str]:
+    """A matrix dump rendered cell by cell from `tolist()`."""
+    ids = [str(b.external_id) for b in case.buses]
+
+    def cell(v):
+        return f"{v.real!r}{v.imag:+}j" if isinstance(v, complex) else repr(v)
+    return ["bus," + ",".join(ids)] + [
+        f"{label}," + ",".join(cell(v) for v in row)
+        for label, row in zip(ids, matrix.tolist())]
+
+
+def id_case(n: int) -> SimpleNamespace:
+    """The one thing `matrix_lines` reads of a case: its buses' ids."""
+    return SimpleNamespace(buses=[SimpleNamespace(external_id=10 * i + 7)
+                                  for i in range(n)])
+
+
+# Signed zeros, NaN, infinities, subnormals and the extremes, drawn
+# often enough that matrices repeat them.
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+                  -float("inf"), 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e+308, 0.1, 1.0, -1.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+CELLS = {
+    "float64": FLOATS,
+    "int8": st.one_of(st.sampled_from([0, 1, -1, 127, -128]),
+                      st.integers(-128, 127)),
+    "complex128": st.builds(complex, FLOATS, FLOATS),
+}
+VIEWS = {
+    "as-built": lambda m: m,
+    "transpose": lambda m: m.T,
+    "reversed-columns": lambda m: m[:, ::-1],
+    "reversed-transpose": lambda m: m[::-1].T,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matrix_lines_match_cell_by_cell_rendering(data):
+    dtype = data.draw(st.sampled_from(sorted(CELLS)))
+    n = data.draw(st.integers(1, 7))
+    cells = data.draw(st.lists(CELLS[dtype], min_size=n * n,
+                               max_size=n * n))
+    matrix = VIEWS[data.draw(st.sampled_from(sorted(VIEWS)))](
+        np.array(cells, dtype=dtype).reshape(n, n))
+    assert list(report.matrix_lines(matrix, id_case(n))) == \
+        naive_matrix_lines(matrix, id_case(n))
+
+
+# Three bit patterns among 1600 cells, 0.0 and -0.0 two of them: the
+# dump formats three numbers, not one per cell.
+def test_each_bit_pattern_formatted_once(monkeypatch):
+    matrix = np.zeros((40, 40))
+    matrix[::3] = -0.0
+    matrix[:, ::7] = 2.5
+    case = id_case(40)
+    expected = naive_matrix_lines(matrix, case)
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(report, "repr", counting_repr, raising=False)
+    assert list(report.matrix_lines(matrix, case)) == expected
+    assert 0 < len(formatted) <= 3
 
 
 def contents(root: Path) -> dict[Path, bytes]:
