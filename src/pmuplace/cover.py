@@ -6,47 +6,65 @@ it: `CoverInstance.exists_cover` decides by branch and bound over bit
 masks whether at most `budget` allowed buses cover the uncovered ones,
 and returns such a cover when they do. The adjacency is symmetric, so
 one table, `nbr[i]` = bus i and its neighbours, gives both the buses
-that can cover bus i and the buses a monitor at i covers. At each node
-it applies
+that can cover bus i and the buses a monitor at i covers. Each node is
+first reduced to its dominance fixpoint, alternating
 
 * constraint dominance - a bus whose candidate set contains another
   bus's candidate set is covered for free and drops out;
 * candidate dominance - a bus covering a subset of what another covers
   never helps a feasibility question;
 
-both local: only a bus sharing the lowest candidate of a bus, or a
-candidate covering the lowest bus of a candidate, can dominate it, so
-only those pairs are compared. The uncovered buses left then split
-into components, groups linked by shared allowed candidates. Groups
-with disjoint candidates are independent, so the node is feasible
-exactly when the group minima sum to at most `budget`; each group's
-minimum is found by raising its budget from its packing bound while
-the shared slack lasts. A single group is decided by the
-disjoint-candidate-packing lower bound and by branching on the first
-bus of the packing order, the one with the fewest candidates. A
-feasible search returns the cover it found as a bit mask: a branch
-adds its bus to the child's cover, and a split node joins its groups'
-covers.
+until neither drops anything. Both are local: only a bus sharing the
+lowest candidate of a bus, or a candidate covering the lowest bus of a
+candidate, can dominate it, so only those pairs are compared. Both are
+also incremental. At a fixpoint no pair dominates. A pair can start to
+only when the dominating bus's candidate set, or the dominated
+candidate's covered set, has lost a member: the other set of the pair
+only shrinks, so a containment that holds now held before. Each pass
+therefore tries only the "dirty" buses in that role. A pass after a
+drop tries those next to what was dropped, and a caller that knows how
+the node differs from a fixpoint names the first dirty buses. A branch
+child's are the buses next to its parent's removed candidates and the
+candidates of the buses the pick covers; a component of a fixpoint has
+none; a probe of the witness scan, whose group is reduced by
+constraint dominance only, has the buses next to those the scan has
+passed, and every candidate. Any other node tries everything. Every
+drop is a true dominance, so a hint that is too small could only
+weaken pruning; a correct one drops, pass by pass, exactly what a full
+pass drops, so the fixpoint, and with it every count, witness and
+enumeration, does not depend on the hints.
+
+The uncovered buses left then split into components, groups linked by
+shared allowed candidates. Groups with disjoint candidates are
+independent, so the node is feasible exactly when the group minima sum
+to at most `budget`; each group's minimum is found by raising its
+budget from its packing bound while the shared slack lasts. A single
+group is decided by the disjoint-candidate-packing lower bound and by
+branching on the first bus of the packing order, the one with the
+fewest candidates. A feasible search returns the cover it found as a
+bit mask: a branch adds its bus to the child's cover, and a split node
+joins its groups' covers.
 
 Every decision is memoised per `(uncovered, allowed)`, the residual as
 it was asked, before any reduction. An entry holds the decided
 budgets (below `lo` none suffices, from `hi` on one does), one cover
 of `hi` buses that proves the feasible side, and the node's reduction:
-the groups left after both dominance reductions and the split, each
-with its packing bound and branch bus. A probe at a decided budget
-costs one lookup and answers with that cover; a probe at an undecided
-one, as when `minimum` raises the budget of a group, searches again
-but reduces nothing again.
+the groups left after the fixpoint and the split, each with its
+packing bound and branch bus. A probe at a decided budget costs one
+lookup and answers with that cover; a probe at an undecided one, as
+when `minimum` raises the budget of a group, searches again but
+reduces nothing again. The entry also keeps the split `covers` makes
+of the same residual, so each residual is split once for each use.
 
 `CoverInstance.covers` builds on it to yield the minimum covers of a
 residual in set-lexicographic order, given one of them; its budget is
 always that known cover's size, the residual's exact minimum, so no
 cover is ever padded with a useless bus. It drops implied constraints
-and splits the rest into the same groups. Every bus of a minimum cover
-covers some bus left, so the known cover restricted to a group's
-candidates is a minimum cover of the group. Every optimum then uses
-exactly each group's minimum, and the covers are the unions of one
-minimum cover per group. Their order follows from the groups having
+only and splits the rest into groups the same way. Every bus of a
+minimum cover covers some bus left, so the known cover restricted to a
+group's candidates is a minimum cover of the group. Every optimum then
+uses exactly each group's minimum, and the covers are the unions of
+one minimum cover per group. Their order follows from the groups having
 disjoint candidates: for same-size sets S < T exactly when min(S ^ T)
 lies in S, and that bus lies in one group, so the union of the
 groups' first covers is the first cover and raising one group's cover
@@ -80,16 +98,20 @@ _INF = 10 ** 9
 
 class _Node:
     """A memo entry: budgets below `lo` admit no cover, budgets from
-    `hi` on admit `cover` (a mask of `hi` buses); `groups` is the
-    reduction, as (buses, candidates, bound, branch bus) per group."""
+    `hi` on admit `cover` (a mask of `hi` buses). `groups` is the
+    search's reduction, the components of the dominance fixpoint as
+    (buses, candidates, bound, branch bus); `parts` is the split of
+    `covers`, the components after constraint dominance alone as
+    (buses, candidates). Each is built on first use."""
 
     # A plain class: building a dataclass would slow every import.
-    __slots__ = ("lo", "hi", "cover", "groups")
+    __slots__ = ("lo", "hi", "cover", "groups", "parts")
 
     def __init__(self):
         self.lo, self.hi = 0, _INF
         self.cover: int | None = None
         self.groups: list[tuple[int, int, int, int]] | None = None
+        self.parts: list[tuple[int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -137,11 +159,20 @@ class CoverInstance:
             yield low.bit_length() - 1
             mask ^= low
 
-    def _reduce_rows(self, uncovered: int, allowed: int) -> int:
-        """Drop constraints implied by another constraint."""
+    def _neighbours(self, mask: int) -> int:
+        """The buses adjacent to a bus of `mask`, those buses included."""
+        out = 0
+        for i in self._bits_of(mask):
+            out |= self.nbr[i]
+        return out
+
+    def _reduce_rows(self, uncovered: int, allowed: int,
+                     dirty: int = -1) -> int:
+        """Drop constraints implied by another constraint, trying only
+        the buses in `dirty` as the implying one."""
         nbr = self.nbr
         dropped = 0
-        for i in self._bits_of(uncovered):
+        for i in self._bits_of(uncovered & dirty):
             cand_i = nbr[i] & allowed
             if not cand_i:
                 continue
@@ -157,11 +188,13 @@ class CoverInstance:
                     dropped |= 1 << j
         return uncovered & ~dropped
 
-    def _reduce_cols(self, uncovered: int, allowed: int) -> int:
-        """Drop candidates dominated by another candidate."""
+    def _reduce_cols(self, uncovered: int, allowed: int,
+                     dirty: int = -1) -> int:
+        """Drop candidates dominated by another candidate, trying only
+        the candidates in `dirty` as the dominated one."""
         nbr = self.nbr
         banned = 0
-        for j in self._bits_of(allowed):
+        for j in self._bits_of(allowed & dirty):
             cov_j = nbr[j] & uncovered
             # Only a candidate covering j's lowest bus can cover a
             # superset of j's buses; any candidate dominates one that
@@ -175,6 +208,23 @@ class CoverInstance:
                     break
         return allowed & ~banned
 
+    def _reduce(self, uncovered: int, allowed: int, rows: int = -1,
+                cols: int = -1) -> tuple[int, int]:
+        """The dominance fixpoint: alternate constraint and candidate
+        dominance until neither drops anything. The first passes try
+        the `rows` and `cols` masks (every bus by default); a later
+        pass tries only the buses next to what the pass before dropped,
+        the only ones whose comparisons changed."""
+        while True:
+            kept = self._reduce_rows(uncovered, allowed, rows)
+            cols |= self._neighbours(uncovered & ~kept)
+            uncovered = kept
+            kept = self._reduce_cols(uncovered, allowed, cols)
+            if kept == allowed:
+                return uncovered, allowed
+            rows = self._neighbours(allowed & ~kept)
+            allowed, cols = kept, 0
+
     def _components(self, uncovered: int, allowed: int):
         """Split the uncovered buses into groups linked by shared
         allowed candidates, as (buses, candidates) mask pairs in order
@@ -185,15 +235,9 @@ class CoverInstance:
             group = frontier = rest & -rest
             cand = 0
             while frontier:
-                new_cand = 0
-                for i in self._bits_of(frontier):
-                    new_cand |= self.nbr[i]
-                new_cand &= allowed & ~cand
+                new_cand = self._neighbours(frontier) & allowed & ~cand
                 cand |= new_cand
-                reached = 0
-                for j in self._bits_of(new_cand):
-                    reached |= self.nbr[j]
-                frontier = reached & rest & ~group
+                frontier = self._neighbours(new_cand) & rest & ~group
                 group |= frontier
             groups.append((group, cand))
             rest &= ~group
@@ -217,23 +261,27 @@ class CoverInstance:
                 used |= cand
         return bound, order[0]
 
-    def exists_cover(self, uncovered: int, allowed: int,
-                     budget: int) -> int | None:
+    def _node(self, uncovered: int, allowed: int) -> _Node:
+        node = self.memo.get((uncovered, allowed))
+        if node is None:
+            node = self.memo[uncovered, allowed] = _Node()
+        return node
+
+    def exists_cover(self, uncovered: int, allowed: int, budget: int,
+                     rows: int = -1, cols: int = -1) -> int | None:
         """A cover of the uncovered buses by at most `budget` allowed
-        buses, as a bit mask, or None when there is none."""
+        buses, as a bit mask, or None when there is none. `rows` and
+        `cols` are the reduction's dirty masks (see `_reduce`)."""
         if uncovered == 0:
             return 0
         if budget <= 0:
             return None
-        key = (uncovered, allowed)
-        node = self.memo.get(key)
-        if node is None:
-            node = self.memo[key] = _Node()
+        node = self._node(uncovered, allowed)
         if budget >= node.hi:
             return node.cover
         if budget < node.lo:
             return None
-        cover = self._search(uncovered, allowed, budget, node)
+        cover = self._search(uncovered, allowed, budget, node, rows, cols)
         if cover is None:
             node.lo = budget + 1
         else:
@@ -241,25 +289,26 @@ class CoverInstance:
         return cover
 
     def _search(self, uncovered: int, allowed: int, budget: int,
-                node: _Node) -> int | None:
-        """`exists_cover` past the memo's budgets: reduce and split into
-        components (once per node), then bound and branch."""
+                node: _Node, rows: int, cols: int) -> int | None:
+        """`exists_cover` past the memo's budgets: reduce to the
+        dominance fixpoint and split into components (once per node),
+        then bound and branch."""
         groups = node.groups
         if groups is None:
-            uncovered = self._reduce_rows(uncovered, allowed)
-            allowed = self._reduce_cols(uncovered, allowed)
+            uncovered, allowed = self._reduce(uncovered, allowed, rows, cols)
             groups = node.groups = [
                 (u, a, *self.lower_bound(u, a))
                 for u, a in self._components(uncovered, allowed)]
         if len(groups) > 1:
             # Groups share no candidate, so the minimum is the sum of
             # the group minima: raise each group's budget from its
-            # packing bound while the shared slack lasts.
+            # packing bound while the shared slack lasts. A group of a
+            # fixpoint is a fixpoint, so nothing in it is dirty.
             slack = budget - sum(need for _, _, need, _ in groups)
             for u, a, need, _ in groups:
                 if slack < 0:
                     return None
-                slack -= self.minimum(u, a, need, need + slack) - need
+                slack -= self.minimum(u, a, need, need + slack, 0, 0) - need
             if slack < 0:
                 return None
             cover = 0
@@ -270,20 +319,27 @@ class CoverInstance:
         if bound > budget:
             return None
         remaining = allowed
+        lost = 0
         for j in self._bits_of(self.nbr[pivot] & allowed):
             remaining &= ~(1 << j)
-            cover = self.exists_cover(uncovered & ~self.nbr[j], remaining,
-                                      budget - 1)
+            # Dirty in the child: the buses that lost a candidate (j or
+            # an earlier sibling), and the candidates of the buses j
+            # covers, which lost a bus to cover.
+            lost |= self.nbr[j]
+            hit = uncovered & self.nbr[j]
+            cover = self.exists_cover(uncovered & ~hit, remaining, budget - 1,
+                                      lost, self._neighbours(hit))
             if cover is not None:
                 return cover | 1 << j
         return None
 
     def minimum(self, uncovered: int, allowed: int, start: int,
-                cap: int = _INF) -> int:
+                cap: int = _INF, rows: int = -1, cols: int = -1) -> int:
         """The first budget from `start` up to `cap` that admits a cover
         of the residual, or `cap + 1` when none does."""
         k = start
-        while k <= cap and self.exists_cover(uncovered, allowed, k) is None:
+        while k <= cap and self.exists_cover(uncovered, allowed, k,
+                                             rows, cols) is None:
             k += 1
         return k
 
@@ -296,23 +352,30 @@ class CoverInstance:
             return
         # Constraint dominance keeps the set of covers; candidate
         # dominance would lose optima, so it is not applied here.
-        uncovered = self._reduce_rows(uncovered, allowed)
-        yield from self._merge([
-            self._scan(u, a, known & a)
-            for u, a in self._components(uncovered, allowed)])
+        node = self._node(uncovered, allowed)
+        if node.parts is None:
+            node.parts = self._components(
+                self._reduce_rows(uncovered, allowed), allowed)
+        yield from self._merge([self._scan(u, a, known & a)
+                                for u, a in node.parts])
 
     def _scan(self, uncovered: int, allowed: int, known: int):
         """`covers` of one group: take bus i, in index order, when the
         buses after it complete a cover."""
         budget = known.bit_count()
+        # The group is reduced by constraint dominance only: a probe's
+        # dirty buses are those next to a bus the scan has passed, and
+        # every candidate.
+        touched = 0
         for i in self._bits_of(allowed):
             allowed &= ~(1 << i)
+            touched |= self.nbr[i]
             rest = uncovered & ~self.nbr[i]
             # The rest of the known cover completes a bus of it; any
             # other bus needs a probe.
             taken = known >> i & 1
             tail_cover = (known & ~(1 << i) if taken else
-                          self.exists_cover(rest, allowed, budget - 1))
+                          self.exists_cover(rest, allowed, budget - 1, touched))
             if tail_cover is None:
                 continue
             for tail in self.covers(rest, allowed, tail_cover):
@@ -320,7 +383,7 @@ class CoverInstance:
             # Go on past bus i only while covers without it remain;
             # past a bus the known cover avoids, that cover remains.
             if taken:
-                known = self.exists_cover(uncovered, allowed, budget)
+                known = self.exists_cover(uncovered, allowed, budget, touched)
                 if known is None:
                     return
 

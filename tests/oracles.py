@@ -1,5 +1,6 @@
 """Independent reference checks that only the tests read: an exhaustive
-cover search, a metric-axiom check of distance matrices, the
+cover search, the lexicographically first minimum cover by sequential
+fixing on an integer program, a metric-axiom check of distance matrices, the
 reconstruction residual of a singular-value decomposition and the
 number of distinct branch pairs."""
 
@@ -9,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from pmuplace.cases import PowerCase
 from pmuplace.cover import CoverInstance, PlacementSolution
@@ -31,6 +33,40 @@ def brute_force_cover(inst: CoverInstance, k_max: int) -> PlacementSolution:
             if bits[:, combo].any(axis=1).all():
                 return PlacementSolution(tuple(i + 1 for i in combo))
     raise NoSolutionWithinK(f"no cover of size <= {k_max} exists")
+
+
+def lex_first_cover(inst: CoverInstance) -> tuple[int, ...]:
+    """The set-lexicographically first minimum cover (1-based), by
+    sequential fixing on the integer program min sum(x), A x >= 1, x
+    binary: take the minimum k from `milp`, then for each bus i in index
+    order fix x_i = 1 when a k-cover with x_i = 1 and the earlier
+    fixings exists, else x_i = 0. The last solution found respects every
+    fixing so far, so a bus it holds is fixed to 1 without a solve, and
+    once k buses are fixed to 1 the rest are 0."""
+    n = inst.n
+    covered = LinearConstraint(np.asarray(inst.adjacency.bits, dtype=float),
+                               lb=1)
+    lo, hi = np.zeros(n), np.ones(n)
+
+    def solve():
+        res = milp(np.ones(n), integrality=np.ones(n),
+                   bounds=Bounds(lo, hi), constraints=covered)
+        assert res.success
+        return np.round(res.x)
+
+    x = solve()
+    k = x.sum()
+    for i in range(n):
+        if lo.sum() == k:
+            break
+        lo[i] = 1
+        if not x[i]:
+            y = solve()
+            if y.sum() == k:
+                x = y
+            else:
+                lo[i] = hi[i] = 0
+    return tuple(int(i) + 1 for i in np.flatnonzero(lo))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Exact cover solver tests against independent oracles: exhaustive
 search (`brute_force_cover` for the witness, every k-subset from
 `itertools.combinations` for the full list of optima) on small
-instances, and an integer program solved by `scipy.optimize.milp` for
-the count on every bundled system. The search's dominance reductions
-are checked against the plain all-pairs versions kept here, and its
-memo against a fresh instance and against the covers it holds."""
+instances, and integer programs solved by `scipy.optimize.milp` for
+the count and, by sequential fixing (`lex_first_cover`), the witness on
+every bundled system. The search's dominance reductions are checked
+against the plain all-pairs versions kept here, its incremental
+fixpoints against the fixpoint reduced from scratch, and its memo
+against a fresh instance and against the covers it holds."""
 
 import itertools
 import warnings
@@ -19,7 +21,7 @@ import pmuplace as pp
 from pmuplace.errors import AsymmetryWarning
 from pmuplace.network import BinaryAdjacency
 from conftest import BUNDLED, load_tied, random_connected_adjacency
-from oracles import NoSolutionWithinK, brute_force_cover
+from oracles import NoSolutionWithinK, brute_force_cover, lex_first_cover
 
 
 def inst_from_bits(bits):
@@ -56,11 +58,14 @@ def all_optima(bits):
     return []
 
 
-def quadratic_reduce_rows(inst, uncovered, allowed):
-    """Constraint dominance comparing every live pair."""
+def quadratic_reduce_rows(inst, uncovered, allowed, dirty=-1):
+    """Constraint dominance comparing every live pair whose implying
+    constraint is in `dirty`."""
     live = [(i, inst.nbr[i] & allowed) for i in inst._bits_of(uncovered)]
     dropped = 0
     for i, cand_i in live:
+        if not (dirty >> i) & 1:
+            continue
         for j, cand_j in live:
             if i == j or (dropped >> j) & 1:
                 continue
@@ -70,11 +75,14 @@ def quadratic_reduce_rows(inst, uncovered, allowed):
     return uncovered & ~dropped
 
 
-def quadratic_reduce_cols(inst, uncovered, allowed):
-    """Candidate dominance comparing every live pair."""
+def quadratic_reduce_cols(inst, uncovered, allowed, dirty=-1):
+    """Candidate dominance comparing every live pair whose dominated
+    candidate is in `dirty`."""
     live = [(j, inst.nbr[j] & uncovered) for j in inst._bits_of(allowed)]
     banned = 0
     for j, cov_j in live:
+        if not (dirty >> j) & 1:
+            continue
         for k, cov_k in live:
             if j == k or (banned >> k) & 1:
                 continue
@@ -360,13 +368,14 @@ def test_interleaved_bundled_witness_is_union_of_parts(cases):
 
 class TestLocalDominance:
     """The reductions test only the pairs that can dominate; they must
-    give the masks of the all-pairs versions."""
+    give the masks of the all-pairs versions, also when only the `dirty`
+    buses are tried."""
 
-    def check(self, inst, uncovered, allowed):
-        assert inst._reduce_rows(uncovered, allowed) == \
-            quadratic_reduce_rows(inst, uncovered, allowed)
-        assert inst._reduce_cols(uncovered, allowed) == \
-            quadratic_reduce_cols(inst, uncovered, allowed)
+    def check(self, inst, uncovered, allowed, dirty=-1):
+        assert inst._reduce_rows(uncovered, allowed, dirty) == \
+            quadratic_reduce_rows(inst, uncovered, allowed, dirty)
+        assert inst._reduce_cols(uncovered, allowed, dirty) == \
+            quadratic_reduce_cols(inst, uncovered, allowed, dirty)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 14))
@@ -374,7 +383,10 @@ class TestLocalDominance:
         rng = np.random.default_rng(seed)
         inst = inst_from_bits(random_connected_adjacency(rng, n))
         for _ in range(10):
-            self.check(inst, random_mask(rng, n, rng.random()),
+            uncovered = random_mask(rng, n, rng.random())
+            allowed = random_mask(rng, n, rng.random())
+            self.check(inst, uncovered, allowed)
+            self.check(inst, uncovered, allowed,
                        random_mask(rng, n, rng.random()))
         self.check(inst, inst.full, inst.full)
 
@@ -389,7 +401,10 @@ class TestLocalDominance:
         self.check(inst, inst.full, inst.full)
         for density in (0.1, 0.5, 0.9):
             for _ in range(5):
-                self.check(inst, random_mask(rng, inst.n, density),
+                uncovered = random_mask(rng, inst.n, density)
+                allowed = random_mask(rng, inst.n, density)
+                self.check(inst, uncovered, allowed)
+                self.check(inst, uncovered, allowed,
                            random_mask(rng, inst.n, density))
 
 
@@ -444,24 +459,144 @@ class TestMemo:
     def test_each_key_is_reduced_once(self, cases):
         inst = pp.CoverInstance(
             adjacency=pp.topological_adjacency(cases["ieee118"]))
-        keys, reductions = set(), []
-        search, reduce_cols = inst._search, inst._reduce_cols
+        keys, residuals, reductions, splits = set(), set(), [], []
+        search, reduce, components, covers = (
+            inst._search, inst._reduce, inst._components, inst.covers)
 
         def counted_search(uncovered, allowed, *rest):
             keys.add((uncovered, allowed))
             return search(uncovered, allowed, *rest)
 
-        def counted_reduce_cols(*args):
+        def counted_reduce(*args):
             reductions.append(args)
-            return reduce_cols(*args)
+            return reduce(*args)
 
-        # Only the search drops dominated candidates.
-        inst._search, inst._reduce_cols = counted_search, counted_reduce_cols
+        def counted_components(*args):
+            splits.append(args)
+            return components(*args)
+
+        def counted_covers(uncovered, allowed, known):
+            if uncovered:
+                residuals.add((uncovered, allowed))
+            return covers(uncovered, allowed, known)
+
+        # The search enters the fixpoint once per key; the search and
+        # `covers` each split a key once.
+        inst._search, inst._reduce = counted_search, counted_reduce
+        inst._components, inst.covers = counted_components, counted_covers
         pp.optimal_count(inst)
         pp.solve_cover(inst)
         pp.enumerate_optima(inst, 10)
-        assert keys
+        assert keys and residuals
         assert len(reductions) == len(keys)
+        assert len(splits) == len(keys) + len(residuals)
+
+
+def recorded_reductions(inst):
+    """Run the count, the witness and `enumerate_optima(·, 10)`, and
+    return every `_reduce` call the search made with its result."""
+    calls = []
+    reduce = inst._reduce
+
+    def recording(*args):
+        got = reduce(*args)
+        calls.append((args, got))
+        return got
+
+    inst._reduce = recording
+    pp.enumerate_optima(inst, 10)
+    del inst._reduce
+    return calls
+
+
+def check_fixpoints(inst):
+    """Every hinted reduction the search made equals the fixpoint
+    reduced in full from scratch, and leaves no dominated pair; returns
+    the hint kinds seen."""
+    kinds = set()
+    for (uncovered, allowed, rows, cols), (u, a) in \
+            recorded_reductions(inst):
+        # Full; a split group; a scan probe (every candidate dirty); a
+        # branch child.
+        kinds.add("full" if rows == cols == -1 else "group" if
+                  rows == cols == 0 else "probe" if cols == -1 else "child")
+        assert inst._reduce(uncovered, allowed) == (u, a)
+        assert quadratic_reduce_rows(inst, u, a) == u
+        assert quadratic_reduce_cols(inst, u, a) == a
+    return kinds
+
+
+class TestFixpoint:
+    """A node's dirty masks only save comparisons: the search's hinted
+    reductions reach the full fixpoint."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 14))
+    def test_random_graphs(self, seed, n):
+        rng = np.random.default_rng(seed)
+        check_fixpoints(inst_from_bits(random_connected_adjacency(rng, n)))
+
+    # The electrical instance never branches: each node's packing
+    # bound is its minimum.
+    @pytest.mark.parametrize("structure, kinds", [
+        ("topological", {"full", "group", "probe", "child"}),
+        ("electrical", {"full", "group", "probe"})])
+    def test_ieee118(self, cases, electrical_insts, structure, kinds):
+        if structure == "electrical":
+            adjacency = electrical_insts["ieee118"].adjacency
+        else:
+            adjacency = pp.topological_adjacency(cases["ieee118"])
+        assert check_fixpoints(pp.CoverInstance(adjacency=adjacency)) == kinds
+
+
+@pytest.mark.parametrize("structure", ["topological", "electrical"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_witness_is_ilp_lex_first(cases, electrical_insts, name, structure):
+    if structure == "electrical":
+        inst = electrical_insts[name]
+    else:
+        inst = pp.CoverInstance(
+            adjacency=pp.topological_adjacency(cases[name]))
+    assert pp.solve_cover(inst).nodes == lex_first_cover(inst)
+
+
+def search_calls(inst, *steps):
+    """The `_search` calls that running `steps` on `inst` makes."""
+    calls = []
+    search = inst._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    inst._search = counted
+    for step in steps:
+        step(inst)
+    return len(calls)
+
+
+# `_search` calls with one row pass and one column pass per node, before
+# the dominance fixpoint: IEEE-118 topological count + witness +
+# `enumerate_optima(·, 10)`, and the tied 2x118 seed 1 witness.
+SEARCH_CALLS_BEFORE_FIXPOINT = {"ieee118": 281, "tied": 890}
+SEARCH_CALLS = {"ieee118": 170, "tied": 451}
+
+
+def test_search_calls_pinned(cases):
+    """A machine-independent guard on the fixpoint's pruning."""
+    got = {
+        "ieee118": search_calls(
+            pp.CoverInstance(
+                adjacency=pp.topological_adjacency(cases["ieee118"])),
+            pp.optimal_count, pp.solve_cover,
+            lambda inst: pp.enumerate_optima(inst, 10)),
+        "tied": search_calls(
+            pp.CoverInstance(adjacency=pp.topological_adjacency(
+                load_tied().tied_case(2, 1))),
+            pp.solve_cover)}
+    assert got == SEARCH_CALLS
+    assert all(SEARCH_CALLS[k] < SEARCH_CALLS_BEFORE_FIXPOINT[k]
+               for k in SEARCH_CALLS)
 
 
 # Tied 2x118 seed 1, topological: the witness, and the buses of it
