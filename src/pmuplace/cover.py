@@ -6,7 +6,9 @@ it: `CoverInstance.exists_cover` decides by branch and bound over bit
 masks whether at most `budget` allowed buses cover the uncovered ones,
 and returns such a cover when they do. The adjacency is symmetric, so
 one table, `nbr[i]` = bus i and its neighbours, gives both the buses
-that can cover bus i and the buses a monitor at i covers. Each node is
+that can cover bus i and the buses a monitor at i covers. A node whose
+packing bound (below) exceeds its budget is refuted as it was asked:
+the bound holds for every residual, reduced or not. Any other node is
 first reduced to its dominance fixpoint, alternating
 
 * constraint dominance - a bus whose candidate set contains another
@@ -24,12 +26,12 @@ only shrinks, so a containment that holds now held before. Each pass
 therefore tries only the "dirty" buses in that role. A pass after a
 drop tries those next to what was dropped, and a caller that knows how
 the node differs from a fixpoint names the first dirty buses. A branch
-child's are the buses next to its parent's removed candidates and the
+child's, and those of a residual on the witness's worklist (below),
+are the buses next to its parent's removed candidates and the
 candidates of the buses the pick covers; a component of a fixpoint has
-none; a probe of the witness scan, whose group is reduced by
-constraint dominance only, has the buses next to those the scan has
-passed, and every candidate. Any other node tries everything. Every
-drop is a true dominance, so a hint that is too small could only
+none; a probe of either scan (below) has the buses next to those the
+scan has passed, and every candidate. Any other node tries everything.
+Every drop is a true dominance, so a hint that is too small could only
 weaken pruning; a correct one drops, pass by pass, exactly what a full
 pass drops, so the fixpoint, and with it every count, witness and
 enumeration, does not depend on the hints.
@@ -54,34 +56,63 @@ packing bound and branch bus. A probe at a decided budget costs one
 lookup and answers with that cover; a probe at an undecided one, as
 when `minimum` raises the budget of a group, searches again but
 reduces nothing again. The entry also keeps the split `covers` makes
-of the same residual, so each residual is split once for each use.
+of the same residual, so each residual is split once for each use,
+and the residual's first minimum cover once `first_cover` has found it.
 
-`CoverInstance.covers` builds on it to yield the minimum covers of a
-residual in set-lexicographic order, given one of them; its budget is
-always that known cover's size, the residual's exact minimum, so no
-cover is ever padded with a useless bus. It drops implied constraints
-only and splits the rest into groups the same way. Every bus of a
-minimum cover covers some bus left, so the known cover restricted to a
-group's candidates is a minimum cover of the group. Every optimum then
-uses exactly each group's minimum, and the covers are the unions of
-one minimum cover per group. Their order follows from the groups having
-disjoint candidates: for same-size sets S < T exactly when min(S ^ T)
-lies in S, and that bus lies in one group, so the union of the
-groups' first covers is the first cover and raising one group's cover
-never lowers the union. A heap over index tuples into the groups'
-lazily drawn sequences merges them; one group is a one-sequence merge.
-Each group is scanned by bus index: bus i is taken when the buses after
-it complete a cover of the rest, and the scan goes past i only while
-covers without i remain. A known cover answers both questions
-without a probe: a bus in it is taken, the rest of the cover
-completing the rest, and the scan goes past a bus it avoids. The
-minimum count is the smallest feasible budget, its cover is the
-known cover at the top, the witness is the first cover yielded and
-the enumeration is a prefix of the sequence, so the witness is always
-the first enumerated optimum. The count, the witness and the
-enumeration of one `CoverInstance` share its memo.
+Minimum covers are ordered set-lexicographically: for same-size sets
+S < T exactly when min(S ^ T) lies in S. Groups with disjoint
+candidates order independently. Every bus of a minimum cover covers
+some bus left, so a minimum cover restricted to a group's candidates
+is a minimum cover of the group, and every optimum is a union of one
+minimum cover per group. min(S ^ T) lies in one group, so the union of
+the groups' first covers is the first cover, and raising one group's
+cover never lowers the union.
+
+The witness is the first minimum cover L, and `first_cover` finds it
+from any minimum cover `known`. It reduces each residual to a lex-safe
+fixpoint: constraint dominance keeps every cover, and candidate
+dominance keeps L when only a lower-index rival may ban. If an allowed
+k < j covers every uncovered bus j covers and j were in L, L - j + k
+would be a cover that is either earlier (k not in L) or smaller (k in
+L). A rival banned later is banned by a yet lower one, whose covered
+set still holds what j covers, as covered sets only shrink. So every
+banned bus has a kept lower rival that covers what it covers, the
+fixpoint keeps L, and swapping each banned bus of `known` for such a
+rival leaves a minimum cover. The residual then splits into groups,
+and each group is scanned by index up to the first bus of its part of
+L: a bus of `known` is that bus without a probe, and any other is when
+budget - 1 buses above it cover the rest of the group. L less that bus
+is the first cover of the rest on the candidates above it, with the
+proof's cover or `known`'s tail as a minimum cover of it, so that
+residual goes on a worklist and the group is done. The chain of taken
+buses is as long as the count, so there is no recursion.
+
+`CoverInstance.covers` yields the minimum covers of a residual in
+order, given one of them; its budget is always that known cover's
+size, the residual's exact minimum, so no cover is ever padded with a
+useless bus. It drops implied constraints only, splits the rest into
+groups the same way, and merges the groups' sequences with a heap over
+index tuples into them; one group is a one-sequence merge. Each group
+is scanned by bus index: bus i is taken when the buses after it
+complete a cover of the rest, and the scan goes past i only while
+covers without i remain. A known cover answers both questions without
+a probe: a bus in it is taken, the rest of the cover completing the
+rest, and the scan goes past a bus it avoids. When the known cover is
+the first, as `enumerate_optima` gives it, every bus before its first
+bus is refuted without a probe, and its tail is the first cover of
+the rest, all the way down the chain; once the scan goes past a taken
+bus it probes. A bus whose covered buses in the group lie inside those
+of a refuted lower bus is refuted too: a cover completing it would
+complete the lower one. The rest of a taken bus is the row-reduced
+group less what the bus covers, on the candidates after it, so only
+the buses next to the candidates passed are dirty for its constraint
+dominance; a bus that a covered bus implied is covered by the taken
+bus as well, so no earlier drop needs undoing. The minimum count is
+the smallest feasible budget, its cover is the known cover at the top,
+and the witness seeds the enumeration, so the witness is always the
+first enumerated optimum. The count, the witness and the enumeration
+of one `CoverInstance` share its memo.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -100,18 +131,23 @@ class _Node:
     """A memo entry: budgets below `lo` admit no cover, budgets from
     `hi` on admit `cover` (a mask of `hi` buses). `groups` is the
     search's reduction, the components of the dominance fixpoint as
-    (buses, candidates, bound, branch bus); `parts` is the split of
-    `covers`, the components after constraint dominance alone as
-    (buses, candidates). Each is built on first use."""
+    (buses, candidates, bound, branch bus), left unbuilt when the
+    packing bound refutes the node first; `parts` is the split of
+    `covers`, the components after constraint dominance alone (with
+    the row hint of the scan that recursed into it) as (buses,
+    candidates); `first` is the first minimum cover, found by
+    `first_cover` on its lex-safe reductions. Each is built on first
+    use."""
 
     # A plain class: building a dataclass would slow every import.
-    __slots__ = ("lo", "hi", "cover", "groups", "parts")
+    __slots__ = ("lo", "hi", "cover", "groups", "parts", "first")
 
     def __init__(self):
         self.lo, self.hi = 0, _INF
         self.cover: int | None = None
         self.groups: list[tuple[int, int, int, int]] | None = None
         self.parts: list[tuple[int, int]] | None = None
+        self.first: int | None = None
 
 
 @dataclass(frozen=True)
@@ -189,9 +225,10 @@ class CoverInstance:
         return uncovered & ~dropped
 
     def _reduce_cols(self, uncovered: int, allowed: int,
-                     dirty: int = -1) -> int:
+                     dirty: int = -1, lex: bool = False) -> int:
         """Drop candidates dominated by another candidate, trying only
-        the candidates in `dirty` as the dominated one."""
+        the candidates in `dirty` as the dominated one and, with `lex`,
+        only lower-index candidates as the dominating one."""
         nbr = self.nbr
         banned = 0
         for j in self._bits_of(allowed & dirty):
@@ -201,6 +238,8 @@ class CoverInstance:
             # covers nothing.
             rivals = (nbr[(cov_j & -cov_j).bit_length() - 1] & allowed
                       if cov_j else allowed)
+            if lex:
+                rivals &= (1 << j) - 1
             for k in self._bits_of(rivals & ~banned & ~(1 << j)):
                 cov_k = nbr[k] & uncovered
                 if cov_j | cov_k == cov_k and (cov_j != cov_k or k < j):
@@ -208,18 +247,18 @@ class CoverInstance:
                     break
         return allowed & ~banned
 
-    def _reduce(self, uncovered: int, allowed: int, rows: int = -1,
-                cols: int = -1) -> tuple[int, int]:
+    def _reduce(self, uncovered: int, allowed: int, rows: int, cols: int,
+                lex: bool) -> tuple[int, int]:
         """The dominance fixpoint: alternate constraint and candidate
-        dominance until neither drops anything. The first passes try
-        the `rows` and `cols` masks (every bus by default); a later
-        pass tries only the buses next to what the pass before dropped,
-        the only ones whose comparisons changed."""
+        dominance (lex-safe with `lex`) until neither drops anything.
+        The first passes try the `rows` and `cols` masks (-1 for every
+        bus); a later pass tries only the buses next to what the pass
+        before dropped, the only ones whose comparisons changed."""
         while True:
             kept = self._reduce_rows(uncovered, allowed, rows)
             cols |= self._neighbours(uncovered & ~kept)
             uncovered = kept
-            kept = self._reduce_cols(uncovered, allowed, cols)
+            kept = self._reduce_cols(uncovered, allowed, cols, lex)
             if kept == allowed:
                 return uncovered, allowed
             rows = self._neighbours(allowed & ~kept)
@@ -295,7 +334,11 @@ class CoverInstance:
         then bound and branch."""
         groups = node.groups
         if groups is None:
-            uncovered, allowed = self._reduce(uncovered, allowed, rows, cols)
+            # The packing bounds every residual, reduced or not.
+            if self.lower_bound(uncovered, allowed)[0] > budget:
+                return None
+            uncovered, allowed = self._reduce(uncovered, allowed, rows, cols,
+                                              False)
             groups = node.groups = [
                 (u, a, *self.lower_bound(u, a))
                 for u, a in self._components(uncovered, allowed)]
@@ -343,10 +386,61 @@ class CoverInstance:
             k += 1
         return k
 
-    def covers(self, uncovered: int, allowed: int, known: int):
+    def first_cover(self, uncovered: int, allowed: int, known: int) -> int:
+        """The set-lexicographically first minimum cover of the residual,
+        as a mask, given `known`, any minimum cover of it."""
+        node = self._node(uncovered, allowed)
+        if node.first is not None:
+            return node.first
+        nbr = self.nbr
+        first = 0
+        # (uncovered, allowed, a minimum cover, dirty rows, dirty cols):
+        # a worklist, as the chain of taken buses is as long as the count.
+        work = [(uncovered, allowed, known, -1, -1)]
+        while work:
+            uncovered, allowed, known, rows, cols = work.pop()
+            if uncovered == 0:
+                continue
+            uncovered, kept = self._reduce(uncovered, allowed, rows, cols,
+                                           True)
+            # A banned bus of the known cover has a kept lower rival that
+            # covers all it covers; the swap keeps the cover minimum.
+            for j in self._bits_of(known & ~kept):
+                cov_j = nbr[j] & uncovered
+                k = next(k for k in self._bits_of(kept & ((1 << j) - 1))
+                         if nbr[k] & cov_j == cov_j)
+                known ^= 1 << j | 1 << k
+            # Each group's first taken bus is its first bus of the first
+            # cover: a bus of the known cover without a probe, any other
+            # when the buses above it complete a cover of the rest. At a
+            # lex-safe fixpoint no bus covers only what a lower one
+            # covers, so no probe refutes a later bus here. A probe's
+            # dirty buses are those of a `_scan` probe.
+            for u, a in self._components(uncovered, kept):
+                part = known & a
+                budget = part.bit_count()
+                touched = 0
+                for i in self._bits_of(a):
+                    a &= ~(1 << i)
+                    touched |= nbr[i]
+                    rest = u & ~nbr[i]
+                    tail = (part & ~(1 << i) if part >> i & 1 else
+                            self.exists_cover(rest, a, budget - 1, touched))
+                    if tail is not None:
+                        break
+                # The rest on the buses above i, dirty as a branch child.
+                first |= 1 << i
+                work.append((rest, a, tail, touched,
+                             self._neighbours(u & nbr[i])))
+        node.first = first
+        return first
+
+    def covers(self, uncovered: int, allowed: int, known: int,
+               first: bool = False, rows: int = -1):
         """Yield every cover of `uncovered` by as few allowed buses as
         the minimum cover `known`, as tuples of indices in
-        set-lexicographic order."""
+        set-lexicographic order. `first` says that `known` is the first
+        of them; `rows` is the row reduction's dirty mask."""
         if uncovered == 0:
             yield ()
             return
@@ -355,11 +449,11 @@ class CoverInstance:
         node = self._node(uncovered, allowed)
         if node.parts is None:
             node.parts = self._components(
-                self._reduce_rows(uncovered, allowed), allowed)
-        yield from self._merge([self._scan(u, a, known & a)
+                self._reduce_rows(uncovered, allowed, rows), allowed)
+        yield from self._merge([self._scan(u, a, known & a, first)
                                 for u, a in node.parts])
 
-    def _scan(self, uncovered: int, allowed: int, known: int):
+    def _scan(self, uncovered: int, allowed: int, known: int, first: bool):
         """`covers` of one group: take bus i, in index order, when the
         buses after it complete a cover."""
         budget = known.bit_count()
@@ -367,22 +461,37 @@ class CoverInstance:
         # dirty buses are those next to a bus the scan has passed, and
         # every candidate.
         touched = 0
+        # What each bus refuted so far covers in the group.
+        refuted = []
         for i in self._bits_of(allowed):
             allowed &= ~(1 << i)
             touched |= self.nbr[i]
-            rest = uncovered & ~self.nbr[i]
-            # The rest of the known cover completes a bus of it; any
+            hit = uncovered & self.nbr[i]
+            # The rest of the known cover completes a bus of it. A bus
+            # before the first cover's first bus completes nothing, nor
+            # does one covering only what a refuted bus covers; any
             # other bus needs a probe.
             taken = known >> i & 1
-            tail_cover = (known & ~(1 << i) if taken else
-                          self.exists_cover(rest, allowed, budget - 1, touched))
+            if taken:
+                tail_cover = known & ~(1 << i)
+            elif first or any(hit | r == r for r in refuted):
+                tail_cover = None
+            else:
+                tail_cover = self.exists_cover(uncovered & ~hit, allowed,
+                                               budget - 1, touched)
             if tail_cover is None:
+                refuted.append(hit)
                 continue
-            for tail in self.covers(rest, allowed, tail_cover):
+            # Still `first` only for a bus of the first cover, whose tail
+            # is the first cover of the rest. The rest differs from this
+            # row-reduced group only next to the buses passed.
+            for tail in self.covers(uncovered & ~hit, allowed, tail_cover,
+                                    first, touched):
                 yield (i,) + tail
             # Go on past bus i only while covers without it remain;
             # past a bus the known cover avoids, that cover remains.
             if taken:
+                first = False
                 known = self.exists_cover(uncovered, allowed, budget, touched)
                 if known is None:
                     return
@@ -429,22 +538,29 @@ def optimal_count(inst: CoverInstance) -> int:
     return inst.minimum(full, full, inst.lower_bound(full, full)[0])
 
 
-def _optima(inst: CoverInstance):
-    """Every minimum cover, in set-lexicographic order, from the
+def _witness(inst: CoverInstance) -> int:
+    """The witness as a mask: the first minimum cover, found from the
     count's cover."""
     full = inst.full
-    return inst.covers(full, full,
-                       inst.exists_cover(full, full, optimal_count(inst)))
+    known = inst.exists_cover(full, full, optimal_count(inst))
+    # A cover of the optimal size always exists; none would be a
+    # solver bug.
+    if known is None:
+        raise Infeasible("internal error: optimal witness extraction failed")
+    return inst.first_cover(full, full, known)
+
+
+def _optima(inst: CoverInstance):
+    """Every minimum cover, in set-lexicographic order, from the
+    first."""
+    full = inst.full
+    return inst.covers(full, full, _witness(inst), True)
 
 
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
-    first = next(_optima(inst), None)
-    # A cover of the optimal size always exists; none would be a
-    # solver bug.
-    if first is None:
-        raise Infeasible("internal error: optimal witness extraction failed")
+    first = list(inst._bits_of(_witness(inst)))
     if not inst.adjacency.bits[:, first].any(axis=1).all():
         raise Infeasible("solution leaves buses unobserved")
     return PlacementSolution(tuple(i + 1 for i in first))

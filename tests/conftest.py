@@ -4,6 +4,7 @@ connected instances, the benchmark's tied-grid builder."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +141,21 @@ def random_connected_adjacency(rng: np.random.Generator, n: int):
     return bits
 
 
+def load_perfbench(name: str):
+    """`perfbench/<name>.py`, loaded as the module `perfbench_<name>`
+    (registered, as its dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1]
+        / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tied():
     """`perfbench/tied.py`, which builds k IEEE-118 copies joined by
-    seeded tie lines, loaded as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "tied", Path(__file__).resolve().parents[1] / "perfbench"
-        / "tied.py")
-    tied = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tied)
-    return tied
+    seeded tie lines."""
+    return load_perfbench("tied")
 
 
 def laplacian_from_adjacency(bits: np.ndarray,

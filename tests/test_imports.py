@@ -1,12 +1,15 @@
 """Every name a library module imports is used in it, so a deletion
-cannot leave a dead import behind."""
+cannot leave a dead import behind; every attribute the benchmark's
+tracer wraps exists, so a rename cannot leave it behind."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import pmuplace
+from conftest import load_perfbench
 
 MODULES = sorted(path for path in Path(pmuplace.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
@@ -29,3 +32,11 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_every_traced_target_resolves():
+    """`perfbench/tracing.py` wraps each (module, attribute) of `TARGETS`
+    by name, so a renamed or removed function fails here and not only in
+    a traced benchmark run."""
+    for module, attribute, _ in load_perfbench("tracing").TARGETS:
+        assert callable(getattr(importlib.import_module(module), attribute))
