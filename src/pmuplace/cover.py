@@ -182,9 +182,10 @@ class CoverInstance:
     def __init__(self, adjacency: BinaryAdjacency):
         self.adjacency = adjacency
         self.n = adjacency.n
-        # Plain-int shifts: numpy scalars would overflow past 63 bits.
-        self.nbr = [sum(1 << int(j) for j in np.flatnonzero(row))
-                    for row in adjacency.bits]
+        # Bit j of row i's little-endian bytes is entry (i, j); plain
+        # ints, as numpy scalars would overflow past 63 bits.
+        self.nbr = [int.from_bytes(row.tobytes(), "little") for row in
+                    np.packbits(adjacency.bits, axis=1, bitorder="little")]
         self.full = (1 << self.n) - 1
         self.memo: dict[tuple[int, int], _Node] = {}
 

@@ -124,6 +124,11 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     parallel circuits can make it, every pair is linked. Ties
     straddling the cutoff are resolved by (i, j) index order and
     reported as a warning.
+
+    The pairs are those of a stable sort by distance, found in O(P)
+    for P pairs: every pair below the m-th smallest distance, then the
+    lowest-index pairs at it. The warning names the last pair taken,
+    whose value (sign of zero included) is the stable sort's m-th.
     """
     n = dist.n
     if m < 1:
@@ -131,14 +136,18 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
     max_pairs = n * (n - 1) // 2
     m = min(m, max_pairs)
     iu, ju = np.triu_indices(n, k=1)
-    values = dist.e[iu, ju]
-    order = np.argsort(values, kind="stable")
-    if m < max_pairs and values[order[m - 1]] == values[order[m]]:
-        warnings.warn(
-            f"distance threshold ties at the {m}-th smallest entry "
-            f"({values[order[m - 1]]!r}); keeping index order",
-            TieAtThreshold, stacklevel=2)
-    chosen = order[:m]
+    chosen = slice(None)  # every pair
+    if m < max_pairs:
+        values = dist.e[iu, ju]
+        kth = np.partition(values, m - 1)[m - 1]
+        below = np.flatnonzero(values < kth)
+        ties = np.flatnonzero(values == kth)
+        chosen = np.concatenate([below, ties[:m - below.size]])
+        if below.size + ties.size > m:
+            warnings.warn(
+                f"distance threshold ties at the {m}-th smallest entry "
+                f"({values[chosen[-1]]!r}); keeping index order",
+                TieAtThreshold, stacklevel=2)
     bits = np.eye(n, dtype=np.int8)
     bits[iu[chosen], ju[chosen]] = 1
     bits[ju[chosen], iu[chosen]] = 1

@@ -1,7 +1,8 @@
 """Bus admittance matrix and binary connectivity structures.
 
-All matrices are dense; the largest supported systems (a few hundred
-buses) do not justify sparse machinery.
+All matrices are dense numpy arrays; no sparse matrix type is needed.
+Where only the admittance pattern matters (the power-flow derivatives,
+about four nonzeros per row), index arrays of the nonzeros do the work.
 """
 
 from __future__ import annotations

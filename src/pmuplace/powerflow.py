@@ -3,8 +3,12 @@
 The solver is a plain full-Newton method in polar coordinates: active
 mismatch at PV and PQ buses, reactive mismatch at PQ buses, no reactive
 limit enforcement. One derivative builder serves the Newton step and
-the sensitivity, its dP/dtheta block. Everything is deterministic;
-identical inputs give bit-identical outputs.
+the sensitivity, its dP/dtheta block. It evaluates the derivatives only
+at the nonzeros of the admittance matrix and its diagonal, so a Newton
+step costs O(nnz) before the dense solve, not O(N^2) trigonometry; the
+Newton matrix is scattered from them through index maps built once per
+solve. Everything is deterministic; identical inputs give bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
     slack = next(i for i, t in enumerate(types) if t == SLACK)
     ang_idx = np.sort(np.concatenate([pv, pq]))  # unknown angles
     n_ang = len(ang_idx)
-    unknowns = (ang_idx, pq)  # P and theta at PV+PQ, Q and V at PQ
+    at = _pattern(ybus)
+    layout = _newton_layout(at, case.n, ang_idx, pq)
 
     p_sched = np.array([bus.p_gen - bus.p_load for bus in case.buses])
     q_sched = np.array([bus.q_gen - bus.q_load for bus in case.buses])
@@ -90,11 +95,10 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
             raise NonConvergence(iterations, norm)
         # Mismatch is (scheduled - computed), so Newton solves J step = mis
         # with J the derivative of the computed injections.
-        blocks = _derivatives(ybus, v_mag, v_ang, p, q)
+        jac = _newton_matrix(
+            _derivatives(ybus, at, v_mag, v_ang, p, q), layout)
         try:
-            step = np.linalg.solve(np.block(
-                [[blk[np.ix_(rows, cols)] for blk, cols in zip(row, unknowns)]
-                 for row, rows in zip(blocks, unknowns)]), mis)
+            step = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
             raise NonConvergence(iterations, norm) from None
         v_ang = v_ang.copy()
@@ -107,26 +111,66 @@ def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
                           iterations=iterations)
 
 
-def _derivatives(ybus: np.ndarray, v_mag, v_ang, p, q):
-    """Injection derivatives [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]] as
-    full N x N blocks at the given voltages, where `p`, `q` are the
-    injections at the same voltages."""
-    g, b = ybus.real, ybus.imag
-    theta = v_ang[:, None] - v_ang[None, :]
-    vv = v_mag[:, None] * v_mag[None, :]
+def _pattern(ybus: np.ndarray):
+    """Row and column indices, in row-major order, of the nonzeros of
+    `ybus` plus its whole diagonal: every entry an injection derivative
+    can be nonzero at."""
+    return np.nonzero((ybus != 0) | np.eye(len(ybus), dtype=bool))
+
+
+def _derivatives(ybus: np.ndarray, at, v_mag, v_ang, p, q):
+    """Injection derivatives dP/dtheta, dP/dV, dQ/dtheta and dQ/dV at
+    the entries `at` (from `_pattern`), where `p`, `q` are the
+    injections at the given voltages. Every other entry is zero. The
+    formulas are the elementwise ones of the full N x N blocks, so each
+    entry has the same bits as there."""
+    rows, cols = at
+    y = ybus[at]
+    g, b = y.real, y.imag
+    theta = v_ang[rows] - v_ang[cols]
+    vv = v_mag[rows] * v_mag[cols]
     sin, cos = np.sin(theta), np.cos(theta)
     gs_bc = g * sin - b * cos
     gc_bs = g * cos + b * sin
-    del theta, sin, cos  # three fewer N x N arrays alive below
+    diag = rows == cols  # one per row, so in bus order
+    y_ii = ybus.diagonal()
     h = vv * gs_bc
-    np.fill_diagonal(h, -q - b.diagonal() * v_mag ** 2)
-    n_mat = v_mag[:, None] * gc_bs
-    np.fill_diagonal(n_mat, p / v_mag + g.diagonal() * v_mag)
+    h[diag] = -q - y_ii.imag * v_mag ** 2
+    n_mat = v_mag[rows] * gc_bs
+    n_mat[diag] = p / v_mag + y_ii.real * v_mag
     j_mat = -vv * gc_bs
-    np.fill_diagonal(j_mat, p - g.diagonal() * v_mag ** 2)
-    l_mat = v_mag[:, None] * gs_bc
-    np.fill_diagonal(l_mat, q / v_mag - b.diagonal() * v_mag)
-    return [[h, n_mat], [j_mat, l_mat]]
+    j_mat[diag] = p - y_ii.real * v_mag ** 2
+    l_mat = v_mag[rows] * gs_bc
+    l_mat[diag] = q / v_mag - y_ii.imag * v_mag
+    return h, n_mat, j_mat, l_mat
+
+
+def _newton_layout(at, n: int, ang_idx, pq):
+    """Where the four `_derivatives` blocks go in the Newton matrix,
+    whose rows are P at `ang_idx` then Q at `pq` and whose columns are
+    theta at `ang_idx` then V at `pq`: its size, and per block the
+    pattern entries it keeps with their flat indices there."""
+    size = len(ang_idx) + len(pq)
+    place = np.full((2, n), -1)  # -1: not an unknown of that kind
+    place[0, ang_idx] = np.arange(len(ang_idx))
+    place[1, pq] = np.arange(len(ang_idx), size)
+    rows, cols = at
+    blocks = []
+    for r in place[:, rows]:
+        for c in place[:, cols]:
+            keep = np.flatnonzero((r >= 0) & (c >= 0))
+            blocks.append((keep, r[keep] * size + c[keep]))
+    return size, blocks
+
+
+def _newton_matrix(derivatives, layout) -> np.ndarray:
+    """The square Newton matrix: the `_derivatives` blocks scattered by
+    their `_newton_layout` places into zeros."""
+    size, blocks = layout
+    jac = np.zeros(size * size)
+    for values, (keep, flat) in zip(derivatives, blocks):
+        jac[flat] = values[keep]
+    return jac.reshape(size, size)
 
 
 def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
@@ -145,4 +189,7 @@ def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
     v_mag = np.asarray(op.v_mag, float)
     v_ang = np.asarray(op.v_ang, float)
     p, q = _injections(ybus, v_mag, v_ang)
-    return _derivatives(ybus, v_mag, v_ang, p, q)[0][0]
+    at = _pattern(ybus)
+    g = np.zeros((case.n, case.n))
+    g[at] = _derivatives(ybus, at, v_mag, v_ang, p, q)[0]
+    return g

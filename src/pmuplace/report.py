@@ -135,6 +135,23 @@ def _assignment_lines(art: RunArtifacts, ids: list[int]) -> Iterator[str]:
             yield f"{prefix}{bus},{entry},{mark}"
 
 
+def _bit_patterns(flat: np.ndarray):
+    """The distinct bit patterns of a 1-D array, in an order no caller
+    may rely on, and each cell's index among them. Each cell is sorted
+    as one unsigned word, or two for a 16-byte one, and equal
+    neighbours share a pattern."""
+    words = flat.view(f"u{min(flat.itemsize, 8)}").reshape(flat.size, -1).T
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(flat.size, dtype=bool)
+    new[0] = True
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    where = np.empty_like(order)
+    where[order] = np.cumsum(new) - 1
+    return flat[order[new]], where
+
+
 def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
     """CSV dump with external bus ids as header and row labels. Cells
     are Python number reprs (complex ones as `re+imj`), which parse back
@@ -142,14 +159,10 @@ def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
     for every dtype: bits, not values, so 0.0 and -0.0 stay apart."""
     ids = [str(b.external_id) for b in case.buses]
     yield "bus," + ",".join(ids)
-    matrix = np.ascontiguousarray(matrix)
-    bits = "V16" if matrix.itemsize == 16 else f"u{matrix.itemsize}"
-    distinct, where = np.unique(matrix.view(bits).ravel(),
-                                return_inverse=True)
+    distinct, where = _bit_patterns(np.ascontiguousarray(matrix).reshape(-1))
     cell = (lambda v: f"{v.real!r}{v.imag:+}j") \
         if np.iscomplexobj(matrix) else repr
-    text = np.array([cell(v) for v in distinct.view(matrix.dtype).tolist()],
-                    dtype=object)
+    text = np.array([cell(v) for v in distinct.tolist()], dtype=object)
     for label, row in zip(ids, where.reshape(matrix.shape)):
         yield f"{label}," + ",".join(text[row].tolist())
 

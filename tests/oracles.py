@@ -1,6 +1,7 @@
 """Independent reference checks that only the tests read: an exhaustive
 cover search, the lexicographically first minimum cover by sequential
-fixing on an integer program, a metric-axiom check of distance matrices, the
+fixing on an integer program, a dense power-flow Newton method on full
+N x N derivative blocks, a metric-axiom check of distance matrices, the
 reconstruction residual of a singular-value decomposition and the
 number of distinct branch pairs."""
 
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from pmuplace.cases import PowerCase
+from pmuplace.cases import PQ, PV, SLACK, PowerCase
 from pmuplace.cover import CoverInstance, PlacementSolution
 from pmuplace.distance import ResistanceDistance
-from pmuplace.errors import SolverError
+from pmuplace.errors import NonConvergence, SolverError
+from pmuplace.powerflow import OperatingPoint, _injections
 from pmuplace.spectral import SingularDecomposition
 
 
@@ -67,6 +69,88 @@ def lex_first_cover(inst: CoverInstance) -> tuple[int, ...]:
             else:
                 lo[i] = hi[i] = 0
     return tuple(int(i) + 1 for i in np.flatnonzero(lo))
+
+
+def dense_derivatives(ybus: np.ndarray, v_mag, v_ang, p, q):
+    """Injection derivatives [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]] as
+    full N x N blocks at the given voltages, where `p`, `q` are the
+    injections at the same voltages."""
+    g, b = ybus.real, ybus.imag
+    theta = v_ang[:, None] - v_ang[None, :]
+    vv = v_mag[:, None] * v_mag[None, :]
+    sin, cos = np.sin(theta), np.cos(theta)
+    gs_bc = g * sin - b * cos
+    gc_bs = g * cos + b * sin
+    h = vv * gs_bc
+    np.fill_diagonal(h, -q - b.diagonal() * v_mag ** 2)
+    n_mat = v_mag[:, None] * gc_bs
+    np.fill_diagonal(n_mat, p / v_mag + g.diagonal() * v_mag)
+    j_mat = -vv * gc_bs
+    np.fill_diagonal(j_mat, p - g.diagonal() * v_mag ** 2)
+    l_mat = v_mag[:, None] * gs_bc
+    np.fill_diagonal(l_mat, q / v_mag - b.diagonal() * v_mag)
+    return [[h, n_mat], [j_mat, l_mat]]
+
+
+def newton_unknowns(case: PowerCase):
+    """(angle buses, PQ buses), 0-based: theta and P at PV and PQ
+    buses in index order, V and Q at PQ buses."""
+    types = [bus.bus_type for bus in case.buses]
+    pv = np.array([i for i, t in enumerate(types) if t == PV], dtype=int)
+    pq = np.array([i for i, t in enumerate(types) if t == PQ], dtype=int)
+    return np.sort(np.concatenate([pv, pq])), pq
+
+
+def dense_newton_matrix(ybus: np.ndarray, unknowns, v_mag, v_ang, p, q):
+    """The Newton matrix cut from the dense blocks by `np.ix_` and
+    joined by `np.block`."""
+    blocks = dense_derivatives(ybus, v_mag, v_ang, p, q)
+    return np.block(
+        [[blk[np.ix_(rows, cols)] for blk, cols in zip(row, unknowns)]
+         for row, rows in zip(blocks, unknowns)])
+
+
+def dense_power_flow(case: PowerCase, ybus: np.ndarray, tol: float = 1e-8,
+                     max_iter: int = 50) -> OperatingPoint:
+    """Full Newton power flow on the dense Newton matrix, from the same
+    start and with the same stopping rule as `solve_power_flow`."""
+    ang_idx, pq = unknowns = newton_unknowns(case)
+    n_ang = len(ang_idx)
+    fixed = [i for i, bus in enumerate(case.buses)
+             if bus.bus_type in (PV, SLACK)]
+    p_sched = np.array([bus.p_gen - bus.p_load for bus in case.buses])
+    q_sched = np.array([bus.q_gen - bus.q_load for bus in case.buses])
+    v_mag = np.ones(case.n)
+    for i in fixed:
+        v_mag[i] = case.buses[i].v_mag
+    v_ang = np.zeros(case.n)
+    iterations = 0
+    while True:
+        p, q = _injections(ybus, v_mag, v_ang)
+        mis = np.concatenate([p_sched[ang_idx] - p[ang_idx],
+                              q_sched[pq] - q[pq]])
+        norm = float(np.abs(mis).max()) if mis.size else 0.0
+        if not np.isfinite(norm):
+            raise NonConvergence(iterations, norm)
+        if norm <= tol:
+            break
+        if iterations >= max_iter:
+            raise NonConvergence(iterations, norm)
+        step = np.linalg.solve(
+            dense_newton_matrix(ybus, unknowns, v_mag, v_ang, p, q), mis)
+        v_ang = v_ang.copy()
+        v_mag = v_mag.copy()
+        v_ang[ang_idx] += step[:n_ang]
+        v_mag[pq] += step[n_ang:]
+        iterations += 1
+    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, mismatch_inf_norm=norm,
+                          iterations=iterations)
+
+
+def dense_p_theta_jacobian(ybus: np.ndarray, op: OperatingPoint):
+    """dP/dtheta over all buses, the full dense block."""
+    p, q = _injections(ybus, op.v_mag, op.v_ang)
+    return dense_derivatives(ybus, op.v_mag, op.v_ang, p, q)[0][0]
 
 
 @dataclass(frozen=True)

@@ -754,6 +754,46 @@ def test_larger_tied_grids(tied_adjacencies, copies):
     assert optima.truncated
 
 
+def adjacency_of(cases, electrical_insts, tied_adjacencies, name,
+                 structure):
+    """The adjacency of a bundled case under `structure`, or of the
+    tied grid `tied<k>` (topological)."""
+    if name.startswith("tied"):
+        return tied_adjacencies[int(name[4:])]
+    if structure == "electrical":
+        return electrical_insts[name].adjacency
+    return pp.topological_adjacency(cases[name])
+
+
+@pytest.mark.parametrize("name, structure", [
+    (name, structure) for name in BUNDLED
+    for structure in ("topological", "electrical")] + [
+    ("tied2", "topological")])
+def test_neighbourhood_table_matches_bits(cases, electrical_insts,
+                                          tied_adjacencies, name, structure):
+    """`nbr[i]` holds bit j exactly when buses i and j are adjacent."""
+    adjacency = adjacency_of(cases, electrical_insts, tied_adjacencies, name,
+                             structure)
+    inst = pp.CoverInstance(adjacency=adjacency)
+    assert inst.nbr == [sum(1 << int(j) for j in np.flatnonzero(row))
+                        for row in adjacency.bits]
+
+
+@pytest.mark.parametrize("copies", [2, 4, 8])
+def test_tie_lines_lower_the_count_by_at_most_one_each(cases,
+                                                       tied_adjacencies,
+                                                       copies):
+    """A cover of a grid with one more link, plus one end of that link,
+    covers the grid without it, so each of the k - 1 tie lines lowers
+    the count of k separate copies by at most one; and a link never
+    raises it."""
+    single = pp.optimal_count(pp.CoverInstance(
+        adjacency=pp.topological_adjacency(cases["ieee118"])))
+    count = pp.optimal_count(pp.CoverInstance(
+        adjacency=tied_adjacencies[copies]))
+    assert copies * single - (copies - 1) <= count <= copies * single
+
+
 def milp_packing(adjacency):
     """A maximum 2-packing by `milp`: the most buses whose closed
     neighbourhoods are pairwise disjoint, max sum(x) subject to A x <= 1
@@ -782,12 +822,8 @@ def test_packing_duality(cases, electrical_insts, tied_adjacencies, name,
     """Buses with disjoint closed neighbourhoods each need their own
     monitor, so a packing bounds the count from below; an oracle that
     trusts no search pins the gap."""
-    if name.startswith("tied"):
-        adjacency = tied_adjacencies[int(name[4:])]
-    elif structure == "electrical":
-        adjacency = electrical_insts[name].adjacency
-    else:
-        adjacency = pp.topological_adjacency(cases[name])
+    adjacency = adjacency_of(cases, electrical_insts, tied_adjacencies, name,
+                             structure)
     chosen = milp_packing(adjacency)
     assert np.asarray(adjacency.bits)[:, chosen].sum(axis=1).max() == 1
     count = pp.optimal_count(pp.CoverInstance(adjacency=adjacency))

@@ -161,6 +161,28 @@ def test_pair_order_matches_lexsort(data):
     assert np.array_equal(bits, expected)
     tie = bool(m < iu.size and values[order[m - 1]] == values[order[m]])
     assert [w.category for w in caught] == [TieAtThreshold] * tie
+    # The warning names the m-th value of the order, sign of zero and all.
+    if tie:
+        assert str(caught[0].message) == (
+            f"distance threshold ties at the {m}-th smallest entry "
+            f"({values[order[m - 1]]!r}); keeping index order")
+
+
+@pytest.mark.parametrize("values, m, named", [
+    ([-0.0, 0.0, 0.0], 1, -0.0),
+    ([0.0, -0.0, 0.0], 1, 0.0),
+    ([0.0, -0.0, 0.0], 2, -0.0),
+    ([1.0, -0.0, 0.0], 1, -0.0),
+])
+def test_tie_warning_names_signed_zero(values, m, named):
+    """Among tied zeros the cutoff falls on the m-th in index order, and
+    the warning names that one's sign."""
+    e = np.zeros((3, 3))
+    iu, ju = np.triu_indices(3, k=1)
+    e[iu, ju] = e[ju, iu] = values
+    with pytest.warns(TieAtThreshold) as caught:
+        pp.electrical_adjacency(pp.ResistanceDistance(e), m)
+    assert f"entry ({np.float64(named)!r});" in str(caught[0].message)
 
 
 class TestVerifyMetric:

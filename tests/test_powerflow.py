@@ -3,8 +3,12 @@
 The reference solver used as an oracle here goes through
 scipy.optimize.root with numerically estimated derivatives and complex
 injection arithmetic, so it shares no code path with the Newton
-implementation under test.
+implementation under test. A second reference, `oracles.
+dense_power_flow`, runs the same Newton method on full N x N derivative
+blocks; the pattern-built one must match it bit for bit.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from scipy.optimize import root
 
 import pmuplace as pp
 from pmuplace.cases import PQ, PV, SLACK
-from pmuplace.errors import NonConvergence
-from pmuplace.powerflow import _derivatives, flat_point
-from conftest import SINGULAR_JACOBIAN_CSV
+from pmuplace.errors import AsymmetryWarning, NonConvergence
+from pmuplace.powerflow import (_derivatives, _injections, _newton_layout,
+                                _newton_matrix, _pattern, flat_point)
+from conftest import BUNDLED, SINGULAR_JACOBIAN_CSV, load_tied
+from oracles import (dense_newton_matrix, dense_p_theta_jacobian,
+                     dense_power_flow, newton_unknowns)
 
 
 def _complex_injections(case, v_mag, v_ang):
@@ -121,8 +128,10 @@ class TestSolvePowerFlow:
 
 
 class TestNewtonJacobian:
-    """The four N x N blocks the Newton step takes its Jacobian from,
-    against central differences of the complex injections."""
+    """The four blocks the Newton step takes its Jacobian from, scattered
+    from the admittance pattern into N x N, against central differences
+    of the complex injections. Every difference off the pattern must
+    vanish, so this also shows the pattern is complete."""
 
     @pytest.mark.parametrize("perturbed", [False, True],
                              ids=["solved", "perturbed"])
@@ -136,9 +145,14 @@ class TestNewtonJacobian:
             v_mag += rng.uniform(-0.05, 0.05, case.n)
             v_ang += rng.uniform(-0.1, 0.1, case.n)
         s = _complex_injections(case, v_mag, v_ang)
+        ybus = pp.build_ybus(case)
+        at = _pattern(ybus)
         # [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]], each N x N
-        blocks = np.array(_derivatives(pp.build_ybus(case), v_mag, v_ang,
-                                       s.real, s.imag))
+        blocks = np.zeros((2, 2, case.n, case.n))
+        for blk, values in zip(blocks.reshape(4, case.n, case.n),
+                               _derivatives(ybus, at, v_mag, v_ang,
+                                            s.real, s.imag)):
+            blk[at] = values
         fd = np.zeros_like(blocks)
         step = 1e-6
         width = 2 * step
@@ -200,3 +214,67 @@ class TestAngleSensitivity:
         op = flat_point(two_bus)
         with pytest.raises(ValueError):
             pp.p_theta_jacobian(ieee14, op)
+
+
+def _operating_points(case, ybus):
+    """The solved point, the flat point and a seeded perturbation of the
+    solved one."""
+    solved = pp.solve_power_flow(case, ybus=ybus)
+    rng = np.random.default_rng(1)
+    perturbed = pp.OperatingPoint(
+        v_mag=solved.v_mag + rng.uniform(-0.05, 0.05, case.n),
+        v_ang=solved.v_ang + rng.uniform(-0.1, 0.1, case.n),
+        mismatch_inf_norm=0.0)
+    return {"solved": solved, "flat": flat_point(case),
+            "perturbed": perturbed}
+
+
+@pytest.fixture(scope="module")
+def reference_cases(cases):
+    """The bundled systems and the tied 2x118 seed-1 grid."""
+    return {**cases, "tied2": load_tied().tied_case(2, 1)}
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "tied2"])
+class TestDenseReference:
+    """The pattern-built derivatives against the dense N x N blocks of
+    `oracles.dense_derivatives`, cut and joined by `np.ix_`/`np.block`."""
+
+    def test_newton_matrix_equals_dense(self, reference_cases, name):
+        case = reference_cases[name]
+        ybus = pp.build_ybus(case)
+        at = _pattern(ybus)
+        ang_idx, pq = newton_unknowns(case)
+        layout = _newton_layout(at, case.n, ang_idx, pq)
+        for point, op in _operating_points(case, ybus).items():
+            p, q = _injections(ybus, op.v_mag, op.v_ang)
+            ours = _newton_matrix(
+                _derivatives(ybus, at, op.v_mag, op.v_ang, p, q), layout)
+            dense = dense_newton_matrix(ybus, (ang_idx, pq), op.v_mag,
+                                        op.v_ang, p, q)
+            assert np.array_equal(ours, dense), point
+
+    def test_solution_bit_identical(self, reference_cases, name):
+        case = reference_cases[name]
+        ybus = pp.build_ybus(case)
+        ours = pp.solve_power_flow(case, ybus=ybus)
+        dense = dense_power_flow(case, ybus)
+        assert ours.v_mag.tobytes() == dense.v_mag.tobytes()
+        assert ours.v_ang.tobytes() == dense.v_ang.tobytes()
+        assert ours.mismatch_inf_norm.hex() == dense.mismatch_inf_norm.hex()
+        assert ours.iterations == dense.iterations
+
+    def test_distance_bit_identical(self, reference_cases, name):
+        # Off the pattern the dense block can hold -0.0 where ours holds
+        # 0.0; the distances must not see it.
+        case = reference_cases[name]
+        ybus = pp.build_ybus(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AsymmetryWarning)
+            for point, op in _operating_points(case, ybus).items():
+                g = pp.p_theta_jacobian(case, op, ybus=ybus)
+                dense = dense_p_theta_jacobian(ybus, op)
+                assert np.array_equal(g, dense), point
+                ours = pp.resistance_matrix(g, case.slack_index).e
+                ref = pp.resistance_matrix(dense, case.slack_index).e
+                assert ours.tobytes() == ref.tobytes(), point
