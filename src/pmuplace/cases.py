@@ -237,6 +237,11 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
 
     title = lines[0]
     mva_base = _num(title, 31, 37, 1) or 100.0
+    # Every load and generation is divided by the base, so a negative
+    # one would flip the sign of every injection.
+    if mva_base < 0:
+        raise MalformedRecord(1, f"columns 32-37: MVA base {mva_base!r} "
+                              "is negative")
     case_name = name or _slice(title, 45, 73) or "case"
 
     bus_rows: list[tuple[int, tuple]] = []
@@ -372,6 +377,9 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         raise bad("case", meta_line["mva_base"],
                   f"mva_base {meta['mva_base']!r} is not "
                   "a finite number") from exc
+    if mva_base < 0:
+        raise bad("case", meta_line["mva_base"],
+                  f"mva_base {meta['mva_base']!r} is negative")
 
     def parse_table(section, header, n_cols):
         rows = sections[section]

@@ -29,8 +29,9 @@ the node differs from a fixpoint names the first dirty buses. A branch
 child's, and those of a residual on the witness's worklist (below),
 are the buses next to its parent's removed candidates and the
 candidates of the buses the pick covers; a component of a fixpoint has
-none; a probe of either scan (below) has the buses next to those the
-scan has passed, and every candidate. Any other node tries everything.
+none; a probe of a scan (below) has the buses next to the candidates
+the scan has dropped, and every candidate. Any other node tries
+everything.
 Every drop is a true dominance, so a hint that is too small could only
 weaken pruning; a correct one drops, pass by pass, exactly what a full
 pass drops, so the fixpoint, and with it every count, witness and
@@ -88,30 +89,25 @@ residual goes on a worklist and the group is done. The chain of taken
 buses is as long as the count, so there is no recursion.
 
 `CoverInstance.covers` yields the minimum covers of a residual in
-order, given one of them; its budget is always that known cover's
+order, given the first of them; its budget is always that cover's
 size, the residual's exact minimum, so no cover is ever padded with a
 useless bus. It drops implied constraints only, splits the rest into
 groups the same way, and merges the groups' sequences with a heap over
 index tuples into them; one group is a one-sequence merge. Each group
-is scanned by bus index: bus i is taken when the buses after it
-complete a cover of the rest, and the scan goes past i only while
-covers without i remain. A known cover answers both questions without
-a probe: a bus in it is taken, the rest of the cover completing the
-rest, and the scan goes past a bus it avoids. When the known cover is
-the first, as `enumerate_optima` gives it, every bus before its first
-bus is refuted without a probe, and its tail is the first cover of
-the rest, all the way down the chain; once the scan goes past a taken
-bus it probes. A bus whose covered buses in the group lie inside those
-of a refuted lower bus is refuted too: a cover completing it would
-complete the lower one. The rest of a taken bus is the row-reduced
-group less what the bus covers, on the candidates after it, so only
-the buses next to the candidates passed are dirty for its constraint
-dominance; a bus that a covered bus implied is covered by the taken
-bus as well, so no earlier drop needs undoing. The minimum count is
-the smallest feasible budget, its cover is the known cover at the top,
-and the witness seeds the enumeration, so the witness is always the
-first enumerated optimum. The count, the witness and the enumeration
-of one `CoverInstance` share its memo.
+is scanned from its first cover L, with lowest bus i. A cover holding
+a bus below i would come before L, so none does. The covers holding i
+come first: i with each cover of the rest on the candidates above i,
+whose first is L - i. The covers without i follow: the covers on the
+candidates above i. One probe finds any of them, `first_cover` finds
+the first from it, and the scan goes on from that; it stops when the
+probe finds none. The rest of i is the row-reduced group less what i
+covers, on the candidates above i, so only the buses next to the
+candidates dropped are dirty for its constraint dominance; a bus that
+a covered bus implied is covered by i as well, so no earlier drop
+needs undoing. The minimum count is the smallest feasible budget, its
+cover seeds the witness, and the witness seeds the enumeration, so the
+witness is always the first enumerated optimum. The count, the
+witness and the enumeration of one `CoverInstance` share its memo.
 """
 from __future__ import annotations
 
@@ -134,10 +130,10 @@ class _Node:
     (buses, candidates, bound, branch bus), left unbuilt when the
     packing bound refutes the node first; `parts` is the split of
     `covers`, the components after constraint dominance alone (with
-    the row hint of the scan that recursed into it) as (buses,
+    the row hint of the scan step that reached it) as (buses,
     candidates); `first` is the first minimum cover, found by
-    `first_cover` on its lex-safe reductions. Each is built on first
-    use."""
+    `first_cover` for the witness or for a scan going past a bus.
+    Each is built on first use."""
 
     # A plain class: building a dataclass would slow every import.
     __slots__ = ("lo", "hi", "cover", "groups", "parts", "first")
@@ -413,10 +409,9 @@ class CoverInstance:
                 known ^= 1 << j | 1 << k
             # Each group's first taken bus is its first bus of the first
             # cover: a bus of the known cover without a probe, any other
-            # when the buses above it complete a cover of the rest. At a
-            # lex-safe fixpoint no bus covers only what a lower one
-            # covers, so no probe refutes a later bus here. A probe's
-            # dirty buses are those of a `_scan` probe.
+            # when the buses above it complete a cover of the rest. A
+            # probe is dirty next to the buses passed, and in every
+            # candidate.
             for u, a in self._components(uncovered, kept):
                 part = known & a
                 budget = part.bit_count()
@@ -436,12 +431,11 @@ class CoverInstance:
         node.first = first
         return first
 
-    def covers(self, uncovered: int, allowed: int, known: int,
-               first: bool = False, rows: int = -1):
-        """Yield every cover of `uncovered` by as few allowed buses as
-        the minimum cover `known`, as tuples of indices in
-        set-lexicographic order. `first` says that `known` is the first
-        of them; `rows` is the row reduction's dirty mask."""
+    def covers(self, uncovered: int, allowed: int, first: int,
+               rows: int = -1):
+        """Yield every minimum cover of `uncovered` by allowed buses, as
+        tuples of indices in set-lexicographic order, from `first`, the
+        first of them; `rows` is the row reduction's dirty mask."""
         if uncovered == 0:
             yield ()
             return
@@ -451,51 +445,29 @@ class CoverInstance:
         if node.parts is None:
             node.parts = self._components(
                 self._reduce_rows(uncovered, allowed, rows), allowed)
-        yield from self._merge([self._scan(u, a, known & a, first)
+        yield from self._merge([self._scan(u, a, first & a)
                                 for u, a in node.parts])
 
-    def _scan(self, uncovered: int, allowed: int, known: int, first: bool):
-        """`covers` of one group: take bus i, in index order, when the
-        buses after it complete a cover."""
-        budget = known.bit_count()
-        # The group is reduced by constraint dominance only: a probe's
-        # dirty buses are those next to a bus the scan has passed, and
-        # every candidate.
+    def _scan(self, uncovered: int, allowed: int, first: int):
+        """`covers` of one group from its first cover: those holding its
+        lowest bus i, then those on the candidates above i."""
+        budget = first.bit_count()
+        # The group is reduced by constraint dominance only: the rest of
+        # i and the probe are dirty next to the candidates dropped, and
+        # the probe in every candidate.
         touched = 0
-        # What each bus refuted so far covers in the group.
-        refuted = []
-        for i in self._bits_of(allowed):
-            allowed &= ~(1 << i)
-            touched |= self.nbr[i]
-            hit = uncovered & self.nbr[i]
-            # The rest of the known cover completes a bus of it. A bus
-            # before the first cover's first bus completes nothing, nor
-            # does one covering only what a refuted bus covers; any
-            # other bus needs a probe.
-            taken = known >> i & 1
-            if taken:
-                tail_cover = known & ~(1 << i)
-            elif first or any(hit | r == r for r in refuted):
-                tail_cover = None
-            else:
-                tail_cover = self.exists_cover(uncovered & ~hit, allowed,
-                                               budget - 1, touched)
-            if tail_cover is None:
-                refuted.append(hit)
-                continue
-            # Still `first` only for a bus of the first cover, whose tail
-            # is the first cover of the rest. The rest differs from this
-            # row-reduced group only next to the buses passed.
-            for tail in self.covers(uncovered & ~hit, allowed, tail_cover,
-                                    first, touched):
+        while True:
+            i = (first & -first).bit_length() - 1
+            passed = allowed & ((2 << i) - 1)
+            allowed &= ~passed
+            touched |= self._neighbours(passed)
+            for tail in self.covers(uncovered & ~self.nbr[i], allowed,
+                                    first & ~(1 << i), touched):
                 yield (i,) + tail
-            # Go on past bus i only while covers without it remain;
-            # past a bus the known cover avoids, that cover remains.
-            if taken:
-                first = False
-                known = self.exists_cover(uncovered, allowed, budget, touched)
-                if known is None:
-                    return
+            known = self.exists_cover(uncovered, allowed, budget, touched)
+            if known is None:
+                return
+            first = self.first_cover(uncovered, allowed, known)
 
     @staticmethod
     def _merge(sequences):
@@ -551,13 +523,6 @@ def _witness(inst: CoverInstance) -> int:
     return inst.first_cover(full, full, known)
 
 
-def _optima(inst: CoverInstance):
-    """Every minimum cover, in set-lexicographic order, from the
-    first."""
-    full = inst.full
-    return inst.covers(full, full, _witness(inst), True)
-
-
 def solve_cover(inst: CoverInstance) -> PlacementSolution:
     """Provably optimal cover; among optima, the set-lexicographically
     smallest (preferring low bus indices) is returned."""
@@ -572,7 +537,8 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
     `truncated` says that more exist."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    covers = _optima(inst)
+    full = inst.full
+    covers = inst.covers(full, full, _witness(inst))
     found = tuple(PlacementSolution(tuple(i + 1 for i in c))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,

@@ -37,26 +37,44 @@ def brute_force_cover(inst: CoverInstance, k_max: int) -> PlacementSolution:
     raise NoSolutionWithinK(f"no cover of size <= {k_max} exists")
 
 
-def lex_first_cover(inst: CoverInstance) -> tuple[int, ...]:
+def lex_first_cover(inst: CoverInstance,
+                    exclude=()) -> tuple[int, ...] | None:
     """The set-lexicographically first minimum cover (1-based), by
     sequential fixing on the integer program min sum(x), A x >= 1, x
     binary: take the minimum k from `milp`, then for each bus i in index
     order fix x_i = 1 when a k-cover with x_i = 1 and the earlier
     fixings exists, else x_i = 0. The last solution found respects every
     fixing so far, so a bus it holds is fixed to 1 without a solve, and
-    once k buses are fixed to 1 the rest are 0."""
+    once k buses are fixed to 1 the rest are 0.
+
+    `exclude` lists minimum covers (1-based) to cut off, each S by the
+    no-good constraint sum of x_i over S <= k - 1, with sum(x) <= k
+    holding the program to their size k. The first minimum cover not
+    among them is returned, or None when the program is infeasible, as
+    it is once every minimum cover is cut off."""
     n = inst.n
-    covered = LinearConstraint(np.asarray(inst.adjacency.bits, dtype=float),
-                               lb=1)
+    constraints = [LinearConstraint(
+        np.asarray(inst.adjacency.bits, dtype=float), lb=1)]
+    if exclude:
+        k = len(exclude[0])
+        cuts = np.zeros((len(exclude), n))
+        for row, cover in zip(cuts, exclude):
+            row[[i - 1 for i in cover]] = 1
+        constraints += [LinearConstraint(cuts, ub=k - 1),
+                        LinearConstraint(np.ones((1, n)), ub=k)]
     lo, hi = np.zeros(n), np.ones(n)
 
     def solve():
         res = milp(np.ones(n), integrality=np.ones(n),
-                   bounds=Bounds(lo, hi), constraints=covered)
+                   bounds=Bounds(lo, hi), constraints=constraints)
+        if res.status == 2:  # infeasible
+            return None
         assert res.success
         return np.round(res.x)
 
     x = solve()
+    if x is None:
+        return None
     k = x.sum()
     for i in range(n):
         if lo.sum() == k:
@@ -64,7 +82,7 @@ def lex_first_cover(inst: CoverInstance) -> tuple[int, ...]:
         lo[i] = 1
         if not x[i]:
             y = solve()
-            if y.sum() == k:
+            if y is not None and y.sum() == k:
                 x = y
             else:
                 lo[i] = hi[i] = 0

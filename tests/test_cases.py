@@ -78,10 +78,12 @@ class TestCdfParser:
         assert exc.value.line_no == 4
 
     def test_non_finite_mva_base_rejected(self):
-        text = TWO_BUS_CDF.replace(" 100.0 2026", "   inf 2026")
-        with pytest.raises(errors.MalformedRecord) as exc:
-            pp.parse_cdf(text)
-        assert exc.value.line_no == 1
+        # A negative base would flip the sign of every injection.
+        for base in ("   inf", "-100.0"):
+            text = TWO_BUS_CDF.replace(" 100.0 2026", f"{base} 2026")
+            with pytest.raises(errors.MalformedRecord) as exc:
+                pp.parse_cdf(text)
+            assert exc.value.line_no == 1
 
     def test_negative_reactance_rejected(self):
         text = TWO_BUS_CDF.replace("   0.00000    0.50000",
@@ -144,7 +146,8 @@ class TestCsvFallback:
         ("2,PQ,1.0,0.0,0,0", "2,PQ,1.0,0.0,nan,0", 8),
         ("2,3,0.0,1.0,0.0", "2,3,0.0,inf,0.0", 14),
         ("mva_base = 100.0", "mva_base = -inf", 3),
-        ("mva_base = 100.0", "mva_base = NaN", 3)])
+        ("mva_base = 100.0", "mva_base = NaN", 3),
+        ("mva_base = 100.0", "mva_base = -100.0", 3)])
     def test_non_finite_rejected(self, old, new, line_no):
         text = TRIANGLE_CSV.replace(old, new)
         assert text != TRIANGLE_CSV

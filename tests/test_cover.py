@@ -5,11 +5,11 @@ residuals) on small instances, and integer programs solved by
 `scipy.optimize.milp` for the count and its packing dual, on every
 bundled system and on tied grids of up to 944 buses, and, by
 sequential fixing (`lex_first_cover`), for the witness on every
-bundled system. The dominance reductions,
-plain and lex-safe, are checked against the all-pairs versions kept
-here, the incremental fixpoints against the fixpoint reduced from
-scratch, and the memo against a fresh instance and against the covers
-it holds."""
+bundled system and, with no-good cuts, for every optimum of four. The
+dominance reductions, plain and lex-safe, are checked against the
+all-pairs versions kept here, the incremental fixpoints against the
+fixpoint reduced from scratch, and the memo against a fresh instance
+and against the covers it holds."""
 
 import itertools
 import warnings
@@ -525,8 +525,10 @@ class TestMemo:
         reached = {key for key, budget in budgets.items()
                    if inst.lower_bound(*key)[0] <= budget}
         assert residuals and reductions[True]
-        # Keys searched, and keys reduced: the bound refutes 36 unreduced.
-        assert (len(budgets), len(reached)) == (128, 92)
+        # Keys searched, and keys reduced: the bound refutes 29 unreduced.
+        # Before the enumeration started each group from its first cover,
+        # (128, 92).
+        assert (len(budgets), len(reached)) == (120, 91)
         assert sorted(reductions[False]) == sorted(reached)
         assert len(splits) == (len(reached) + len(residuals)
                                + len(reductions[True]))
@@ -611,6 +613,25 @@ def test_witness_is_ilp_lex_first(cases, electrical_insts, name, structure):
     assert pp.solve_cover(inst).nodes == lex_first_cover(inst)
 
 
+@pytest.mark.parametrize("name, structure", [
+    ("ieee9", "topological"), ("ieee9", "electrical"),
+    ("ieee14", "topological"), ("ieee30", "electrical")])
+def test_optima_by_no_good_cuts(cases, electrical_insts, name, structure):
+    """The ILP oracle, each optimum found cut off from the next solve,
+    lists every optimum in order, and is infeasible after the last."""
+    if structure == "electrical":
+        inst = electrical_insts[name]
+    else:
+        inst = pp.CoverInstance(
+            adjacency=pp.topological_adjacency(cases[name]))
+    listed = []
+    while (cover := lex_first_cover(inst, listed)) is not None:
+        listed.append(cover)
+    optima = pp.enumerate_optima(inst, 10)
+    assert [s.nodes for s in optima] == listed
+    assert not optima.truncated
+
+
 def search_work(inst, *steps):
     """The `_search` calls that running `steps` on `inst` makes, and the
     uncovered buses entering `_reduce`, summed over its calls."""
@@ -635,12 +656,14 @@ def search_work(inst, *steps):
 # topological count + witness + `enumerate_optima(·, 10)`, the tied
 # 2x118 seed 1 witness and the tied 8x118 seed 1 witness. Before the
 # dominance fixpoint (calls only), before the lex-first witness search,
-# and now.
+# before the enumeration started each group from its first cover, and
+# now.
 SEARCH_CALLS_BEFORE_FIXPOINT = {"ieee118": 281, "tied": 890}
 SEARCH_WORK_BEFORE_FIRST_COVER = {"ieee118": (170, 3378),
                                   "tied": (451, 10687),
                                   "tied8": (1594, 108226)}
-SEARCH_WORK = {"ieee118": (149, 1682), "tied": (405, 7055),
+SEARCH_WORK_BEFORE_ONE_SCAN = {"ieee118": (149, 1682)}
+SEARCH_WORK = {"ieee118": (141, 1747), "tied": (405, 7055),
                "tied8": (1281, 23686)}
 
 
@@ -665,6 +688,25 @@ def test_search_calls_pinned(cases, tied_adjacencies):
                for k in SEARCH_WORK)
     assert 3 * SEARCH_WORK["tied8"][1] <= \
         SEARCH_WORK_BEFORE_FIRST_COVER["tied8"][1]
+    assert SEARCH_WORK["ieee118"][0] < \
+        SEARCH_WORK_BEFORE_ONE_SCAN["ieee118"][0]
+
+
+# (`_search` calls, uncovered buses entering `_reduce`): IEEE-57
+# topological `enumerate_optima(·, 500)`, before the enumeration started
+# each group from its first cover, and now.
+DEEP_WORK_BEFORE_ONE_SCAN = (460, 2929)
+DEEP_WORK = (334, 3972)
+
+
+def test_deep_enumeration_work_pinned(cases):
+    """A guard on the enumeration past the first few optima, which the
+    count and the witness never reach."""
+    inst = pp.CoverInstance(
+        adjacency=pp.topological_adjacency(cases["ieee57"]))
+    assert search_work(
+        inst, lambda inst: pp.enumerate_optima(inst, 500)) == DEEP_WORK
+    assert DEEP_WORK[0] < DEEP_WORK_BEFORE_ONE_SCAN[0]
 
 
 # Tied 2x118 seed 1, topological: the witness, and the buses of it
@@ -835,8 +877,8 @@ def test_packing_duality(cases, electrical_insts, tied_adjacencies, name,
 def test_first_cover_from_every_optimum(seed, n):
     """On the whole grid and on random residuals: `first_cover` started
     from each minimum cover finds the first, the lex-safe fixpoint keeps
-    all of it, and `covers` lists every minimum cover in order, seeded
-    with the first or started from the last."""
+    all of it, and `covers` started from the first lists every minimum
+    cover in order."""
     rng = np.random.default_rng(seed)
     adjacency = BinaryAdjacency(random_connected_adjacency(rng, n))
     inst = pp.CoverInstance(adjacency=adjacency)
@@ -859,6 +901,4 @@ def test_first_cover_from_every_optimum(seed, n):
                 uncovered, allowed, known) == first
         want = [tuple(i for i in range(n) if cover >> i & 1)
                 for cover in optima]
-        assert list(inst.covers(uncovered, allowed, first, True)) == want
-        assert list(pp.CoverInstance(adjacency=adjacency).covers(
-            uncovered, allowed, optima[-1])) == want
+        assert list(inst.covers(uncovered, allowed, first)) == want
