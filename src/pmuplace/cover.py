@@ -28,10 +28,9 @@ drop tries those next to what was dropped, and a caller that knows how
 the node differs from a fixpoint names the first dirty buses. A branch
 child's, and those of a residual on the witness's worklist (below),
 are the buses next to its parent's removed candidates and the
-candidates of the buses the pick covers; a component of a fixpoint has
-none; a probe of a scan (below) has the buses next to the candidates
-the scan has dropped, and every candidate. Any other node tries
-everything.
+candidates of the buses the pick covers; a probe of a scan (below) has
+the buses next to the candidates the scan has dropped, and every
+candidate. Any other node tries everything.
 Every drop is a true dominance, so a hint that is too small could only
 weaken pruning; a correct one drops, pass by pass, exactly what a full
 pass drops, so the fixpoint, and with it every count, witness and
@@ -50,15 +49,16 @@ joins its groups' covers.
 
 Every decision is memoised per `(uncovered, allowed)`, the residual as
 it was asked, before any reduction. An entry holds the decided
-budgets (below `lo` none suffices, from `hi` on one does), one cover
-of `hi` buses that proves the feasible side, and the node's reduction:
-the groups left after the fixpoint and the split, each with its
-packing bound and branch bus. A probe at a decided budget costs one
-lookup and answers with that cover; a probe at an undecided one, as
-when `minimum` raises the budget of a group, searches again but
-reduces nothing again. The entry also keeps the split `covers` makes
-of the same residual, so each residual is split once for each use,
-and the residual's first minimum cover once `first_cover` has found it.
+budgets: none below `lo` suffices, and the smallest cover found proves
+every budget from its size on. It also holds the node's reduction: the
+groups left after the fixpoint and the split, each with its packing
+bound and branch bus. A group of a fixpoint is a fixpoint and one
+component, so a split records each group as its entry's reduction
+before `minimum` raises the group's budget. A probe at a decided
+budget costs one lookup and answers with that cover; one at an
+undecided budget searches again but reduces nothing again. The entry
+also keeps the split `covers` makes, so each residual is split once
+for each use, and the first minimum cover `first_cover` found.
 
 Minimum covers are ordered set-lexicographically: for same-size sets
 S < T exactly when min(S ^ T) lies in S. Groups with disjoint
@@ -125,21 +125,21 @@ _INF = 10 ** 9
 
 class _Node:
     """A memo entry: budgets below `lo` admit no cover, budgets from
-    `hi` on admit `cover` (a mask of `hi` buses). `groups` is the
-    search's reduction, the components of the dominance fixpoint as
-    (buses, candidates, bound, branch bus), left unbuilt when the
-    packing bound refutes the node first; `parts` is the split of
-    `covers`, the components after constraint dominance alone (with
-    the row hint of the scan step that reached it) as (buses,
-    candidates); `first` is the first minimum cover, found by
-    `first_cover` for the witness or for a scan going past a bus.
+    the size of `cover` (a mask) on admit it. `groups` is the search's
+    reduction, the components of the dominance fixpoint as (buses,
+    candidates, bound, branch bus): the node itself when a split found
+    it as a group, unbuilt while the packing bound refutes the node;
+    `parts` is the split of `covers`, the components after constraint
+    dominance alone (with the row hint of the scan step that reached
+    it) as (buses, candidates); `first` is the first minimum cover,
+    found by `first_cover` for the witness or for a scan's restart.
     Each is built on first use."""
 
     # A plain class: building a dataclass would slow every import.
-    __slots__ = ("lo", "hi", "cover", "groups", "parts", "first")
+    __slots__ = ("lo", "cover", "groups", "parts", "first")
 
     def __init__(self):
-        self.lo, self.hi = 0, _INF
+        self.lo = 0
         self.cover: int | None = None
         self.groups: list[tuple[int, int, int, int]] | None = None
         self.parts: list[tuple[int, int]] | None = None
@@ -313,7 +313,7 @@ class CoverInstance:
         if budget <= 0:
             return None
         node = self._node(uncovered, allowed)
-        if budget >= node.hi:
+        if node.cover is not None and budget >= node.cover.bit_count():
             return node.cover
         if budget < node.lo:
             return None
@@ -321,7 +321,7 @@ class CoverInstance:
         if cover is None:
             node.lo = budget + 1
         else:
-            node.cover, node.hi = cover, cover.bit_count()
+            node.cover = cover
         return cover
 
     def _search(self, uncovered: int, allowed: int, budget: int,
@@ -343,12 +343,13 @@ class CoverInstance:
             # Groups share no candidate, so the minimum is the sum of
             # the group minima: raise each group's budget from its
             # packing bound while the shared slack lasts. A group of a
-            # fixpoint is a fixpoint, so nothing in it is dirty.
+            # fixpoint is a fixpoint and one component: its own reduction.
             slack = budget - sum(need for _, _, need, _ in groups)
-            for u, a, need, _ in groups:
+            for u, a, need, pivot in groups:
                 if slack < 0:
                     return None
-                slack -= self.minimum(u, a, need, need + slack, 0, 0) - need
+                self._node(u, a).groups = [(u, a, need, pivot)]
+                slack -= self.minimum(u, a, need, need + slack) - need
             if slack < 0:
                 return None
             cover = 0
@@ -374,12 +375,11 @@ class CoverInstance:
         return None
 
     def minimum(self, uncovered: int, allowed: int, start: int,
-                cap: int = _INF, rows: int = -1, cols: int = -1) -> int:
+                cap: int = _INF) -> int:
         """The first budget from `start` up to `cap` that admits a cover
         of the residual, or `cap + 1` when none does."""
         k = start
-        while k <= cap and self.exists_cover(uncovered, allowed, k,
-                                             rows, cols) is None:
+        while k <= cap and self.exists_cover(uncovered, allowed, k) is None:
             k += 1
         return k
 

@@ -31,8 +31,7 @@ from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
                         flat_point, p_theta_jacobian, solve_power_flow)
-from .report import (RunArtifacts, average_profile, matrix_lines,
-                     report_files)
+from .report import RunArtifacts, average_profile, matrix_lines, report_files
 from .spectral import assign_buses, compute_svd, rank_vectors
 
 MODE_COUNT = "count"
@@ -67,9 +66,10 @@ class RunConfig:
     def __post_init__(self):
         rules = [(name, getattr(self, name) in allowed, f"one of {allowed}")
                  for name, allowed in CHOICES.items()]
-        rules += [("enumerate_cap", self.enumerate_cap >= 0, ">= 0"),
+        rules += [("enumerate_cap", hasattr(self.enumerate_cap, "__index__")
+                   and self.enumerate_cap >= 0, "an integer >= 0"),
                   ("pf_max_iter", self.pf_max_iter >= 0, ">= 0"),
-                  ("pf_tol", self.pf_tol > 0, "> 0")]
+                  ("pf_tol", 0 < self.pf_tol < np.inf, "finite and > 0")]
         rules += [(name, getattr(self, name) != "", "a non-empty path")
                   for name in ("case_path", "output_dir", "dump_distance",
                                "dump_ybus", "dump_adjacency")]

@@ -233,7 +233,8 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--pf-tol", "0", "pf_tol"), ("--pf-max-iter", "-1", "pf_max_iter"),
+        ("--pf-tol", "0", "pf_tol"), ("--pf-tol", "inf", "pf_tol"),
+        ("--pf-max-iter", "-1", "pf_max_iter"),
         ("--enumerate", "-1", "enumerate_cap")])
     def test_invalid_setting_is_usage_error(self, capsys, flag, value, field):
         with pytest.raises(SystemExit) as exc:
@@ -351,8 +352,9 @@ def test_other_exception_exit_code(exc, code):
 @pytest.mark.parametrize("field, value", [
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
     ("mode", "place"),
-    ("enumerate_cap", -1), ("pf_max_iter", -1), ("pf_tol", 0.0),
-    ("pf_tol", -1e-8), ("pf_tol", float("nan")),
+    ("enumerate_cap", -1), ("enumerate_cap", 2.5), ("pf_max_iter", -1),
+    ("pf_tol", 0.0), ("pf_tol", -1e-8), ("pf_tol", float("nan")),
+    ("pf_tol", float("inf")),
     ("case_path", ""), ("output_dir", ""), ("dump_distance", ""),
     ("dump_ybus", ""), ("dump_adjacency", "")])
 def test_run_config_rejects_bad_field(field, value):

@@ -475,25 +475,24 @@ class TestMemo:
             inst.exists_cover(inst.full, inst.full, inst.n)
             pp.enumerate_optima(inst, 10)
             for (uncovered, allowed), node in inst.memo.items():
-                assert node.lo <= node.hi
-                if node.hi == pp.cover._INF:
-                    assert node.cover is None
-                    continue
                 cover = node.cover
+                if cover is None:
+                    continue
+                assert node.lo <= cover.bit_count()
                 covered = 0
                 for j in inst._bits_of(cover):
                     covered |= inst.nbr[j]
                 assert uncovered & ~covered == 0
                 assert cover & ~allowed == 0
-                assert cover.bit_count() == node.hi
 
     def test_each_key_is_reduced_once(self, cases):
         inst = pp.CoverInstance(
             adjacency=pp.topological_adjacency(cases["ieee118"]))
-        budgets, residuals, splits = {}, set(), []
+        budgets, residuals, splits, raised = {}, set(), [], set()
         reductions = {False: [], True: []}
-        search, reduce, components, covers = (
-            inst._search, inst._reduce, inst._components, inst.covers)
+        search, reduce, components, covers, minimum = (
+            inst._search, inst._reduce, inst._components, inst.covers,
+            inst.minimum)
 
         def counted_search(uncovered, allowed, budget, *rest):
             key = uncovered, allowed
@@ -513,24 +512,34 @@ class TestMemo:
                 residuals.add((uncovered, allowed))
             return covers(uncovered, allowed, *rest)
 
+        def counted_minimum(uncovered, allowed, *rest):
+            raised.add((uncovered, allowed))
+            return minimum(uncovered, allowed, *rest)
+
         # The search enters the fixpoint once per key whose packing
-        # bound some budget reaches; a key refuted by the bound is
-        # searched but never reduced. The search, `covers` and each
-        # residual of the witness's worklist split a key once.
+        # bound some budget reaches, unless a split recorded the key
+        # as one of its groups; a key refuted by the bound is searched
+        # but never reduced. The search, `covers` and each residual of
+        # the witness's worklist split a key once.
         inst._search, inst._reduce = counted_search, counted_reduce
         inst._components, inst.covers = counted_components, counted_covers
+        inst.minimum = counted_minimum
         pp.optimal_count(inst)
         pp.solve_cover(inst)
         pp.enumerate_optima(inst, 10)
         reached = {key for key, budget in budgets.items()
                    if inst.lower_bound(*key)[0] <= budget}
+        # Every `minimum` call but the count's raises a split's group.
+        recorded = raised - {(inst.full, inst.full)}
         assert residuals and reductions[True]
-        # Keys searched, and keys reduced: the bound refutes 29 unreduced.
-        # Before the enumeration started each group from its first cover,
-        # (128, 92).
-        assert (len(budgets), len(reached)) == (120, 91)
-        assert sorted(reductions[False]) == sorted(reached)
-        assert len(splits) == (len(reached) + len(residuals)
+        # Keys searched, reached and recorded by a split: the bound
+        # refutes 29 unreduced, and 34 are reduced. Before the
+        # enumeration started each group from its first cover, (128, 92)
+        # searched and reached.
+        assert (len(budgets), len(reached), len(recorded)) == (120, 91, 57)
+        assert recorded <= reached
+        assert sorted(reductions[False]) == sorted(reached - recorded)
+        assert len(splits) == (len(reductions[False]) + len(residuals)
                                + len(reductions[True]))
 
 
@@ -554,22 +563,30 @@ def recorded_reductions(inst):
 def check_fixpoints(inst):
     """Every hinted reduction equals the fixpoint of the same rules
     reduced in full from scratch, and leaves no dominated pair by the
-    all-pairs references (with lower rivals only for a lex-safe one),
-    and every split `covers` keeps is that of the full constraint
-    reduction; returns the hint kinds seen."""
+    all-pairs references (with lower rivals only for a lex-safe one);
+    every search reduction the memo keeps, whether reduced or recorded
+    by a split, is that of the full fixpoint, and every split `covers`
+    keeps is that of the full constraint reduction; returns the hint
+    kinds seen."""
     kinds = set()
     for (uncovered, allowed, rows, cols, lex), (u, a) in \
             recorded_reductions(inst):
-        # Full; a split group; a scan probe (every candidate dirty); a
-        # branch child, or a residual of the witness's worklist.
-        kind = ("full" if rows == cols == -1 else "group" if
-                rows == cols == 0 else "probe" if cols == -1 else "child")
+        # Full; a scan probe (every candidate dirty); a branch child,
+        # or a residual of the witness's worklist.
+        kind = ("full" if rows == cols == -1 else "probe" if cols == -1
+                else "child")
         kinds.add("lex " + kind if lex else kind)
         assert inst._reduce(uncovered, allowed, -1, -1, lex) == (u, a)
         assert quadratic_reduce_rows(inst, u, a) == u
         assert quadratic_reduce_cols(inst, u, a, lex=lex) == a
-    # `covers` reduced each residual with its parent's row hint.
+    # A search reduction, whether reduced or recorded by a split, is
+    # the full fixpoint's split; `covers` reduced each residual with its
+    # parent's row hint.
     for (uncovered, allowed), node in inst.memo.items():
+        if node.groups is not None:
+            assert node.groups == [
+                (u, a, *inst.lower_bound(u, a)) for u, a in inst._components(
+                    *inst._reduce(uncovered, allowed, -1, -1, False))]
         if node.parts is not None:
             assert node.parts == inst._components(
                 quadratic_reduce_rows(inst, uncovered, allowed), allowed)
@@ -590,10 +607,9 @@ class TestFixpoint:
     # The electrical instance never branches: each node's packing
     # bound is its minimum.
     @pytest.mark.parametrize("structure, kinds", [
-        ("topological", {"full", "group", "probe", "child", "lex full",
+        ("topological", {"full", "probe", "child", "lex full",
                          "lex child"}),
-        ("electrical", {"full", "group", "probe", "lex full",
-                        "lex child"})])
+        ("electrical", {"full", "probe", "lex full", "lex child"})])
     def test_ieee118(self, cases, electrical_insts, structure, kinds):
         if structure == "electrical":
             adjacency = electrical_insts["ieee118"].adjacency
@@ -656,15 +672,18 @@ def search_work(inst, *steps):
 # topological count + witness + `enumerate_optima(·, 10)`, the tied
 # 2x118 seed 1 witness and the tied 8x118 seed 1 witness. Before the
 # dominance fixpoint (calls only), before the lex-first witness search,
-# before the enumeration started each group from its first cover, and
-# now.
+# before the enumeration started each group from its first cover,
+# before a split recorded its groups' reductions, and now.
 SEARCH_CALLS_BEFORE_FIXPOINT = {"ieee118": 281, "tied": 890}
 SEARCH_WORK_BEFORE_FIRST_COVER = {"ieee118": (170, 3378),
                                   "tied": (451, 10687),
                                   "tied8": (1594, 108226)}
 SEARCH_WORK_BEFORE_ONE_SCAN = {"ieee118": (149, 1682)}
-SEARCH_WORK = {"ieee118": (141, 1747), "tied": (405, 7055),
-               "tied8": (1281, 23686)}
+SEARCH_WORK_BEFORE_RECORDED_GROUPS = {"ieee118": (141, 1747),
+                                      "tied": (405, 7055),
+                                      "tied8": (1281, 23686)}
+SEARCH_WORK = {"ieee118": (141, 1385), "tied": (405, 5380),
+               "tied8": (1281, 18565)}
 
 
 def test_search_calls_pinned(cases, tied_adjacencies):
@@ -690,13 +709,19 @@ def test_search_calls_pinned(cases, tied_adjacencies):
         SEARCH_WORK_BEFORE_FIRST_COVER["tied8"][1]
     assert SEARCH_WORK["ieee118"][0] < \
         SEARCH_WORK_BEFORE_ONE_SCAN["ieee118"][0]
+    # Recording a split's groups saves reductions, not searches.
+    for k, (calls, buses) in SEARCH_WORK.items():
+        assert calls == SEARCH_WORK_BEFORE_RECORDED_GROUPS[k][0]
+        assert buses < SEARCH_WORK_BEFORE_RECORDED_GROUPS[k][1]
 
 
 # (`_search` calls, uncovered buses entering `_reduce`): IEEE-57
 # topological `enumerate_optima(·, 500)`, before the enumeration started
-# each group from its first cover, and now.
+# each group from its first cover, before a split recorded its groups'
+# reductions, and now.
 DEEP_WORK_BEFORE_ONE_SCAN = (460, 2929)
-DEEP_WORK = (334, 3972)
+DEEP_WORK_BEFORE_RECORDED_GROUPS = (334, 3972)
+DEEP_WORK = (334, 3712)
 
 
 def test_deep_enumeration_work_pinned(cases):
@@ -707,6 +732,8 @@ def test_deep_enumeration_work_pinned(cases):
     assert search_work(
         inst, lambda inst: pp.enumerate_optima(inst, 500)) == DEEP_WORK
     assert DEEP_WORK[0] < DEEP_WORK_BEFORE_ONE_SCAN[0]
+    assert DEEP_WORK[0] == DEEP_WORK_BEFORE_RECORDED_GROUPS[0]
+    assert DEEP_WORK[1] < DEEP_WORK_BEFORE_RECORDED_GROUPS[1]
 
 
 # Tied 2x118 seed 1, topological: the witness, and the buses of it

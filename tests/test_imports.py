@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in it, so a deletion
-cannot leave a dead import behind; every attribute the benchmark's
-tracer wraps exists, so a rename cannot leave it behind."""
+"""Every name a library module imports is used in it, and every
+parameter of a library function is read in its body, so a deletion
+cannot leave a dead import or parameter behind; every attribute the
+benchmark's tracer wraps exists, so a rename cannot leave it behind."""
 
 import ast
 import importlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,24 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in itertools.chain(
+            args.posonlyargs, args.args, args.kwonlyargs,
+            filter(None, (args.vararg, args.kwarg)))]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)}
+        unread += [f"{node.name}({param})" for param in params
+                   if param not in read]
+    assert unread == []
 
 
 def test_every_traced_target_resolves():
