@@ -89,13 +89,18 @@ residual goes on a worklist and the group is done. The chain of taken
 buses is as long as the count, so there is no recursion.
 
 `CoverInstance.covers` yields the minimum covers of a residual in
-order, given the first of them; its budget is always that cover's
-size, the residual's exact minimum, so no cover is ever padded with a
-useless bus. It drops implied constraints only, splits the rest into
-groups the same way, and merges the groups' sequences with a heap over
-index tuples into them; one group is a one-sequence merge. Each group
-is scanned from its first cover L, with lowest bus i. A cover holding
-a bus below i would come before L, so none does. The covers holding i
+order, as bit masks, given the first of them; its budget is always
+that cover's size, the residual's exact minimum, so no cover is ever
+padded with a useless bus. It drops implied constraints only, splits
+the rest into groups the same way, and merges the groups' sequences
+with a heap over index tuples into them; one group needs no merge. A
+heap entry carries its union's mask, and its key is that mask's bit
+reversal over whole bytes, negated. The unions all have one size, and
+for same-size sets S comes before T exactly when the lowest bit of
+S ^ T lies in S; reversed, that bit is the highest differing bit, so
+the earlier set has the larger reversal and the smaller key. Each
+group is scanned from its first cover L, with lowest bus i. A cover
+holding a bus below i would come before L, so none does. The covers holding i
 come first: i with each cover of the rest on the candidates above i,
 whose first is L - i. The covers without i follow: the covers on the
 candidates above i. One probe finds any of them, `first_cover` finds
@@ -121,6 +126,8 @@ from .errors import Infeasible
 from .network import BinaryAdjacency
 
 _INF = 10 ** 9
+# Byte b with its eight bits in reverse order, for `bytes.translate`.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class _Node:
@@ -194,9 +201,12 @@ class CoverInstance:
 
     def _neighbours(self, mask: int) -> int:
         """The buses adjacent to a bus of `mask`, those buses included."""
+        nbr = self.nbr
         out = 0
-        for i in self._bits_of(mask):
-            out |= self.nbr[i]
+        while mask:
+            low = mask & -mask
+            out |= nbr[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def _reduce_rows(self, uncovered: int, allowed: int,
@@ -205,20 +215,28 @@ class CoverInstance:
         the buses in `dirty` as the implying one."""
         nbr = self.nbr
         dropped = 0
-        for i in self._bits_of(uncovered & dirty):
-            cand_i = nbr[i] & allowed
+        # Bit walks inline: a generator frame per bit costs more than the
+        # comparison it feeds.
+        rows = uncovered & dirty
+        while rows:
+            bit_i = rows & -rows
+            rows ^= bit_i
+            cand_i = nbr[bit_i.bit_length() - 1] & allowed
             if not cand_i:
                 continue
             # Only a bus that shares i's lowest candidate can have a
             # candidate set containing i's.
-            low = (cand_i & -cand_i).bit_length() - 1
-            for j in self._bits_of(nbr[low] & uncovered & ~dropped
-                                   & ~(1 << i)):
-                cand_j = nbr[j] & allowed
+            rivals = (nbr[(cand_i & -cand_i).bit_length() - 1] & uncovered
+                      & ~dropped & ~bit_i)
+            while rivals:
+                bit_j = rivals & -rivals
+                rivals ^= bit_j
+                cand_j = nbr[bit_j.bit_length() - 1] & allowed
                 # candidates of i inside candidates of j: covering i
                 # automatically covers j
-                if cand_i | cand_j == cand_j and (cand_i != cand_j or i < j):
-                    dropped |= 1 << j
+                if cand_i | cand_j == cand_j and (cand_i != cand_j
+                                                  or bit_i < bit_j):
+                    dropped |= bit_j
         return uncovered & ~dropped
 
     def _reduce_cols(self, uncovered: int, allowed: int,
@@ -228,19 +246,25 @@ class CoverInstance:
         only lower-index candidates as the dominating one."""
         nbr = self.nbr
         banned = 0
-        for j in self._bits_of(allowed & dirty):
-            cov_j = nbr[j] & uncovered
+        cols = allowed & dirty
+        while cols:
+            bit_j = cols & -cols
+            cols ^= bit_j
+            cov_j = nbr[bit_j.bit_length() - 1] & uncovered
             # Only a candidate covering j's lowest bus can cover a
             # superset of j's buses; any candidate dominates one that
             # covers nothing.
             rivals = (nbr[(cov_j & -cov_j).bit_length() - 1] & allowed
-                      if cov_j else allowed)
+                      if cov_j else allowed) & ~banned & ~bit_j
             if lex:
-                rivals &= (1 << j) - 1
-            for k in self._bits_of(rivals & ~banned & ~(1 << j)):
-                cov_k = nbr[k] & uncovered
-                if cov_j | cov_k == cov_k and (cov_j != cov_k or k < j):
-                    banned |= 1 << j
+                rivals &= bit_j - 1
+            while rivals:
+                bit_k = rivals & -rivals
+                rivals ^= bit_k
+                cov_k = nbr[bit_k.bit_length() - 1] & uncovered
+                if cov_j | cov_k == cov_k and (cov_j != cov_k
+                                               or bit_k < bit_j):
+                    banned |= bit_j
                     break
         return allowed & ~banned
 
@@ -284,18 +308,26 @@ class CoverInstance:
         need their own pick. Returns the bound and the first bus of the
         packing order: the lowest-index bus with the fewest candidates,
         the one to branch on."""
-        order = sorted(self._bits_of(uncovered),
-                       key=lambda i: ((self.nbr[i] & allowed).bit_count(), i))
+        nbr = self.nbr
+        order = []
+        while uncovered:
+            low = uncovered & -uncovered
+            i = low.bit_length() - 1
+            cand = nbr[i] & allowed
+            order.append((cand.bit_count(), i, cand))
+            uncovered ^= low
+        # (count, bus) is unique, so the tuples sort without a key.
+        order.sort()
+        pivot = order[0][1]
         used = 0
         bound = 0
-        for i in order:
-            cand = self.nbr[i] & allowed
+        for _, _, cand in order:
             if cand == 0:
-                return _INF, order[0]
+                return _INF, pivot
             if cand & used == 0:
                 bound += 1
                 used |= cand
-        return bound, order[0]
+        return bound, pivot
 
     def _node(self, uncovered: int, allowed: int) -> _Node:
         node = self.memo.get((uncovered, allowed))
@@ -434,10 +466,10 @@ class CoverInstance:
     def covers(self, uncovered: int, allowed: int, first: int,
                rows: int = -1):
         """Yield every minimum cover of `uncovered` by allowed buses, as
-        tuples of indices in set-lexicographic order, from `first`, the
-        first of them; `rows` is the row reduction's dirty mask."""
+        bit masks in set-lexicographic order, from `first`, the first of
+        them; `rows` is the row reduction's dirty mask."""
         if uncovered == 0:
-            yield ()
+            yield 0
             return
         # Constraint dominance keeps the set of covers; candidate
         # dominance would lose optima, so it is not applied here.
@@ -445,8 +477,8 @@ class CoverInstance:
         if node.parts is None:
             node.parts = self._components(
                 self._reduce_rows(uncovered, allowed, rows), allowed)
-        yield from self._merge([self._scan(u, a, first & a)
-                                for u, a in node.parts])
+        scans = [self._scan(u, a, first & a) for u, a in node.parts]
+        yield from scans[0] if len(scans) == 1 else self._merge(scans)
 
     def _scan(self, uncovered: int, allowed: int, first: int):
         """`covers` of one group from its first cover: those holding its
@@ -457,51 +489,54 @@ class CoverInstance:
         # the probe in every candidate.
         touched = 0
         while True:
-            i = (first & -first).bit_length() - 1
-            passed = allowed & ((2 << i) - 1)
+            bit = first & -first
+            i = bit.bit_length() - 1
+            passed = allowed & ((bit << 1) - 1)
             allowed &= ~passed
             touched |= self._neighbours(passed)
             for tail in self.covers(uncovered & ~self.nbr[i], allowed,
-                                    first & ~(1 << i), touched):
-                yield (i,) + tail
+                                    first ^ bit, touched):
+                yield tail | bit
             known = self.exists_cover(uncovered, allowed, budget, touched)
             if known is None:
                 return
             first = self.first_cover(uncovered, allowed, known)
 
-    @staticmethod
-    def _merge(sequences):
-        """Unions of one cover per group, in set-lexicographic order.
+    def _merge(self, sequences):
+        """Unions of one cover per group, as masks, in set-lexicographic
+        order.
 
         Raising one group's index never makes the union smaller (see
         the module notes), so a heap of index tuples pops the unions in
         order. A tuple raises only the coordinates at or after the one
-        it raised last, so each tuple is pushed once."""
-        seen = [[] for _ in sequences]
-
-        def cover(g: int, idx: int):
-            # Indices grow by one, so at most one more cover is drawn;
-            # None marks the end of the group's sequence.
-            got = seen[g]
-            if idx == len(got):
-                got.append(next(sequences[g], None))
-            return got[idx]
-
-        def entry(idx: tuple[int, ...], last: int):
-            parts = [cover(g, i) for g, i in enumerate(idx)]
-            if None in parts:
-                return None
-            return (tuple(sorted(itertools.chain.from_iterable(parts))),
-                    idx, last)
-
-        heap = [entry((0,) * len(sequences), 0)]
+        it raised last, so each tuple is pushed once. An entry carries
+        its union: groups share no candidate, so raising group g swaps
+        g's old cover for its new one with two xors. The heap key is the
+        union's bit reversal over whole bytes, negated (see the module
+        notes): the earlier union has the smaller key."""
+        width = (self.n + 7) // 8
+        seen = [[next(seq)] for seq in sequences]
+        union = 0
+        for got in seen:
+            union |= got[0]
+        # The first entry is popped alone, so its key is never compared.
+        heap = [(0, union, (0,) * len(seen), 0)]
         while heap:
-            union, idx, last = heapq.heappop(heap)
+            _, union, idx, last = heapq.heappop(heap)
             yield union
             for g in range(last, len(idx)):
-                nxt = entry(idx[:g] + (idx[g] + 1,) + idx[g + 1:], g)
-                if nxt is not None:
-                    heapq.heappush(heap, nxt)
+                # Indices grow by one, so at most one more cover is
+                # drawn; None marks the end of the group's sequence.
+                got, i = seen[g], idx[g] + 1
+                if i == len(got):
+                    got.append(next(sequences[g], None))
+                new = got[i]
+                if new is not None:
+                    raised = union ^ got[i - 1] ^ new
+                    heapq.heappush(heap, (
+                        -int.from_bytes(raised.to_bytes(width, "big")
+                                        .translate(_REVERSED), "little"),
+                        raised, idx[:g] + (i,) + idx[g + 1:], g))
 
 
 def optimal_count(inst: CoverInstance) -> int:
@@ -539,7 +574,7 @@ def enumerate_optima(inst: CoverInstance, cap: int) -> Optima:
         raise ValueError("cap must be nonnegative")
     full = inst.full
     covers = inst.covers(full, full, _witness(inst))
-    found = tuple(PlacementSolution(tuple(i + 1 for i in c))
+    found = tuple(PlacementSolution(tuple(i + 1 for i in inst._bits_of(c)))
                   for c in itertools.islice(covers, cap))
     return Optima(solutions=found,
                   truncated=next(covers, None) is not None)

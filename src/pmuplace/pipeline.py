@@ -66,10 +66,10 @@ class RunConfig:
     def __post_init__(self):
         rules = [(name, getattr(self, name) in allowed, f"one of {allowed}")
                  for name, allowed in CHOICES.items()]
-        rules += [("enumerate_cap", hasattr(self.enumerate_cap, "__index__")
-                   and self.enumerate_cap >= 0, "an integer >= 0"),
-                  ("pf_max_iter", self.pf_max_iter >= 0, ">= 0"),
-                  ("pf_tol", 0 < self.pf_tol < np.inf, "finite and > 0")]
+        rules += [(name, hasattr(getattr(self, name), "__index__")
+                   and getattr(self, name) >= 0, "an integer >= 0")
+                  for name in ("enumerate_cap", "pf_max_iter")]
+        rules.append(("pf_tol", 0 < self.pf_tol < np.inf, "finite and > 0"))
         rules += [(name, getattr(self, name) != "", "a non-empty path")
                   for name in ("case_path", "output_dir", "dump_distance",
                                "dump_ybus", "dump_adjacency")]

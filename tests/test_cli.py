@@ -353,6 +353,7 @@ def test_other_exception_exit_code(exc, code):
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
     ("mode", "place"),
     ("enumerate_cap", -1), ("enumerate_cap", 2.5), ("pf_max_iter", -1),
+    ("pf_max_iter", 2.5),
     ("pf_tol", 0.0), ("pf_tol", -1e-8), ("pf_tol", float("nan")),
     ("pf_tol", float("inf")),
     ("case_path", ""), ("output_dir", ""), ("dump_distance", ""),

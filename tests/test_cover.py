@@ -11,7 +11,10 @@ all-pairs versions kept here, the incremental fixpoints against the
 fixpoint reduced from scratch, and the memo against a fresh instance
 and against the covers it holds."""
 
+import functools
+import hashlib
 import itertools
+import operator
 import warnings
 
 import numpy as np
@@ -52,10 +55,14 @@ def all_optima(bits):
     """Every minimum covering subset (1-based), lexicographically."""
     covers = np.asarray(bits, dtype=bool)
     n = covers.shape[0]
+    # Column i as a mask: the buses a monitor at i observes.
+    seen = [sum(1 << int(j) for j in np.flatnonzero(col)) for col in covers.T]
+    full = (1 << n) - 1
     for k in range(1, n + 1):
         found = [tuple(i + 1 for i in combo)
                  for combo in itertools.combinations(range(n), k)
-                 if covers[:, combo].any(axis=1).all()]
+                 if functools.reduce(operator.or_, map(seen.__getitem__,
+                                                       combo)) == full]
         if found:
             return found
     return []
@@ -366,6 +373,10 @@ def test_interleaved_components_merge_in_order(seed, sizes, cap):
     # Relabelling the buses interleaves the components in index order,
     # so the optima are not a product order of the components' optima.
     rng = np.random.default_rng(seed)
+    check_interleaved_blocks(rng, sizes, cap)
+
+
+def check_interleaved_blocks(rng, sizes, cap):
     bits = block_diagonal([random_connected_adjacency(rng, n)
                            for n in sizes])
     perm = rng.permutation(bits.shape[0])
@@ -374,6 +385,17 @@ def test_interleaved_components_merge_in_order(seed, sizes, cap):
     optima = pp.enumerate_optima(inst_from_bits(bits), cap)
     assert [s.nodes for s in optima] == want[:cap]
     assert optima.truncated == (len(want) > cap)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(6, 9), st.integers(17, 18),
+       st.integers(0, 600))
+def test_many_interleaved_components_merge_in_order(seed, blocks, n, cap):
+    """Six to nine groups on 17 or more buses: the merge's keys, the
+    unions' bit reversals over whole bytes, span three bytes."""
+    rng = np.random.default_rng(seed)
+    sizes = 1 + rng.multinomial(n - blocks, [1 / blocks] * blocks)
+    check_interleaved_blocks(rng, sizes, cap)
 
 
 def test_interleaved_bundled_witness_is_union_of_parts(cases):
@@ -715,6 +737,24 @@ def test_search_calls_pinned(cases, tied_adjacencies):
         assert buses < SEARCH_WORK_BEFORE_RECORDED_GROUPS[k][1]
 
 
+# SHA-256 of the repr of the first 500 IEEE-118 electrical optima
+# (solved operating point) as node tuples, as listed when the merge
+# still keyed its heap on sorted bus tuples.
+ELECTRICAL_118_FIRST_500 = (
+    "eea4214159a0bca0f4bd0ecd500bcfd37d6adfa47a64e81a88fff67b2c616c87")
+
+
+def test_deep_electrical_merge_pinned(electrical_insts):
+    """A guard on the merge where it has the most groups: IEEE-118
+    electrical splits into 51 groups at the root."""
+    inst = pp.CoverInstance(adjacency=electrical_insts["ieee118"].adjacency)
+    optima = pp.enumerate_optima(inst, 500)
+    assert len(inst.memo[inst.full, inst.full].parts) == 51
+    assert optima.truncated
+    assert hashlib.sha256(repr([s.nodes for s in optima]).encode()
+                          ).hexdigest() == ELECTRICAL_118_FIRST_500
+
+
 # (`_search` calls, uncovered buses entering `_reduce`): IEEE-57
 # topological `enumerate_optima(·, 500)`, before the enumeration started
 # each group from its first cover, before a split recorded its groups'
@@ -926,6 +966,4 @@ def test_first_cover_from_every_optimum(seed, n):
         for known in optima:
             assert pp.CoverInstance(adjacency=adjacency).first_cover(
                 uncovered, allowed, known) == first
-        want = [tuple(i for i in range(n) if cover >> i & 1)
-                for cover in optima]
-        assert list(inst.covers(uncovered, allowed, first)) == want
+        assert list(inst.covers(uncovered, allowed, first)) == optima
