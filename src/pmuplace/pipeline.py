@@ -10,9 +10,10 @@ Stage order per structure:
   links as branches, exact cover, then the distance-matrix placement.
 
 Counting mode never touches the singular-value stage. A single run and
-each batch cell compute every structure first, then write all their
-files or none, so a failing stage leaves nothing on disk. All outputs
-are deterministic: rerunning a config writes byte-identical files.
+each batch cell compute every structure first, then pass all their
+files to `report.emit_report`, which resolves each output, refuses two
+at one path and writes all or none, so a failing stage leaves nothing
+on disk. Rerunning a config writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
         if config.jacobian_mode == JAC_FLAT:
             op: OperatingPoint = flat_point(case)
         else:
-            op = solve_power_flow(case, tol=config.pf_tol,
-                                  max_iter=config.pf_max_iter, ybus=ybus)
-        dist = resistance_matrix(p_theta_jacobian(case, op, ybus=ybus),
+            op = solve_power_flow(case, ybus, tol=config.pf_tol,
+                                  max_iter=config.pf_max_iter)
+        dist = resistance_matrix(p_theta_jacobian(case, op, ybus),
                                  case.slack_index)
         adjacency = electrical_adjacency(dist, case.m)
 
@@ -138,19 +139,19 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
 def _run_loaded(case: PowerCase, ybus: np.ndarray,
                 config: RunConfig) -> RunResult:
     """Compute every configured structure, then write the run's files in
-    one `emit_report` call. Under `both` the reports go to `<structure>/`,
-    each adjacency dump gets a `<structure>_` prefix and the Y-bus is
-    written once, under the first structure. Two outputs at one resolved
-    path are a `UsageError`, raised before any file is touched."""
+    one `emit_report` call, which refuses two outputs at one path. Under
+    `both` the reports go to `<structure>/`, each adjacency dump gets a
+    `<structure>_` prefix and the Y-bus is written once, under the first
+    structure."""
     both = config.structure == "both"
     results = {structure: run_structure(case, structure, config, ybus)
                for structure in (STRUCTURES if both else (config.structure,))}
-    plan = {}
+    plan = []
     for i, (structure, sres) in enumerate(results.items()):
         files = []
         if config.output_dir is not None:
             out = Path(config.output_dir, structure if both else "")
-            files += report_files(sres.artifacts, out).items()
+            files += report_files(sres.artifacts, out)
         if config.dump_distance and sres.distance is not None:
             files.append((Path(config.dump_distance),
                           matrix_lines(sres.distance.e, case)))
@@ -161,12 +162,7 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
             if both:
                 target = target.with_name(f"{structure}_{target.name}")
             files.append((target, matrix_lines(sres.adjacency.bits, case)))
-        for path, lines in files:
-            key = path.resolve()
-            if key in plan:
-                raise UsageError(f"two outputs of the run would be "
-                                 f"written to {key}")
-            plan[key] = lines
+        plan += files
         results[structure] = replace(sres, written=tuple(p for p, _ in files))
     if plan:
         report_mod.emit_report(plan)
@@ -260,4 +256,4 @@ def run_batch(template: RunConfig) -> Path:
                 cells.append(_error_cell(exc))
         rows.append(",".join(cells))
 
-    return report_mod.emit_report({out_root / "summary.csv": rows})[0]
+    return report_mod.emit_report([(out_root / "summary.csv", rows)])[0]

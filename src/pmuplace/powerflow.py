@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import PQ, PV, SLACK, PowerCase
+from .cases import PQ, PV, PowerCase
 from .errors import NonConvergence
-from .network import build_ybus
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -49,23 +48,21 @@ def _injections(ybus: np.ndarray, v_mag, v_ang):
     return s.real, s.imag
 
 
-def solve_power_flow(case: PowerCase, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER,
-                     ybus: np.ndarray | None = None) -> OperatingPoint:
-    """Solve the AC power flow with full Newton iterations.
+def solve_power_flow(case: PowerCase, ybus: np.ndarray,
+                     tol: float = DEFAULT_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> OperatingPoint:
+    """Solve the AC power flow on `ybus` with full Newton iterations.
 
     PV buses hold their file voltage magnitude, the slack holds both
-    magnitude and a zero angle. Raises `NonConvergence` if the mismatch
-    inf-norm is still above `tol` after `max_iter` Newton steps, becomes
-    non-finite, or meets a singular Newton Jacobian.
+    magnitude and a zero angle. Raises `MissingSlack` without a slack,
+    and `NonConvergence` if the mismatch inf-norm is still above `tol`
+    after `max_iter` Newton steps, becomes non-finite, or meets a
+    singular Newton Jacobian.
     """
-    if ybus is None:
-        ybus = build_ybus(case)
-
+    slack = case.slack_index - 1
     types = [bus.bus_type for bus in case.buses]
     pv = np.array([i for i, t in enumerate(types) if t == PV], dtype=int)
     pq = np.array([i for i, t in enumerate(types) if t == PQ], dtype=int)
-    slack = next(i for i, t in enumerate(types) if t == SLACK)
     ang_idx = np.sort(np.concatenate([pv, pq]))  # unknown angles
     n_ang = len(ang_idx)
     at = _pattern(ybus)
@@ -174,16 +171,14 @@ def _newton_matrix(derivatives, layout) -> np.ndarray:
 
 
 def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
-                     ybus: np.ndarray | None = None) -> np.ndarray:
-    """Sensitivity of every active injection to every bus angle.
+                     ybus: np.ndarray) -> np.ndarray:
+    """Sensitivity of every active injection to every bus angle on `ybus`.
 
     Returns the full N x N block over all buses (slack included) with
     voltage magnitudes held constant. Rows sum to zero: a uniform angle
     shift moves no power, so the matrix behaves like a Laplacian of the
     operating-point coupling strengths.
     """
-    if ybus is None:
-        ybus = build_ybus(case)
     if len(op.v_mag) != case.n or len(op.v_ang) != case.n:
         raise ValueError("operating point does not match the case size")
     v_mag = np.asarray(op.v_mag, float)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cases import PowerCase
 from .cover import PlacementSolution
-from .errors import ReportError
+from .errors import ReportError, UsageError
 from .network import BinaryAdjacency
 from .spectral import CouplingRanking, SingularDecomposition
 
@@ -108,7 +108,8 @@ def report_dict(art: RunArtifacts) -> dict:
     }
 
 
-def report_files(art: RunArtifacts, out_dir: Path) -> dict[Path, Iterable[str]]:
+def report_files(art: RunArtifacts,
+                 out_dir: Path) -> list[tuple[Path, Iterable[str]]]:
     """report.json and the figure CSVs under `out_dir`, each path with
     its lines; `fig_assignment.csv` is rendered as it is written."""
     ids = [b.external_id for b in art.case.buses]
@@ -122,7 +123,7 @@ def report_files(art: RunArtifacts, out_dir: Path) -> dict[Path, Iterable[str]]:
         files["fig_sigma.csv"] = ["n,magnitude"] + [
             f"{n},{s!r}" for n, s in enumerate(payload["sigma"], start=1)]
         files["fig_assignment.csv"] = _assignment_lines(art, ids)
-    return {out_dir / name: lines for name, lines in files.items()}
+    return [(out_dir / name, lines) for name, lines in files.items()]
 
 
 def _assignment_lines(art: RunArtifacts, ids: list[int]) -> Iterator[str]:
@@ -167,22 +168,27 @@ def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
         yield f"{label}," + ",".join(text[row].tolist())
 
 
-def emit_report(files: dict[Path, Iterable[str]]) -> list[Path]:
-    """Write every file of `files` (path -> lines), all or none, and
-    return the paths. Each is first written to `<target>.tmp` (plus a
-    `~` per name taken by an output or a file); the temps replace their
-    targets only once all are written, and a failure removes them."""
-    targets = [Path(path).resolve() for path in files]
+def emit_report(files: list[tuple[Path, Iterable[str]]]) -> list[Path]:
+    """Write `files`, (path, lines) pairs, all or none, and return the
+    paths. Each is resolved once; two at one target are a `UsageError`
+    before anything is touched. Each is written to `<target>.tmp` (plus
+    a `~` per name taken by an output or a file); the temps replace
+    their targets only once all are written; a failure removes them."""
+    targets = [Path(path).resolve() for path, _ in files]
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            raise UsageError(f"two outputs of the run would be "
+                             f"written to {target}")
     temps = [Path(f"{target}.tmp") for target in targets]
     while any(temp in targets or temp.exists() for temp in temps):
         temps = [Path(f"{temp}~") for temp in temps]
     try:
-        for path, target, temp in zip(files, targets, temps):
+        for (path, lines), target, temp in zip(files, targets, temps):
             if target.is_dir():
                 raise ReportError(f"{path}: is a directory")
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            temp.write_text("\n".join(files[path]) + "\n")
-        for path, target, temp in zip(files, targets, temps):
+            temp.write_text("\n".join(lines) + "\n")
+        for (path, _), target, temp in zip(files, targets, temps):
             temp.replace(target)
     except OSError as exc:
         raise ReportError(f"{path}: {exc}") from exc
@@ -190,4 +196,4 @@ def emit_report(files: dict[Path, Iterable[str]]) -> list[Path]:
         for temp in temps:
             if temp.exists():
                 temp.unlink()
-    return list(files)
+    return [path for path, _ in files]

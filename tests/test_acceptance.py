@@ -50,10 +50,11 @@ def electrical(cases):
         warnings.simplefilter("ignore", AsymmetryWarning)
         for name in BUNDLED:
             case = cases[name]
+            ybus = pp.build_ybus(case)
             for mode in ("solved", "flat"):
-                op = (pp.solve_power_flow(case) if mode == "solved"
+                op = (pp.solve_power_flow(case, ybus) if mode == "solved"
                       else pp.flat_point(case))
-                g = pp.p_theta_jacobian(case, op)
+                g = pp.p_theta_jacobian(case, op, ybus)
                 dist = pp.resistance_matrix(g, case.slack_index)
                 adj = pp.electrical_adjacency(dist, case.m)
                 sol = pp.solve_cover(pp.CoverInstance(adjacency=adj))
@@ -247,9 +248,9 @@ def test_criterion_7_numerical_kernels(cases, electrical):
     failures = []
     for name in ("ieee9", "ieee14"):
         case = cases[name]
-        op = pp.solve_power_flow(case)
-        g = pp.p_theta_jacobian(case, op)
         y = pp.build_ybus(case)
+        op = pp.solve_power_flow(case, y)
+        g = pp.p_theta_jacobian(case, op, y)
         step = 1e-6
         worst = 0.0
         for j in range(case.n):

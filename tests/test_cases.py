@@ -1,13 +1,14 @@
 """Case model and reader tests."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmuplace as pp
-from pmuplace import errors
+from pmuplace import cli, errors
 from conftest import TRIANGLE_CSV, TWO_BUS_CDF, TWO_SLACK_CDF, write_bundle
 
 
@@ -331,3 +332,95 @@ def test_crlf_case_file_reads_as_lf(tmp_path):
     a, b = pp.load_case(lf), pp.load_case(crlf)
     assert (a.name, a.buses, a.branches, a.source_checksum) == \
         ("lf", b.buses, b.branches, b.source_checksum)
+
+
+def test_unknown_bus_type_rejected():
+    with pytest.raises(ValueError, match=r"^unknown bus type 'PQX'$"):
+        pp.Bus(1, 1, "PQX")
+
+
+def test_csv_content_before_first_section_rejected():
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.parse_csv_fallback("name = triangle\n" + TRIANGLE_CSV)
+    assert str(exc.value) == "line 1: content before the first section"
+
+
+def _cdf_file(tmp_path, text):
+    path = tmp_path / "case.txt"
+    path.write_text(text)
+    return path
+
+
+def _one_bus_cdf(tmp_path):
+    """The two-bus case without bus 2, its branch a loop at bus 1."""
+    lines = TWO_BUS_CDF.replace("   1    2  1", "   1    1  1").splitlines(
+        keepends=True)
+    del lines[3]
+    return _cdf_file(tmp_path, "".join(lines))
+
+
+def _bundle(tmp_path, old, new):
+    text = TRIANGLE_CSV.replace(old, new)
+    assert text != TRIANGLE_CSV
+    return write_bundle(tmp_path / "bundle", text)
+
+
+def _without_branches_csv(tmp_path):
+    bundle = write_bundle(tmp_path / "bundle", TRIANGLE_CSV)
+    (bundle / "branches.csv").unlink()
+    return bundle
+
+
+# Each case file the readers refuse, its error and message, and the
+# exit code README gives that error.
+@pytest.mark.parametrize("make, error, message, code", [
+    (lambda tmp: _cdf_file(tmp, ""), errors.MissingSection,
+     "empty case file", 4),
+    (_one_bus_cdf, errors.MissingSection, "case: a case needs at least 2 buses, got 1", 4),
+    (lambda tmp: write_bundle(tmp / "bundle",
+                              TRIANGLE_CSV.split("1,2,0.0")[0]),
+     errors.MissingSection, "triangle: a case needs at least 1 branch", 4),
+    (lambda tmp: _bundle(tmp, "2,3,0.0,1.0", "2,2,0.0,1.0"),
+     errors.InvalidBranch, "triangle: branch 2-2 is a self-loop", 5),
+    (lambda tmp: _bundle(tmp, "name = triangle", "name triangle"),
+     errors.MalformedRecord,
+     "case.toml line 1: expected key = value, got 'name triangle'", 4),
+    (lambda tmp: _bundle(tmp, "id,type,", "id,kind,"), errors.MalformedRecord,
+     "buses.csv line 1: expected header "
+     "'id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs'", 4),
+    (lambda tmp: _bundle(tmp, "3,PQ,1.0,0.0,0,", "3,PQ,1.0,0,"),
+     errors.MalformedRecord, "buses.csv line 4: expected 10 columns, got 9",
+     4),
+    (_without_branches_csv, errors.MissingSection, "{}: missing branches.csv",
+     4)],
+    ids=["empty-cdf", "one-bus", "header-only-branches", "self-loop",
+         "case-line-without-equals", "wrong-header", "wrong-column-count",
+         "bundle-missing-file"])
+def test_rejected_case_file(tmp_path, capsys, make, error, message, code):
+    path = make(tmp_path)
+    message = message.format(path)
+    with pytest.raises(error) as exc:
+        pp.load_case(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert cli.main(["--case", str(path), "--mode", "count"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cdf_skips_blank_lines_and_trailing_sections(ieee14):
+    text = (Path(pp.__file__).parent / "data" / "ieee14.txt").read_text()
+    lines = text.splitlines(keepends=True)
+    bus_data = next(i for i, line in enumerate(lines)
+                    if line.startswith("BUS DATA"))
+    lines.insert(bus_data + 2, "\n")
+    lines.insert(-2, "   \n")
+    lines[-1:] = [
+        "LOSS ZONES FOLLOWS                     1 ITEMS\n",
+        "  1 IEEE 14 BUS\n", "-99\n",
+        "INTERCHANGE DATA FOLLOWS                 1 ITEMS\n",
+        " 1    2 Bus 2     HV    0.0  999.99  IEEE14  IEEE 14 Bus Test Case\n",
+        "-9\n", "TIE LINES FOLLOWS                     0 ITEMS\n", "-999\n",
+        "END OF DATA\n"]
+    case = pp.parse_cdf("".join(lines), name="ieee14")
+    assert (case.n, case.m) == (14, 20)
+    assert (case.buses, case.branches) == (ieee14.buses, ieee14.branches)

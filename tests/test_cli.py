@@ -271,8 +271,10 @@ class TestExitCodes:
         (["--structure", "electrical", "--dump-distance", "x.csv",
           "--dump-adjacency", "./x.csv"], "x.csv"),
         (["--structure", "both", "--dump-distance", "electrical_x.csv",
-          "--dump-adjacency", "x.csv"], "electrical_x.csv")],
-        ids=["one-structure", "spelled-apart", "both"])
+          "--dump-adjacency", "x.csv"], "electrical_x.csv"),
+        (["--structure", "electrical", "--out", "o", "--dump-distance",
+          "d/x.csv", "--dump-ybus", "d/x.csv"], "d/x.csv")],
+        ids=["one-structure", "spelled-apart", "both", "new-directories"])
     def test_two_outputs_at_one_path_is_usage_error(self, tmp_path,
                                                     monkeypatch, capsys,
                                                     args, shared):
@@ -455,6 +457,26 @@ class TestOutputs:
             payload = json.loads(
                 (out / structure / "report.json").read_text())
             assert payload["structure"] == structure
+
+    # The writer resolves each output once; the pipeline resolves none.
+    def test_each_output_resolved_once(self, tmp_path, monkeypatch):
+        resolved = []
+        real_resolve = Path.resolve
+
+        def resolve(self, *args, **kwargs):
+            resolved.append(self)
+            return real_resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", resolve)
+        result = pipeline.run(pipeline.RunConfig(
+            case_path=DATA / "ieee9.txt", structure="both", mode="full",
+            output_dir=tmp_path / "out",
+            dump_distance=tmp_path / "e.csv", dump_ybus=tmp_path / "y.csv",
+            dump_adjacency=tmp_path / "b.csv"))
+        written = [path for sres in result.per_structure.values()
+                   for path in sres.written]
+        assert len(written) == 12
+        assert sorted(resolved) == sorted(written)
 
     def test_dump_flags(self, tmp_path):
         out = tmp_path / "out"
@@ -667,8 +689,8 @@ class TestOutputs:
                      rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
         y[0, :4] = [complex(0.0, 0.0), complex(-0.0, 0.0),
                     complex(0.0, -0.0), complex(-0.0, -0.0)]
-        path, = pp.emit_report({tmp_path / "y.csv":
-                                report.matrix_lines(y, ieee9)})
+        path, = pp.emit_report([(tmp_path / "y.csv",
+                                 report.matrix_lines(y, ieee9))])
         rows = path.read_text().splitlines()[1:]
         assert [row.split(",")[1:] for row in rows] == \
             [[f"{v.real!r}{v.imag:+}j" for v in row] for row in y.tolist()]
@@ -747,6 +769,19 @@ class TestBatch:
         lines = (out / "summary.csv").read_text().splitlines()
         assert "pair,2,1,1,1" in lines
         assert any(line.startswith("ieee9,9,3") for line in lines)
+
+    def test_other_entries_skipped(self, small_dir, tmp_path):
+        (small_dir / "notes.md").write_text("not a case\n")
+        (small_dir / "ieee30").mkdir()
+        shutil.copy(DATA / "ieee30.txt", small_dir / "ieee30" / "buses.csv")
+        out = tmp_path / "out"
+        assert run_cli("--cases-dir", str(small_dir),
+                       "--out", str(out)) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["ieee14", "ieee9"]
+        assert sorted(path.name for path in out.iterdir()) == \
+            ["ieee14", "ieee9", "summary.csv"]
 
     def test_empty_directory_header_only(self, tmp_path):
         empty = tmp_path / "empty"

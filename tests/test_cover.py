@@ -140,7 +140,9 @@ def electrical_insts(cases):
         warnings.simplefilter("ignore", AsymmetryWarning)
         for name in BUNDLED:
             case = cases[name]
-            g = pp.p_theta_jacobian(case, pp.solve_power_flow(case))
+            ybus = pp.build_ybus(case)
+            g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus),
+                                    ybus)
             dist = pp.resistance_matrix(g, case.slack_index)
             out[name] = pp.CoverInstance(
                 adjacency=pp.electrical_adjacency(dist, case.m))
@@ -249,6 +251,10 @@ class TestEnumerateOptima:
         optima = pp.enumerate_optima(
             inst_from_bits(np.eye(4, dtype=np.int8)), cap=10)
         assert [s.nodes for s in optima] == [(1, 2, 3, 4)]
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+            pp.enumerate_optima(inst_from_bits(np.eye(2, dtype=np.int8)), -1)
 
     def test_cap_truncates(self):
         optima = pp.enumerate_optima(
@@ -668,6 +674,32 @@ def test_optima_by_no_good_cuts(cases, electrical_insts, name, structure):
     optima = pp.enumerate_optima(inst, 10)
     assert [s.nodes for s in optima] == listed
     assert not optima.truncated
+
+
+# The ILP checks below take seconds each; `pytest -m slow` runs them.
+@pytest.mark.slow
+@pytest.mark.parametrize("structure", ["topological", "electrical"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_first_optima_by_no_good_cuts(cases, electrical_insts, name,
+                                      structure):
+    """The first three optima of every bundled system, the solved
+    electrical one too, against the ILP oracle with no-good cuts."""
+    if structure == "electrical":
+        inst = electrical_insts[name]
+    else:
+        inst = pp.CoverInstance(
+            adjacency=pp.topological_adjacency(cases[name]))
+    listed = []
+    while len(listed) < 3 and (
+            cover := lex_first_cover(inst, listed)) is not None:
+        listed.append(cover)
+    assert [s.nodes for s in pp.enumerate_optima(inst, 3)] == listed
+
+
+@pytest.mark.slow
+def test_tied_grid_witness_is_ilp_lex_first(tied_adjacencies):
+    inst = pp.CoverInstance(adjacency=tied_adjacencies[2])
+    assert pp.solve_cover(inst).nodes == lex_first_cover(inst)
 
 
 def search_work(inst, *steps):

@@ -53,6 +53,11 @@ class TestGroundedInverse:
         with pytest.raises(ValueError):
             pp.grounded_inverse(TRIANGLE_LAP, 4)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^conductance matrix must be square$"):
+            pp.grounded_inverse(np.zeros((2, 3)), 1)
+
 
 class TestResistanceMatrix:
     def test_single_resistor(self):
@@ -72,8 +77,8 @@ class TestResistanceMatrix:
         assert dist.e[0, 2] == pytest.approx(2.0)
 
     def test_metric_on_solved_case(self, ieee9):
-        op = pp.solve_power_flow(ieee9)
-        g = pp.p_theta_jacobian(ieee9, op)
+        ybus = pp.build_ybus(ieee9)
+        g = pp.p_theta_jacobian(ieee9, pp.solve_power_flow(ieee9, ybus), ybus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AsymmetryWarning)
             dist = pp.resistance_matrix(g, ieee9.slack_index)
@@ -82,13 +87,14 @@ class TestResistanceMatrix:
         assert np.abs(dist.e - oracle).max() <= 1e-8
 
     def test_asymmetry_warns_at_solved_point(self, ieee9):
-        op = pp.solve_power_flow(ieee9)
-        g = pp.p_theta_jacobian(ieee9, op)
+        ybus = pp.build_ybus(ieee9)
+        g = pp.p_theta_jacobian(ieee9, pp.solve_power_flow(ieee9, ybus), ybus)
         with pytest.warns(AsymmetryWarning):
             pp.resistance_matrix(g, ieee9.slack_index)
 
     def test_reference_node_immaterial(self, ieee14):
-        g = pp.p_theta_jacobian(ieee14, pp.flat_point(ieee14))
+        g = pp.p_theta_jacobian(ieee14, pp.flat_point(ieee14),
+                                pp.build_ybus(ieee14))
         base = pp.resistance_matrix(g, 1).e
         for r in (2, 7, 14):
             assert np.abs(pp.resistance_matrix(g, r).e - base).max() <= 1e-8
@@ -108,7 +114,8 @@ class TestElectricalAdjacency:
 
     def test_exactly_m_upper_triangle_ones(self, cases):
         for case in cases.values():
-            g = pp.p_theta_jacobian(case, pp.flat_point(case))
+            g = pp.p_theta_jacobian(case, pp.flat_point(case),
+                                    pp.build_ybus(case))
             dist = pp.resistance_matrix(g, case.slack_index)
             b = pp.electrical_adjacency(dist, case.m)
             upper = np.triu(b.bits, k=1)
@@ -197,8 +204,9 @@ class TestVerifyMetric:
         assert not rep.ok
 
     def test_ieee14_clean_both_modes(self, ieee14):
-        for op in (pp.flat_point(ieee14), pp.solve_power_flow(ieee14)):
-            g = pp.p_theta_jacobian(ieee14, op)
+        ybus = pp.build_ybus(ieee14)
+        for op in (pp.flat_point(ieee14), pp.solve_power_flow(ieee14, ybus)):
+            g = pp.p_theta_jacobian(ieee14, op, ybus)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AsymmetryWarning)
                 dist = pp.resistance_matrix(g, ieee14.slack_index)

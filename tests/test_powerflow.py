@@ -9,6 +9,7 @@ blocks; the pattern-built one must match it bit for bit.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from scipy.optimize import root
 
 import pmuplace as pp
 from pmuplace.cases import PQ, PV, SLACK
-from pmuplace.errors import AsymmetryWarning, NonConvergence
+from pmuplace.errors import AsymmetryWarning, MissingSlack, NonConvergence
+from pmuplace.pipeline import RunConfig, run_structure
 from pmuplace.powerflow import (_derivatives, _injections, _newton_layout,
                                 _newton_matrix, _pattern, flat_point)
 from conftest import BUNDLED, SINGULAR_JACOBIAN_CSV, load_tied
@@ -64,26 +66,26 @@ def _scipy_reference(case):
 
 class TestSolvePowerFlow:
     def test_two_bus_zero_load_flat_fixed_point(self, two_bus):
-        op = pp.solve_power_flow(two_bus)
+        op = pp.solve_power_flow(two_bus, pp.build_ybus(two_bus))
         assert op.mismatch_inf_norm <= 1e-8
         assert op.iterations <= 1
         assert np.allclose(op.v_ang, 0.0)
         assert np.allclose(op.v_mag, 1.0)
 
     def test_ieee14_converges_quickly(self, ieee14):
-        op = pp.solve_power_flow(ieee14)
+        op = pp.solve_power_flow(ieee14, pp.build_ybus(ieee14))
         assert op.iterations <= 10
         assert op.mismatch_inf_norm <= 1e-8
 
     def test_ieee14_angles_match_reference_solver(self, ieee14):
-        op = pp.solve_power_flow(ieee14)
+        op = pp.solve_power_flow(ieee14, pp.build_ybus(ieee14))
         v_ref, a_ref = _scipy_reference(ieee14)
         assert np.abs(op.v_ang - a_ref).max() <= 1e-6
         assert np.abs(op.v_mag - v_ref).max() <= 1e-6
 
     def test_ieee14_matches_archived_profile(self, ieee14):
         # file voltages are rounded to about 1e-3 / 0.01 degrees
-        op = pp.solve_power_flow(ieee14)
+        op = pp.solve_power_flow(ieee14, pp.build_ybus(ieee14))
         file_v = np.array([b.v_mag for b in ieee14.buses])
         file_a = np.array([b.v_ang for b in ieee14.buses])
         assert np.abs(op.v_mag - file_v).max() < 2e-3
@@ -91,7 +93,7 @@ class TestSolvePowerFlow:
 
     def test_zero_iteration_budget_raises(self, ieee14):
         with pytest.raises(NonConvergence) as exc:
-            pp.solve_power_flow(ieee14, max_iter=0)
+            pp.solve_power_flow(ieee14, pp.build_ybus(ieee14), max_iter=0)
         assert exc.value.iterations == 0
 
     def test_nan_mismatch_raises(self, ieee14):
@@ -110,21 +112,47 @@ class TestSolvePowerFlow:
     def test_singular_jacobian_raises(self):
         case = pp.parse_csv_fallback(SINGULAR_JACOBIAN_CSV)
         with pytest.raises(NonConvergence) as exc:
-            pp.solve_power_flow(case)
+            pp.solve_power_flow(case, pp.build_ybus(case))
         assert exc.value.iterations == 0
         assert exc.value.mismatch == 1.0
 
     def test_deterministic_bit_identical(self, ieee14):
-        op1 = pp.solve_power_flow(ieee14)
-        op2 = pp.solve_power_flow(ieee14)
+        ybus = pp.build_ybus(ieee14)
+        op1 = pp.solve_power_flow(ieee14, ybus)
+        op2 = pp.solve_power_flow(ieee14, ybus)
         assert np.array_equal(op1.v_mag, op2.v_mag)
         assert np.array_equal(op1.v_ang, op2.v_ang)
 
     def test_all_bundled_cases_converge(self, cases):
         for name, case in cases.items():
-            op = pp.solve_power_flow(case)
+            op = pp.solve_power_flow(case, pp.build_ybus(case))
             assert op.mismatch_inf_norm <= 1e-8, name
             assert op.iterations == 4, name
+
+
+@pytest.fixture
+def no_slack(ieee14):
+    """IEEE-14 with its slack made a PV bus. No reader builds such a
+    case; a hand-built one reaches the stages."""
+    slack = ieee14.slack_index - 1
+    buses = list(ieee14.buses)
+    buses[slack] = replace(buses[slack], bus_type=PV)
+    return replace(ieee14, buses=tuple(buses))
+
+
+def test_power_flow_without_slack_is_missing_slack(no_slack):
+    with pytest.raises(MissingSlack, match="^case has no slack bus$"):
+        pp.solve_power_flow(no_slack, pp.build_ybus(no_slack))
+
+
+@pytest.mark.parametrize("jacobian_mode", ["solved", "flat"])
+def test_electrical_stages_without_slack(no_slack, jacobian_mode):
+    config = RunConfig(case_path="unused", structure="electrical",
+                       jacobian_mode=jacobian_mode)
+    with pytest.raises(MissingSlack, match="^case has no slack bus$") as exc:
+        run_structure(no_slack, "electrical", config,
+                      pp.build_ybus(no_slack))
+    assert exc.value.exit_code == 5
 
 
 class TestNewtonJacobian:
@@ -138,14 +166,14 @@ class TestNewtonJacobian:
     @pytest.mark.parametrize("name", ["ieee14", "ieee118"])
     def test_blocks_match_central_differences(self, cases, name, perturbed):
         case = cases[name]
-        op = pp.solve_power_flow(case)
+        ybus = pp.build_ybus(case)
+        op = pp.solve_power_flow(case, ybus)
         v_mag, v_ang = op.v_mag.copy(), op.v_ang.copy()
         if perturbed:
             rng = np.random.default_rng(0)
             v_mag += rng.uniform(-0.05, 0.05, case.n)
             v_ang += rng.uniform(-0.1, 0.1, case.n)
         s = _complex_injections(case, v_mag, v_ang)
-        ybus = pp.build_ybus(case)
         at = _pattern(ybus)
         # [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]], each N x N
         blocks = np.zeros((2, 2, case.n, case.n))
@@ -171,13 +199,15 @@ class TestNewtonJacobian:
 
 class TestAngleSensitivity:
     def test_two_bus_flat(self, two_bus):
-        g = pp.p_theta_jacobian(two_bus, flat_point(two_bus))
+        g = pp.p_theta_jacobian(two_bus, flat_point(two_bus),
+                                pp.build_ybus(two_bus))
         assert np.allclose(g, [[2.0, -2.0], [-2.0, 2.0]])
 
     def test_flat_equals_susceptance_laplacian(self, ieee9):
         # with r = 0 on a branch the flat-start entry is exactly -1/x;
         # in general it is the series-susceptance magnitude
-        g = pp.p_theta_jacobian(ieee9, flat_point(ieee9))
+        g = pp.p_theta_jacobian(ieee9, flat_point(ieee9),
+                                pp.build_ybus(ieee9))
         expected = np.zeros((9, 9))
         for br in ieee9.branches:
             w = br.x / (br.r ** 2 + br.x ** 2) / br.tap_ratio
@@ -190,15 +220,17 @@ class TestAngleSensitivity:
 
     def test_row_sums_vanish_at_solved_point(self, cases):
         for name, case in cases.items():
-            op = pp.solve_power_flow(case)
-            g = pp.p_theta_jacobian(case, op)
+            ybus = pp.build_ybus(case)
+            g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus),
+                                    ybus)
             assert np.abs(g.sum(axis=1)).max() <= 1e-9, name
 
     @pytest.mark.parametrize("name", ["ieee9", "ieee14"])
     def test_finite_difference_agreement(self, cases, name):
         case = cases[name]
-        op = pp.solve_power_flow(case)
-        g = pp.p_theta_jacobian(case, op)
+        ybus = pp.build_ybus(case)
+        op = pp.solve_power_flow(case, ybus)
+        g = pp.p_theta_jacobian(case, op, ybus)
         step = 1e-6
         for j in range(case.n):
             up = op.v_ang.copy()
@@ -213,7 +245,7 @@ class TestAngleSensitivity:
     def test_wrong_size_operating_point_rejected(self, ieee14, two_bus):
         op = flat_point(two_bus)
         with pytest.raises(ValueError):
-            pp.p_theta_jacobian(ieee14, op)
+            pp.p_theta_jacobian(ieee14, op, pp.build_ybus(ieee14))
 
 
 def _operating_points(case, ybus):

@@ -263,9 +263,9 @@ class TestWriter:
     """`emit_report` writes every file it is given or none."""
 
     def test_writes_every_file_and_nothing_else(self, tmp_path):
-        files = {tmp_path / "a.csv": ["1"],
-                 tmp_path / "sub" / "b.csv": (line for line in "23")}
-        assert pp.emit_report(files) == list(files)
+        files = [(tmp_path / "a.csv", ["1"]),
+                 (tmp_path / "sub" / "b.csv", (line for line in "23"))]
+        assert pp.emit_report(files) == [path for path, _ in files]
         assert contents(tmp_path) == {tmp_path / "a.csv": b"1\n",
                                       tmp_path / "sub" / "b.csv": b"2\n3\n"}
 
@@ -275,8 +275,8 @@ class TestWriter:
         (tmp_path / "d").mkdir()
         before = contents(tmp_path)
         with pytest.raises(ReportError, match="is a directory"):
-            pp.emit_report({tmp_path / "a.csv": ["new"],
-                            tmp_path / "d": ["x"]})
+            pp.emit_report([(tmp_path / "a.csv", ["new"]),
+                            (tmp_path / "d", ["x"])])
         assert contents(tmp_path) == before
 
     # The second file cannot be created below a regular file.
@@ -285,8 +285,8 @@ class TestWriter:
         (tmp_path / "afile").write_text("")
         before = contents(tmp_path)
         with pytest.raises(ReportError, match="afile"):
-            pp.emit_report({tmp_path / "a.csv": ["new"],
-                            tmp_path / "afile" / "b.csv": ["x"]})
+            pp.emit_report([(tmp_path / "a.csv", ["new"]),
+                            (tmp_path / "afile" / "b.csv", ["x"])])
         assert contents(tmp_path) == before
 
     # A plain write_text under the same umask is the reference; a
@@ -297,8 +297,8 @@ class TestWriter:
         old = os.umask(umask)
         try:
             (tmp_path / "plain").write_text("x\n")
-            pp.emit_report({tmp_path / "out.csv": ["x"],
-                            tmp_path / "plain": ["y"]})
+            pp.emit_report([(tmp_path / "out.csv", ["x"]),
+                            (tmp_path / "plain", ["y"])])
         finally:
             os.umask(old)
         for name in ("out.csv", "plain"):
@@ -318,14 +318,14 @@ class TestWriter:
             return real_replace(self, target)
 
         monkeypatch.setattr(Path, "replace", replace)
-        pp.emit_report({tmp_path / "a.csv": ["a"]})
+        pp.emit_report([(tmp_path / "a.csv", ["a"])])
         temp, = moved
         moved.clear()
-        files = {tmp_path / "a.csv": ["A"], temp: ["T"]}
+        files = [(tmp_path / "a.csv", ["A"]), (temp, ["T"])]
         pp.emit_report(files)
-        assert len(moved) == 2 and not set(moved) & set(files)
+        assert len(moved) == 2 and not set(moved) & {p for p, _ in files}
         assert contents(tmp_path) == {tmp_path / "a.csv": b"A\n",
                                       temp: b"T\n"}
-        pp.emit_report({tmp_path / "a.csv": ["B"]})
+        pp.emit_report([(tmp_path / "a.csv", ["B"])])
         assert contents(tmp_path) == {tmp_path / "a.csv": b"B\n",
                                       temp: b"T\n"}

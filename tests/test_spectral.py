@@ -17,7 +17,8 @@ def nine_bus_distance(cases):
     case = cases["ieee9"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymmetryWarning)
-        g = pp.p_theta_jacobian(case, pp.solve_power_flow(case))
+        ybus = pp.build_ybus(case)
+        g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus), ybus)
         return pp.resistance_matrix(g, case.slack_index).e
 
 
