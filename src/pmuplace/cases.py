@@ -15,6 +15,7 @@ External bus numbers are remapped to contiguous internal indices
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -100,6 +101,9 @@ class PowerCase:
         return len(self.branches)
 
     def external_id(self, internal: int) -> int:
+        if not 1 <= internal <= self.n:
+            raise IndexError(f"internal bus index {internal} is outside "
+                             f"1..{self.n}")
         return self.buses[internal - 1].external_id
 
     @property
@@ -467,10 +471,13 @@ def dumps_csv_fallback(case: PowerCase) -> str:
 
 
 def _read(path: Path, source: str = "") -> str:
-    """The UTF-8 text of a case file, newlines translated as a text-mode
-    read does; a byte that is not UTF-8 is a `MalformedRecord` on its
-    line, of file `source` in a bundle."""
-    data = path.read_bytes()
+    """The UTF-8 text of a case file, without a leading byte-order mark
+    and with newlines translated as a text-mode read does; a byte that
+    is not UTF-8 is a `MalformedRecord` on its line, of file `source` in
+    a bundle."""
+    # The mark is cut from the bytes, not by the "utf-8-sig" codec,
+    # whose error offsets would count from after it.
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

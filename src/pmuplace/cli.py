@@ -50,9 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_structure(name: str, result, config: RunConfig):
-    art = result.artifacts
-    ext = art.case.external_id
+def _print_structure(art, config: RunConfig):
+    name, ext = art.structure, art.case.external_id
     mode_note = f" ({art.jacobian_mode} operating point)" \
         if art.jacobian_mode else ""
     print(f"[{name}]{mode_note} optimal monitor count: "
@@ -73,9 +72,9 @@ def _print_structure(name: str, result, config: RunConfig):
     print(f"[{name}] lambda_min = {art.profile.lam_min:.6g} at buses "
           f"{[ext(b) for b in art.profile.argmins]}; chosen buses above "
           f"the minimum: {[ext(b) for b in above]}")
-    if result.optima is not None:
-        sets = [[ext(b) for b in sol.nodes] for sol in result.optima]
-        suffix = " (truncated)" if result.optima.truncated else ""
+    if art.optima is not None:
+        sets = [[ext(b) for b in sol.nodes] for sol in art.optima]
+        suffix = " (truncated)" if art.optima.truncated else ""
         print(f"[{name}] optimal sets (cap {config.enumerate_cap})"
               f"{suffix}: {sets}")
 
@@ -95,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             print(summary.read_text(), end="")
         else:
             for structure, sres in run(config).per_structure.items():
-                _print_structure(structure, sres, config)
+                _print_structure(sres, config)
                 for path in sres.written:
                     print(f"[{structure}] wrote {path}")
         return 0

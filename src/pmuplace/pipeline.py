@@ -18,6 +18,8 @@ on disk. Rerunning a config writes byte-identical files.
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -25,15 +27,18 @@ import numpy as np
 
 from . import report as report_mod
 from .cases import PowerCase, load_case
-from .cover import CoverInstance, Optima, enumerate_optima, solve_cover
+from .cover import (CoverInstance, Optima, PlacementSolution,
+                    enumerate_optima, solve_cover)
 from .distance import ResistanceDistance, electrical_adjacency, resistance_matrix
 from .errors import PmuPlaceError, UsageError
 from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
 from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
                         flat_point, p_theta_jacobian, solve_power_flow)
-from .report import RunArtifacts, average_profile, matrix_lines, report_files
-from .spectral import assign_buses, compute_svd, rank_vectors
+from .report import (AverageDistanceProfile, average_profile, matrix_lines,
+                     report_files)
+from .spectral import (CouplingRanking, SingularDecomposition, assign_buses,
+                       compute_svd, rank_vectors)
 
 MODE_COUNT = "count"
 MODE_FULL = "full"
@@ -65,17 +70,29 @@ class RunConfig:
     dump_adjacency: str | Path | None = None
 
     def __post_init__(self):
-        rules = [(name, getattr(self, name) in allowed, f"one of {allowed}")
-                 for name, allowed in CHOICES.items()]
-        rules += [(name, hasattr(getattr(self, name), "__index__")
-                   and getattr(self, name) >= 0, "an integer >= 0")
+        """Check each field's type before its value, so that a bad value
+        of any type is a `UsageError` naming the field."""
+        def number(value, kind) -> bool:   # a bool is not a number here
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        def path(value) -> bool:
+            return isinstance(value, (str, os.PathLike)) and value != ""
+
+        rules = [(name, lambda v, a=allowed: isinstance(v, str) and v in a,
+                  f"one of {allowed}") for name, allowed in CHOICES.items()]
+        rules += [(name, lambda v: number(v, numbers.Integral) and v >= 0,
+                   "an integer >= 0")
                   for name in ("enumerate_cap", "pf_max_iter")]
-        rules.append(("pf_tol", 0 < self.pf_tol < np.inf, "finite and > 0"))
-        rules += [(name, getattr(self, name) != "", "a non-empty path")
-                  for name in ("case_path", "output_dir", "dump_distance",
-                               "dump_ybus", "dump_adjacency")]
+        rules += [("pf_tol",
+                   lambda v: number(v, numbers.Real) and 0 < v < np.inf,
+                   "a real number, finite and > 0"),
+                  ("case_path", path, "a non-empty path (str or os.PathLike)")]
+        rules += [(name, lambda v: v is None or path(v),
+                   "a non-empty path (str or os.PathLike) or None")
+                  for name in ("output_dir", "dump_distance", "dump_ybus",
+                               "dump_adjacency")]
         for name, ok, rule in rules:
-            if not ok:
+            if not ok(getattr(self, name)):
                 raise UsageError(f"{name} must be {rule}, "
                                  f"got {getattr(self, name)!r}")
         if self.dump_distance and self.structure == TOPOLOGICAL:
@@ -85,11 +102,22 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class StructureResult:
-    artifacts: RunArtifacts
-    optima: Optima | None
+    case: PowerCase
+    structure: str
+    jacobian_mode: str | None                    # electrical structure only
+    solution: PlacementSolution
+    ranking: CouplingRanking | None              # full mode only
+    decomposition: SingularDecomposition | None  # full mode only
+    profile: AverageDistanceProfile
+    optima: Optima | None                        # enumeration cap > 0 only
     adjacency: BinaryAdjacency
-    distance: ResistanceDistance | None   # electrical structure only
+    distance: ResistanceDistance | None          # electrical structure only
     written: tuple[Path, ...] = ()
+
+    @property
+    def artifacts(self) -> StructureResult:
+        """Self, for `perfbench/outcomes.py` until ROADMAP item 4 step 1."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -127,13 +155,11 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
     optima = (enumerate_optima(inst, config.enumerate_cap)
               if config.enumerate_cap > 0 else None)
 
-    jac_mode = None if dist is None else config.jacobian_mode
-    artifacts = RunArtifacts(case=case, structure=structure,
-                             jacobian_mode=jac_mode, solution=solution,
-                             ranking=ranking, decomposition=decomposition,
-                             profile=average_profile(adjacency))
-    return StructureResult(artifacts=artifacts, optima=optima,
-                           adjacency=adjacency, distance=dist)
+    return StructureResult(
+        case=case, structure=structure, solution=solution, ranking=ranking,
+        jacobian_mode=None if dist is None else config.jacobian_mode,
+        decomposition=decomposition, profile=average_profile(adjacency),
+        optima=optima, adjacency=adjacency, distance=dist)
 
 
 def _run_loaded(case: PowerCase, ybus: np.ndarray,
@@ -151,7 +177,7 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
         files = []
         if config.output_dir is not None:
             out = Path(config.output_dir, structure if both else "")
-            files += report_files(sres.artifacts, out)
+            files += report_files(sres, out)
         if config.dump_distance and sres.distance is not None:
             files.append((Path(config.dump_distance),
                           matrix_lines(sres.distance.e, case)))
@@ -251,7 +277,7 @@ def run_batch(template: RunConfig) -> Path:
                           jacobian_mode=jac, output_dir=out_root / stem / subdir)
             try:
                 sres, = _run_loaded(case, ybus, cfg).per_structure.values()
-                cells.append(str(sres.artifacts.solution.count))
+                cells.append(str(sres.solution.count))
             except PmuPlaceError as exc:
                 cells.append(_error_cell(exc))
         rows.append(",".join(cells))

@@ -1,10 +1,12 @@
-"""Average-distance diagnostics and machine-readable run reports.
+"""The lambda profile and machine-readable run reports.
 
-The average electrical (or topological) distance of a bus is its
-adjacency row sum, diagonal included, divided by N-1. The row sums are
-kept as integers so that ties at the minimum are genuine ties, not
-float accidents: whether a bus sits at the minimum is an integer
-equality test.
+A bus's lambda is the row sum of the structure's binary adjacency,
+diagonal included (the size of its closed neighbourhood), divided by
+N-1. The names call it an "average distance", but it is a count of
+linked buses, not the mean resistance distance between buses. The row
+sums are kept as integers so that ties at the minimum are genuine
+ties, not float accidents: whether a bus sits at the minimum is an
+integer equality test.
 
 Reports are plain JSON plus per-figure CSV files; rendering is left to
 external tooling so outputs stay diffable.
@@ -16,20 +18,23 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cases import PowerCase
-from .cover import PlacementSolution
 from .errors import ReportError, UsageError
 from .network import BinaryAdjacency
-from .spectral import CouplingRanking, SingularDecomposition
+
+if TYPE_CHECKING:
+    from .pipeline import StructureResult
 
 
 @dataclass(frozen=True)
 class AverageDistanceProfile:
-    """Per-bus adjacency row sums s_i with exact-tie argmins; the
-    average distance is lambda_i = s_i / (N-1)."""
+    """Per-bus adjacency row sums s_i with exact-tie argmins, for
+    lambda_i = s_i / (N-1): the bus's closed-neighbourhood size in the
+    binary adjacency over N-1, not its mean resistance distance."""
 
     sums: tuple[int, ...]
     argmins: tuple[int, ...]
@@ -44,7 +49,7 @@ class AverageDistanceProfile:
         return min(self.sums) / (len(self.sums) - 1)
 
     def above_minimum(self, nodes) -> tuple[int, ...]:
-        """The given buses whose average distance exceeds the minimum.
+        """The given buses whose lambda exceeds the minimum.
         The expected electrical pattern for a chosen monitor set: every
         bus sits at the minimum except the single representative of the
         well-connected cluster, i.e. at most one bus above."""
@@ -53,7 +58,8 @@ class AverageDistanceProfile:
 
 
 def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
-    """Row sums s_i = sum_j adj_ij, for lambda_i = s_i / (N-1).
+    """Row sums s_i = sum_j adj_ij, for lambda_i = s_i / (N-1): each
+    bus's closed-neighbourhood size, not a resistance distance.
 
     The diagonal term is included, so every lambda lies in
     [1/(N-1), N/(N-1)]. Argmins compare the integer sums.
@@ -64,21 +70,7 @@ def average_profile(adj: BinaryAdjacency) -> AverageDistanceProfile:
     return AverageDistanceProfile(sums=sums, argmins=argmins)
 
 
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Everything one structure's pipeline run produced. `ranking` and
-    `decomposition` are both set (full mode) or both None (count mode)."""
-
-    case: PowerCase
-    structure: str
-    jacobian_mode: str | None
-    solution: PlacementSolution
-    ranking: CouplingRanking | None
-    decomposition: SingularDecomposition | None
-    profile: AverageDistanceProfile
-
-
-def report_dict(art: RunArtifacts) -> dict:
+def report_dict(art: StructureResult) -> dict:
     """Assemble the JSON-ready report (external bus ids throughout)."""
     case = art.case
     ext = case.external_id
@@ -108,7 +100,7 @@ def report_dict(art: RunArtifacts) -> dict:
     }
 
 
-def report_files(art: RunArtifacts,
+def report_files(art: StructureResult,
                  out_dir: Path) -> list[tuple[Path, Iterable[str]]]:
     """report.json and the figure CSVs under `out_dir`, each path with
     its lines; `fig_assignment.csv` is rendered as it is written."""
@@ -126,7 +118,7 @@ def report_files(art: RunArtifacts,
     return [(out_dir / name, lines) for name, lines in files.items()]
 
 
-def _assignment_lines(art: RunArtifacts, ids: list[int]) -> Iterator[str]:
+def _assignment_lines(art: StructureResult, ids: list[int]) -> Iterator[str]:
     yield "vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"
     for pos, a in enumerate(art.ranking.selected, start=1):
         prefix = f"{pos},{a.vector_index},"

@@ -1,5 +1,6 @@
 """Case model and reader tests."""
 
+import codecs
 import math
 from pathlib import Path
 
@@ -332,6 +333,39 @@ def test_crlf_case_file_reads_as_lf(tmp_path):
     a, b = pp.load_case(lf), pp.load_case(crlf)
     assert (a.name, a.buses, a.branches, a.source_checksum) == \
         ("lf", b.buses, b.branches, b.source_checksum)
+
+
+# A leading byte-order mark, as Excel's "CSV UTF-8" writes one, is not
+# content: each reader reads the file as if it had none.
+def test_bundle_with_byte_order_marks_loads_as_without(tmp_path, ieee9):
+    text = pp.dumps_csv_fallback(ieee9)
+    plain = write_bundle(tmp_path / "plain", text)
+    marked = write_bundle(tmp_path / "marked", text)
+    for member in marked.iterdir():
+        member.write_bytes(codecs.BOM_UTF8 + member.read_bytes())
+    assert pp.load_case(marked) == pp.load_case(plain)
+
+
+def test_cdf_with_byte_order_mark_reads_as_without(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(TWO_BUS_CDF.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + TWO_BUS_CDF.encode())
+    a, b = pp.load_case(plain), pp.load_case(marked)
+    assert (a.buses, a.branches, a.source_checksum) == \
+        (b.buses, b.branches, b.source_checksum)
+    # A byte that is not UTF-8 is still reported on its own line.
+    marked.write_bytes(codecs.BOM_UTF8 + b"a\nb\n\xff\n")
+    with pytest.raises(errors.MalformedRecord,
+                       match=r"^line 3: byte 0xff is not UTF-8$"):
+        pp.load_case(marked)
+
+
+def test_external_id_refuses_an_index_outside_the_case(two_bus):
+    assert [two_bus.external_id(i) for i in (1, 2)] == [
+        b.external_id for b in two_bus.buses]
+    for internal in (0, -1, 3):
+        with pytest.raises(IndexError, match=r"outside 1\.\.2$"):
+            two_bus.external_id(internal)
 
 
 def test_unknown_bus_type_rejected():

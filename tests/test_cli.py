@@ -359,9 +359,14 @@ def test_other_exception_exit_code(exc, code):
     ("pf_tol", 0.0), ("pf_tol", -1e-8), ("pf_tol", float("nan")),
     ("pf_tol", float("inf")),
     ("case_path", ""), ("output_dir", ""), ("dump_distance", ""),
-    ("dump_ybus", ""), ("dump_adjacency", "")])
+    ("dump_ybus", ""), ("dump_adjacency", ""),
+    # The type is checked before the value: a bool is not a number and
+    # a path is a str or os.PathLike.
+    ("pf_tol", "1e-8"), ("pf_tol", None), ("pf_tol", True),
+    ("enumerate_cap", True), ("pf_max_iter", False),
+    ("case_path", None), ("output_dir", 3)])
 def test_run_config_rejects_bad_field(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(errors.UsageError, match=field):
         pipeline.RunConfig(**{"case_path": "unused", field: value})
 
 
@@ -668,7 +673,7 @@ class TestOutputs:
         ids = [case.external_id(i) for i in range(1, case.n + 1)]
         for structure, sres in result.per_structure.items():
             out = tmp_path / structure
-            d = sres.artifacts.decomposition
+            d = sres.decomposition
             lam = rows(out / "fig_lambda.csv")
             assert [int(r[0]) for r in lam] == ids
             assert [float(r[1]) for r in lam] == [
@@ -676,7 +681,7 @@ class TestOutputs:
             assert [float(r[1]) for r in rows(out / "fig_sigma.csv")] == \
                 d.sigma.tolist()
             placed = rows(out / "fig_assignment.csv")
-            assert len(placed) == case.n * sres.artifacts.solution.count
+            assert len(placed) == case.n * sres.solution.count
             # |u| as the assignment reads it: the whole column at once.
             for _, vector, bus, entry, _, _ in placed:
                 assert float(entry) == np.abs(

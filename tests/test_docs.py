@@ -12,7 +12,7 @@ from pathlib import Path
 
 from pmuplace import cli, errors
 from pmuplace.errors import AsymmetryWarning
-from pmuplace.pipeline import RunConfig
+from pmuplace.pipeline import RunConfig, StructureResult
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 FLAGS = README.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
@@ -37,6 +37,13 @@ def test_flags_paragraph_defaults_match_run_config():
     for flag, value, default in claims:
         expected = defaults[dests[flag]]
         assert type(expected)(default or value) == expected, flag
+
+
+def test_structure_result_fields_are_documented():
+    section = README.split("## Library use", 1)[1]
+    block = section.split("Its fields:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\* `(\w+)` - ", block, re.M)
+    assert documented == [f.name for f in dataclasses.fields(StructureResult)]
 
 
 def test_exit_code_table_lists_every_code():

@@ -90,24 +90,24 @@ class TestPatternCheck:
 
 class TestEmitReport:
     @pytest.fixture
-    def artifacts(self, ieee9):
+    def sres(self, ieee9):
         cfg = RunConfig(case_path="unused", structure="electrical",
                         jacobian_mode="flat", mode="full")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AsymmetryWarning)
             return run_structure(ieee9, "electrical", cfg,
-                                 pp.build_ybus(ieee9)).artifacts
+                                 pp.build_ybus(ieee9))
 
-    def test_report_round_trips(self, artifacts, tmp_path):
-        paths = pp.emit_report(pp.report_files(artifacts, tmp_path))
+    def test_report_round_trips(self, sres, tmp_path):
+        paths = pp.emit_report(pp.report_files(sres, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["case"] == "ieee9"
         assert payload["n"] == 9 and payload["m"] == 9
         assert payload["structure"] == "electrical"
         assert payload["jacobian_mode"] == "flat"
-        assert payload["pmu_count"] == artifacts.solution.count
+        assert payload["pmu_count"] == sres.solution.count
         assert payload["ilp_buses"] == [
-            artifacts.case.external_id(b) for b in artifacts.solution.nodes]
+            sres.case.external_id(b) for b in sres.solution.nodes]
         assert len(payload["lambda"]) == 9
         assert len(payload["sigma"]) == 9
         assert payload["lambda_min"] == min(payload["lambda"])
@@ -116,32 +116,31 @@ class TestEmitReport:
             "report.json", "fig_lambda.csv", "fig_sigma.csv",
             "fig_assignment.csv"}
 
-    def test_counts_not_recomputed(self, artifacts, tmp_path):
-        pp.emit_report(pp.report_files(artifacts, tmp_path))
+    def test_counts_not_recomputed(self, sres, tmp_path):
+        pp.emit_report(pp.report_files(sres, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["pmu_count"] == len(payload["ilp_buses"])
         assert len(payload["svd_buses"]) == payload["pmu_count"]
 
-    def test_fig_lambda_columns(self, artifacts, tmp_path):
-        pp.emit_report(pp.report_files(artifacts, tmp_path))
+    def test_fig_lambda_columns(self, sres, tmp_path):
+        pp.emit_report(pp.report_files(sres, tmp_path))
         lines = (tmp_path / "fig_lambda.csv").read_text().splitlines()
         assert lines[0] == "bus,lambda,x"
         assert len(lines) == 10
         marked = [line for line in lines[1:] if line.endswith(",1")]
-        assert len(marked) == artifacts.solution.count
+        assert len(marked) == sres.solution.count
 
-    def test_fig_assignment_marks(self, artifacts, tmp_path):
-        pp.emit_report(pp.report_files(artifacts, tmp_path))
+    def test_fig_assignment_marks(self, sres, tmp_path):
+        pp.emit_report(pp.report_files(sres, tmp_path))
         lines = (tmp_path / "fig_assignment.csv").read_text().splitlines()
         header = "vector_rank,vector_index,bus,abs_entry,assigned,assignment_rank"
         assert lines[0] == header
         assigned = [line for line in lines[1:]
                     if line.split(",")[4] == "1"]
-        assert len(assigned) == artifacts.solution.count
+        assert len(assigned) == sres.solution.count
 
-    def test_conflict_entries_reference_real_vectors(self, artifacts,
-                                                     tmp_path):
-        pp.emit_report(pp.report_files(artifacts, tmp_path))
+    def test_conflict_entries_reference_real_vectors(self, sres, tmp_path):
+        pp.emit_report(pp.report_files(sres, tmp_path))
         payload = json.loads((tmp_path / "report.json").read_text())
         for conflict in payload["conflicts"]:
             assert conflict["rank"] > 1
@@ -149,10 +148,10 @@ class TestEmitReport:
             assert conflict["assigned_bus"] in payload["svd_buses"]
 
     # fig_lambda.csv is a directory, so no report file is written.
-    def test_failed_write_removes_its_files(self, artifacts, tmp_path):
+    def test_failed_write_removes_its_files(self, sres, tmp_path):
         (tmp_path / "fig_lambda.csv").mkdir()
         with pytest.raises(ReportError):
-            pp.emit_report(pp.report_files(artifacts, tmp_path))
+            pp.emit_report(pp.report_files(sres, tmp_path))
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
@@ -178,8 +177,7 @@ def test_fig_assignment_bytes(cases, name, structure, tmp_path):
                     jacobian_mode="flat", mode="full")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymmetryWarning)
-        art = run_structure(case, structure, cfg,
-                            pp.build_ybus(case)).artifacts
+        art = run_structure(case, structure, cfg, pp.build_ybus(case))
     pp.emit_report(pp.report_files(art, tmp_path))
     expected = "\n".join(reference_assignment_lines(art)) + "\n"
     assert (tmp_path / "fig_assignment.csv").read_bytes() == expected.encode()
