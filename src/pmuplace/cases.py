@@ -18,6 +18,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -101,6 +102,11 @@ class PowerCase:
         return len(self.branches)
 
     def external_id(self, internal: int) -> int:
+        # A bool would read as bus 0 or 1; numpy integers are fine.
+        if (isinstance(internal, bool)
+                or not isinstance(internal, numbers.Integral)):
+            raise TypeError(f"internal bus index {internal!r} is not an "
+                            "integer")
         if not 1 <= internal <= self.n:
             raise IndexError(f"internal bus index {internal} is outside "
                              f"1..{self.n}")
@@ -311,10 +317,13 @@ _BRANCH_HEADER = "from,to,r,x,b,tap,shift_deg"
 _CSV_TYPE_MAP = {"PQ": PQ, "PV": PV, "slack": SLACK}
 
 
-def _csv_sections(text: str, current: str | None = None
+def _csv_sections(text: str, current: str | None = None, source: str = "",
+                  taken: frozenset[str] | set[str] = frozenset()
                   ) -> dict[str, list[tuple[int, str]]]:
     """Numbered non-blank, non-comment rows of each ``[section]``; rows
-    before the first header belong to `current`."""
+    before the first header belong to `current`. A header that names
+    `current`, a section opened before it or one in `taken` (the other
+    files of a bundle) is a `MalformedRecord` at its line of `source`."""
     sections: dict[str, list[tuple[int, str]]] = (
         {} if current is None else {current: []})
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -323,6 +332,9 @@ def _csv_sections(text: str, current: str | None = None
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current in sections or current in taken:
+                raise MalformedRecord(line_no, f"section [{current}] is "
+                                      "given twice", source)
             sections[current] = []
             continue
         if current is None:
@@ -497,16 +509,19 @@ def load_case(path: str | Path) -> PowerCase:
     """
     path = Path(path)
     if path.is_dir():
+        members = {"case.toml": "case", "buses.csv": "buses",
+                   "branches.csv": "branches"}
         parts, sections, sources = [], {}, {}
-        for fname, section in (("case.toml", "case"), ("buses.csv", "buses"),
-                               ("branches.csv", "branches")):
+        for fname, section in members.items():
             member = path / fname
             if not member.exists():
                 raise MissingSection(f"{path}: missing {fname}")
             text = _read(member, fname)
             parts.append(f"[{section}]\n" + text)
-            for name, rows in _csv_sections(text, section).items():
-                sections[name], sources[name] = rows, fname
+            found = _csv_sections(text, section, fname,
+                                  sections.keys() | members.values())
+            sections |= found
+            sources |= dict.fromkeys(found, fname)
         case = _parse_csv_sections(sections, sources,
                                    _checksum("\n".join(parts)))
         if case.name == "case":

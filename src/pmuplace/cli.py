@@ -44,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the bus admittance matrix")
     parser.add_argument("--dump-adjacency", metavar="CSV",
                         help="write the binary adjacency")
-    parser.add_argument("--pf-tol", type=float,
-                        help="power-flow mismatch tolerance, per-unit")
-    parser.add_argument("--pf-max-iter", type=int)
     return parser
 
 

@@ -33,8 +33,8 @@ from .distance import ResistanceDistance, electrical_adjacency, resistance_matri
 from .errors import PmuPlaceError, UsageError
 from .network import (ELECTRICAL, TOPOLOGICAL, BinaryAdjacency, build_ybus,
                       topological_adjacency)
-from .powerflow import (DEFAULT_MAX_ITER, DEFAULT_TOL, OperatingPoint,
-                        flat_point, p_theta_jacobian, solve_power_flow)
+from .powerflow import (OperatingPoint, flat_point, p_theta_jacobian,
+                        solve_power_flow)
 from .report import (AverageDistanceProfile, average_profile, matrix_lines,
                      report_files)
 from .spectral import (CouplingRanking, SingularDecomposition, assign_buses,
@@ -62,8 +62,6 @@ class RunConfig:
     jacobian_mode: str = JAC_SOLVED    # solved | flat
     mode: str = MODE_FULL              # count | full
     output_dir: str | Path | None = None
-    pf_tol: float = DEFAULT_TOL
-    pf_max_iter: int = DEFAULT_MAX_ITER
     enumerate_cap: int = 0
     dump_distance: str | Path | None = None
     dump_ybus: str | Path | None = None
@@ -72,20 +70,15 @@ class RunConfig:
     def __post_init__(self):
         """Check each field's type before its value, so that a bad value
         of any type is a `UsageError` naming the field."""
-        def number(value, kind) -> bool:   # a bool is not a number here
-            return isinstance(value, kind) and not isinstance(value, bool)
-
         def path(value) -> bool:
             return isinstance(value, (str, os.PathLike)) and value != ""
 
         rules = [(name, lambda v, a=allowed: isinstance(v, str) and v in a,
                   f"one of {allowed}") for name, allowed in CHOICES.items()]
-        rules += [(name, lambda v: number(v, numbers.Integral) and v >= 0,
-                   "an integer >= 0")
-                  for name in ("enumerate_cap", "pf_max_iter")]
-        rules += [("pf_tol",
-                   lambda v: number(v, numbers.Real) and 0 < v < np.inf,
-                   "a real number, finite and > 0"),
+        rules += [("enumerate_cap",   # a bool is not an integer here
+                   lambda v: (isinstance(v, numbers.Integral)
+                              and not isinstance(v, bool) and v >= 0),
+                   "an integer >= 0"),
                   ("case_path", path, "a non-empty path (str or os.PathLike)")]
         rules += [(name, lambda v: v is None or path(v),
                    "a non-empty path (str or os.PathLike) or None")
@@ -129,7 +122,8 @@ class RunResult:
 def run_structure(case: PowerCase, structure: str, config: RunConfig,
                   ybus: np.ndarray) -> StructureResult:
     """Run one structure's stages. Reads only `config`'s stage settings
-    (operating point, power-flow limits, mode, cap); writes nothing."""
+    (operating point, mode, cap); writes nothing. The power flow runs
+    with `solve_power_flow`'s own tolerance and iteration limit."""
     dist: ResistanceDistance | None = None
     if structure == TOPOLOGICAL:
         adjacency: BinaryAdjacency = topological_adjacency(case)
@@ -137,8 +131,7 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
         if config.jacobian_mode == JAC_FLAT:
             op: OperatingPoint = flat_point(case)
         else:
-            op = solve_power_flow(case, ybus, tol=config.pf_tol,
-                                  max_iter=config.pf_max_iter)
+            op = solve_power_flow(case, ybus)
         dist = resistance_matrix(p_theta_jacobian(case, op, ybus),
                                  case.slack_index)
         adjacency = electrical_adjacency(dist, case.m)

@@ -4,6 +4,7 @@ import codecs
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,6 +198,37 @@ def test_bus_reference_faults(tmp_path, fmt, old, new, error, message):
     assert str(exc.value) == message
 
 
+# A section given twice is refused at the repeated header: reading on
+# would drop the rows before it (IEEE-14 would lose a branch).
+@pytest.mark.parametrize("section", ["case", "buses", "branches"])
+def test_repeated_section_rejected(ieee14, section):
+    lines = pp.dumps_csv_fallback(ieee14).splitlines()
+    at = lines.index(f"[{section}]") + 3
+    lines.insert(at, f"[{section}]")
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.parse_csv_fallback("\n".join(lines))
+    assert str(exc.value) == (f"line {at + 1}: section [{section}] is "
+                              "given twice")
+
+
+# In a bundle each file is its own section, so a header naming a section
+# of any bundle file repeats it, and an earlier file's section is not
+# replaced by a later one's.
+@pytest.mark.parametrize("member, section", [
+    ("buses.csv", "branches"), ("branches.csv", "case"),
+    ("buses.csv", "buses")])
+def test_bundle_section_given_twice_rejected(tmp_path, member, section):
+    bundle = write_bundle(tmp_path / "bundle", TRIANGLE_CSV)
+    body = TRIANGLE_CSV.split(f"[{section}]\n", 1)[1].split("\n\n", 1)[0]
+    path = bundle / member
+    line_no = len(path.read_text().splitlines()) + 1
+    path.write_text(path.read_text() + f"[{section}]\n{body}\n")
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.load_case(bundle)
+    assert str(exc.value) == (f"{member} line {line_no}: section "
+                              f"[{section}] is given twice")
+
+
 def _union_find_connected(n, pairs):
     parent = list(range(n + 1))
 
@@ -365,6 +397,14 @@ def test_external_id_refuses_an_index_outside_the_case(two_bus):
         b.external_id for b in two_bus.buses]
     for internal in (0, -1, 3):
         with pytest.raises(IndexError, match=r"outside 1\.\.2$"):
+            two_bus.external_id(internal)
+
+
+# A bool is not read as bus 0 or 1; numpy integers are indices.
+def test_external_id_refuses_an_index_that_is_not_an_integer(two_bus):
+    assert two_bus.external_id(np.int64(2)) == two_bus.buses[1].external_id
+    for internal in (True, False, 1.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match=f"index {internal!r} is not"):
             two_bus.external_id(internal)
 
 

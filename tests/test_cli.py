@@ -86,10 +86,13 @@ class TestExitCodes:
         assert "error: branches.csv line 2: byte 0xe9 is not UTF-8" in \
             capsys.readouterr().err
 
-    def test_nonconvergence_exit(self, tmp_path):
-        code = run_cli("--case", str(DATA / "ieee14.txt"),
-                       "--structure", "electrical", "--pf-max-iter", "0")
-        assert code == 7
+    # The solved operating point of this bundle meets a singular Newton
+    # Jacobian; the flat one needs no power flow.
+    def test_nonconvergence_exit(self, tmp_path, capsys):
+        bundle = write_bundle(tmp_path / "bundle", SINGULAR_JACOBIAN_CSV)
+        assert run_cli("--case", str(bundle)) == 7
+        assert "error: power flow did not converge" in capsys.readouterr().err
+        assert run_cli("--case", str(bundle), "--jacobian", "flat") == 0
 
     # A singular Newton Jacobian stops the power flow (exit 7); a nan
     # reactance is rejected by the reader, at the branch's own line of
@@ -232,9 +235,16 @@ class TestExitCodes:
             run_cli("--case", str(DATA / "ieee9.txt"), "--mode", "place")
         assert exc.value.code == 2
 
+    # The power flow runs with `solve_power_flow`'s own limits; the
+    # command line has no flag for them.
+    def test_power_flow_limit_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(DATA / "ieee9.txt"), "--pf-tol", "1e-6")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pf-tol 1e-6" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, field", [
-        ("--pf-tol", "0", "pf_tol"), ("--pf-tol", "inf", "pf_tol"),
-        ("--pf-max-iter", "-1", "pf_max_iter"),
         ("--enumerate", "-1", "enumerate_cap")])
     def test_invalid_setting_is_usage_error(self, capsys, flag, value, field):
         with pytest.raises(SystemExit) as exc:
@@ -354,16 +364,12 @@ def test_other_exception_exit_code(exc, code):
 @pytest.mark.parametrize("field, value", [
     ("structure", "electric"), ("jacobian_mode", "dc"), ("mode", "fast"),
     ("mode", "place"),
-    ("enumerate_cap", -1), ("enumerate_cap", 2.5), ("pf_max_iter", -1),
-    ("pf_max_iter", 2.5),
-    ("pf_tol", 0.0), ("pf_tol", -1e-8), ("pf_tol", float("nan")),
-    ("pf_tol", float("inf")),
+    ("enumerate_cap", -1), ("enumerate_cap", 2.5),
     ("case_path", ""), ("output_dir", ""), ("dump_distance", ""),
     ("dump_ybus", ""), ("dump_adjacency", ""),
     # The type is checked before the value: a bool is not a number and
     # a path is a str or os.PathLike.
-    ("pf_tol", "1e-8"), ("pf_tol", None), ("pf_tol", True),
-    ("enumerate_cap", True), ("pf_max_iter", False),
+    ("enumerate_cap", True),
     ("case_path", None), ("output_dir", 3)])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(errors.UsageError, match=field):
@@ -592,17 +598,19 @@ class TestOutputs:
     # Every stage of every structure runs before the first file is
     # written: the topological structure succeeds, the power flow fails.
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("--case", str(DATA / "ieee14.txt"), "--out", "o",
-                       "--dump-ybus", "y.csv", "--dump-adjacency", "b.csv",
-                       "--pf-max-iter", "0") == 7
+        bundle = write_bundle(tmp_path / "bundle", SINGULAR_JACOBIAN_CSV)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_cli("--case", str(bundle), "--out", "o",
+                       "--dump-ybus", "y.csv",
+                       "--dump-adjacency", "b.csv") == 7
         assert " wrote " not in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
+        assert list(work.iterdir()) == []
         with pytest.raises(errors.NonConvergence):
-            pipeline.run(pipeline.RunConfig(case_path=DATA / "ieee14.txt",
-                                            output_dir=tmp_path / "lib",
-                                            pf_max_iter=0))
-        assert list(tmp_path.iterdir()) == []
+            pipeline.run(pipeline.RunConfig(case_path=bundle,
+                                            output_dir=work / "lib"))
+        assert list(work.iterdir()) == []
 
     # The Y-bus dump cannot be written below a regular file, so no file
     # of the run is.

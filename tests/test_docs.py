@@ -13,6 +13,7 @@ from pathlib import Path
 from pmuplace import cli, errors
 from pmuplace.errors import AsymmetryWarning
 from pmuplace.pipeline import RunConfig, StructureResult
+from pmuplace.powerflow import solve_power_flow
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 FLAGS = README.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
@@ -26,14 +27,16 @@ def test_flags_paragraph_lists_every_long_option():
     assert documented == options
 
 
-# "`--pf-tol X` (default 1e-8)" and "`--mode full` (the default)".
+# "`--jacobian {solved,flat}` (default solved)" and "`--mode full` (the
+# default)".
 def test_flags_paragraph_defaults_match_run_config():
     claims = re.findall(r"`(--[a-z-]+) ([^`]+)`\s+\((?:default ([^)]+)|the "
                         r"default)\)", FLAGS)
     dests = {opt: action.dest for action in cli.build_parser()._actions
              for opt in action.option_strings}
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    assert len(claims) >= 5
+    assert {flag for flag, _, _ in claims} == {"--structure", "--jacobian",
+                                               "--mode"}
     for flag, value, default in claims:
         expected = defaults[dests[flag]]
         assert type(expected)(default or value) == expected, flag
@@ -44,6 +47,16 @@ def test_structure_result_fields_are_documented():
     block = section.split("Its fields:\n\n", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\* `(\w+)` - ", block, re.M)
     assert documented == [f.name for f in dataclasses.fields(StructureResult)]
+
+
+# A run uses the power flow's own limits; the README names them.
+def test_power_flow_limits_match_solve_power_flow():
+    section = README.split("## Library use", 1)[1]
+    tol, max_iter = re.search(r"default tolerance \((\S+)\s+p\.u\.\) and "
+                              r"iteration\s+limit \((\d+)\)", section).groups()
+    params = inspect.signature(solve_power_flow).parameters
+    assert (float(tol), int(max_iter)) == (params["tol"].default,
+                                          params["max_iter"].default)
 
 
 def test_exit_code_table_lists_every_code():
