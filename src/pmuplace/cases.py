@@ -4,10 +4,32 @@ Two input formats are supported:
 
 * IEEE common data format (fixed-width text, 1973 column layout) with
   BUS DATA / BRANCH DATA sections terminated by ``-999`` sentinels.
-* A CSV fallback bundle: a ``[case]`` metadata block plus ``[buses]``
-  and ``[branches]`` tables (see `parse_csv_fallback`). On disk the
-  bundle lives as three files, ``case.toml``, ``buses.csv`` and
-  ``branches.csv``, assembled by `load_case`.
+* A CSV fallback of three tables, per-unit on ``mva_base`` with angles
+  in degrees: the case table of ``name = ...`` and ``mva_base = ...``
+  lines, each key at most once, then the bus and branch tables, each a
+  header row (`_BUS_HEADER`, `_BRANCH_HEADER`) and one row per record.
+  A bundle (`load_case` on a directory) holds each table as a plain
+  file, ``case.toml``, ``buses.csv`` and ``branches.csv``, with no
+  ``[section]`` line. A document (`parse_csv_fallback`) is one text in
+  which the headers ``[case]``, ``[buses]`` and ``[branches]`` each
+  open their table once::
+
+      [case]
+      name = mycase
+      mva_base = 100.0
+
+      [buses]
+      id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs
+      ...
+
+      [branches]
+      from,to,r,x,b,tap,shift_deg
+      ...
+
+  In both forms blank lines and ``#`` comment lines are skipped, and
+  any other line that does not fit (an unknown or repeated header or
+  key, a row with the wrong number of columns) is a `MalformedRecord`
+  at its file and line.
 
 External bus numbers are remapped to contiguous internal indices
 1..N; the mapping is kept on the `PowerCase` for reporting.
@@ -315,50 +337,43 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
 _BUS_HEADER = "id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs"
 _BRANCH_HEADER = "from,to,r,x,b,tap,shift_deg"
 _CSV_TYPE_MAP = {"PQ": PQ, "PV": PV, "slack": SLACK}
+# Each table of the CSV fallback and the bundle file that holds it.
+_BUNDLE_FILES = {"case": "case.toml", "buses": "buses.csv",
+                 "branches": "branches.csv"}
+_CASE_KEYS = ("name", "mva_base")
 
 
-def _csv_sections(text: str, current: str | None = None, source: str = "",
-                  taken: frozenset[str] | set[str] = frozenset()
-                  ) -> dict[str, list[tuple[int, str]]]:
-    """Numbered non-blank, non-comment rows of each ``[section]``; rows
-    before the first header belong to `current`. A header that names
-    `current`, a section opened before it or one in `taken` (the other
-    files of a bundle) is a `MalformedRecord` at its line of `source`."""
-    sections: dict[str, list[tuple[int, str]]] = (
-        {} if current is None else {current: []})
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _rows(text: str) -> list[tuple[int, str]]:
+    """The numbered non-blank, non-comment lines of `text`, stripped."""
+    return [(line_no, line)
+            for line_no, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
+def _csv_sections(text: str) -> dict[str, list[tuple[int, str]]]:
+    """The rows of each table of a CSV document; a header outside the
+    grammar is a `MalformedRecord` at its line."""
+    sections: dict[str, list[tuple[int, str]]] = {}
+    for line_no, line in _rows(text):
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current in sections or current in taken:
-                raise MalformedRecord(line_no, f"section [{current}] is "
-                                      "given twice", source)
-            sections[current] = []
-            continue
-        if current is None:
+            section = line[1:-1].strip().lower()
+            if section not in _BUNDLE_FILES:
+                raise MalformedRecord(line_no, f"section [{section}] is "
+                                      "unknown")
+            if section in sections:
+                raise MalformedRecord(line_no, f"section [{section}] is "
+                                      "given twice")
+            sections[section] = []
+        elif not sections:
             raise MalformedRecord(line_no, "content before the first section")
-        sections[current].append((line_no, line))
+        else:
+            sections[section].append((line_no, line))
     return sections
 
 
 def parse_csv_fallback(text: str) -> PowerCase:
-    """Parse the CSV fallback bundle.
-
-    The bundle is one text document with three sections::
-
-        [case]
-        name = mycase
-        mva_base = 100.0
-
-        [buses]
-        id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs
-        ...
-
-        [branches]
-        from,to,r,x,b,tap,shift_deg
-        ...
+    """Parse a CSV fallback document (the grammar is in the module
+    docstring).
 
     Semantics match `parse_cdf`: external ids are remapped to 1..N.
     Unlike the CDF (which carries MW/MVAr), the CSV tables are already
@@ -374,7 +389,7 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
     def bad(section, line_no, detail):
         return MalformedRecord(line_no, detail, sources.get(section, ""))
 
-    for required in ("case", "buses", "branches"):
+    for required in _BUNDLE_FILES:
         if required not in sections or not sections[required]:
             raise MissingSection(f"CSV bundle is missing the {required} table")
 
@@ -384,8 +399,13 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         if "=" not in line:
             raise bad("case", line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip().strip('"')
-        meta_line[key.strip()] = line_no
+        key = key.strip()
+        if key not in _CASE_KEYS:
+            raise bad("case", line_no, f"key {key!r} is unknown")
+        if key in meta:
+            raise bad("case", line_no, f"key {key!r} is given twice")
+        meta[key] = value.strip().strip('"')
+        meta_line[key] = line_no
     name = meta.get("name", "case")
     try:
         mva_base = _finite(meta.get("mva_base", "100"))
@@ -505,25 +525,21 @@ def load_case(path: str | Path) -> PowerCase:
     """Load a case from a CDF text file or a CSV-bundle directory.
 
     A directory must hold ``case.toml``, ``buses.csv`` and
-    ``branches.csv``; any other path is read as CDF text.
+    ``branches.csv``, each a plain table (see the module docstring);
+    any other path is read as CDF text.
     """
     path = Path(path)
     if path.is_dir():
-        members = {"case.toml": "case", "buses.csv": "buses",
-                   "branches.csv": "branches"}
-        parts, sections, sources = [], {}, {}
-        for fname, section in members.items():
-            member = path / fname
-            if not member.exists():
+        texts = {}
+        for section, fname in _BUNDLE_FILES.items():
+            if not (path / fname).exists():
                 raise MissingSection(f"{path}: missing {fname}")
-            text = _read(member, fname)
-            parts.append(f"[{section}]\n" + text)
-            found = _csv_sections(text, section, fname,
-                                  sections.keys() | members.values())
-            sections |= found
-            sources |= dict.fromkeys(found, fname)
-        case = _parse_csv_sections(sections, sources,
-                                   _checksum("\n".join(parts)))
+            texts[section] = _read(path / fname, fname)
+        # The checksum is the document's: each file under its header.
+        case = _parse_csv_sections(
+            {section: _rows(text) for section, text in texts.items()},
+            _BUNDLE_FILES,
+            _checksum("\n".join(f"[{s}]\n{t}" for s, t in texts.items())))
         if case.name == "case":
             case = replace(case, name=path.name)
         return case

@@ -211,9 +211,8 @@ def test_repeated_section_rejected(ieee14, section):
                               "given twice")
 
 
-# In a bundle each file is its own section, so a header naming a section
-# of any bundle file repeats it, and an earlier file's section is not
-# replaced by a later one's.
+# A bundle file is a plain table with no section headers: a header line
+# in it is one more record of that table, refused at its file and line.
 @pytest.mark.parametrize("member, section", [
     ("buses.csv", "branches"), ("branches.csv", "case"),
     ("buses.csv", "buses")])
@@ -225,8 +224,32 @@ def test_bundle_section_given_twice_rejected(tmp_path, member, section):
     path.write_text(path.read_text() + f"[{section}]\n{body}\n")
     with pytest.raises(errors.MalformedRecord) as exc:
         pp.load_case(bundle)
-    assert str(exc.value) == (f"{member} line {line_no}: section "
-                              f"[{section}] is given twice")
+    n_cols = 10 if member == "buses.csv" else 7
+    assert str(exc.value) == (f"{member} line {line_no}: expected {n_cols} "
+                              "columns, got 1")
+
+
+# A document opens only [case], [buses] and [branches], and its case
+# table takes `name` and `mva_base`, each once. Any other header or key
+# is refused at its line: read on, a header would take the rows after
+# it, a misspelt key would leave the default base and a second name
+# would replace the first.
+@pytest.mark.parametrize("old, new, message", [
+    ("[branches]", "[note]\n[branches]",
+     "line 11: section [note] is unknown"),
+    ("[branches]", "[branch]", "line 11: section [branch] is unknown"),
+    ("mva_base = 100.0", "mva_bsae = 50.0",
+     "line 3: key 'mva_bsae' is unknown"),
+    ("mva_base = 100.0", "mva_base = 100.0\nname = other",
+     "line 4: key 'name' is given twice")],
+    ids=["unknown-section", "misspelt-section", "unknown-key",
+         "repeated-key"])
+def test_document_line_outside_the_grammar_rejected(old, new, message):
+    text = TRIANGLE_CSV.replace(old, new)
+    assert text != TRIANGLE_CSV
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.parse_csv_fallback(text)
+    assert str(exc.value) == message
 
 
 def _union_find_connected(n, pairs):
@@ -466,10 +489,22 @@ def _without_branches_csv(tmp_path):
      errors.MalformedRecord, "buses.csv line 4: expected 10 columns, got 9",
      4),
     (_without_branches_csv, errors.MissingSection, "{}: missing branches.csv",
+     4),
+    (lambda tmp: _bundle(tmp, "1,slack,1.0,0.0,0,0,0,0,0,0\n",
+                         "1,slack,1.0,0.0,0,0,0,0,0,0\n[note]\n"),
+     errors.MalformedRecord, "buses.csv line 3: expected 10 columns, got 1",
+     4),
+    (lambda tmp: _bundle(tmp, "mva_base = 100.0", "mva_bsae = 50.0"),
+     errors.MalformedRecord, "case.toml line 2: key 'mva_bsae' is unknown",
+     4),
+    (lambda tmp: _bundle(tmp, "mva_base = 100.0",
+                         "mva_base = 100.0\nname = other"),
+     errors.MalformedRecord, "case.toml line 3: key 'name' is given twice",
      4)],
     ids=["empty-cdf", "one-bus", "header-only-branches", "self-loop",
          "case-line-without-equals", "wrong-header", "wrong-column-count",
-         "bundle-missing-file"])
+         "bundle-missing-file", "bundle-section-header", "bundle-unknown-key",
+         "bundle-repeated-key"])
 def test_rejected_case_file(tmp_path, capsys, make, error, message, code):
     path = make(tmp_path)
     message = message.format(path)

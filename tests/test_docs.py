@@ -10,7 +10,7 @@ import re
 import warnings
 from pathlib import Path
 
-from pmuplace import cli, errors
+from pmuplace import cases, cli, errors
 from pmuplace.errors import AsymmetryWarning
 from pmuplace.pipeline import RunConfig, StructureResult
 from pmuplace.powerflow import solve_power_flow
@@ -47,6 +47,20 @@ def test_structure_result_fields_are_documented():
     block = section.split("Its fields:\n\n", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"^\* `(\w+)` - ", block, re.M)
     assert documented == [f.name for f in dataclasses.fields(StructureResult)]
+
+
+# The CSV bundle paragraph names the files and keys the reader takes and
+# the two header rows it checks.
+def test_csv_bundle_paragraph_matches_the_reader():
+    section = README.split("## Input formats", 1)[1].split("\n## ", 1)[0]
+    para = section.split("* **CSV bundle**", 1)[1].split("\n\n", 1)[0]
+    para = " ".join(para.split())
+    files = re.findall(r"`(\w+\.(?:toml|csv))`", para)
+    assert sorted(set(files)) == sorted(cases._BUNDLE_FILES.values())
+    keys = re.search(r"`case\.toml` \(([^)]*)\)", para).group(1)
+    assert tuple(re.findall(r"`(\w+)`", keys)) == cases._CASE_KEYS
+    assert re.findall(r"`(\w+(?:,\w+)+)`", para) == [cases._BUS_HEADER,
+                                                     cases._BRANCH_HEADER]
 
 
 # A run uses the power flow's own limits; the README names them.
