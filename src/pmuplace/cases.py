@@ -28,11 +28,14 @@ Two input formats are supported:
 
   In both forms blank lines and ``#`` comment lines are skipped, and
   any other line that does not fit (an unknown or repeated header or
-  key, a row with the wrong number of columns) is a `MalformedRecord`
-  at its file and line.
+  key, an empty name, a row with the wrong number of columns) is a
+  `MalformedRecord` at its file and line.
 
 External bus numbers are remapped to contiguous internal indices
-1..N; the mapping is kept on the `PowerCase` for reporting.
+1..N; the mapping is kept on the `PowerCase` for reporting. Angles stay
+in degrees, as both formats state them (`Bus.v_ang_deg`,
+`Branch.shift_deg`); the Y-bus converts the phase shift where it uses
+it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import codecs
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -68,14 +71,15 @@ class Bus:
     """One electrical bus, all quantities per-unit on the system base.
 
     `index` is the contiguous internal id (1..N); `external_id` is the
-    number that appeared in the source file. Voltage angle is radians.
+    number that appeared in the source file. `v_ang_deg` is the stated
+    voltage angle in degrees.
     """
 
     index: int
     external_id: int
     bus_type: str
     v_mag: float = 1.0
-    v_ang: float = 0.0
+    v_ang_deg: float = 0.0
     p_load: float = 0.0
     q_load: float = 0.0
     p_gen: float = 0.0
@@ -94,7 +98,7 @@ class Branch:
 
     `from_bus`/`to_bus` are internal indices; the tap sits on the from
     side. `b_charging` is the total line-charging susceptance and
-    `phase_shift` is radians.
+    `shift_deg` is the phase shift in degrees.
     """
 
     from_bus: int
@@ -103,7 +107,7 @@ class Branch:
     x: float
     b_charging: float = 0.0
     tap_ratio: float = 1.0
-    phase_shift: float = 0.0
+    shift_deg: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -247,10 +251,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def _num(line: str, start: int, end: int, line_no: int, kind=_finite):
+def _num(line: str, start: int, end: int, line_no: int, kind=_finite,
+         blank=0):
     text = _slice(line, start, end)
     if not text:
-        return kind(0)
+        return kind(blank)
     try:
         return kind(text)
     except ValueError as exc:
@@ -302,8 +307,8 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
             code = _num(line, 24, 26, line_no, int)
             fields = (
                 _CDF_TYPE_MAP.get(code),
-                _num(line, 27, 33, line_no) or 1.0,
-                math.radians(_num(line, 33, 40, line_no)),
+                _num(line, 27, 33, line_no, blank=1.0),
+                _num(line, 33, 40, line_no),
                 _num(line, 40, 49, line_no) / mva_base,
                 _num(line, 49, 59, line_no) / mva_base,
                 _num(line, 59, 67, line_no) / mva_base,
@@ -322,7 +327,7 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
                 _num(line, 29, 40, line_no),
                 _num(line, 40, 50, line_no),
                 _num(line, 76, 82, line_no) or 1.0,
-                math.radians(_num(line, 83, 90, line_no)))))
+                _num(line, 83, 90, line_no))))
 
     if not bus_rows:
         raise MissingSection(f"{case_name}: no BUS DATA section")
@@ -379,12 +384,16 @@ def parse_csv_fallback(text: str) -> PowerCase:
     Unlike the CDF (which carries MW/MVAr), the CSV tables are already
     per-unit on ``mva_base``; angles are degrees.
     """
-    return _parse_csv_sections(_csv_sections(text), {}, _checksum(text))
+    return _parse_csv_sections(_csv_sections(text), {}, _checksum(text),
+                               "case")
 
 
 def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
-                        sources: dict[str, str], checksum: str) -> PowerCase:
-    """The case in `sections`; `sources` names the file each came from."""
+                        sources: dict[str, str], checksum: str,
+                        default_name: str) -> PowerCase:
+    """The case in `sections`; `sources` names the file each came from,
+    and `default_name` is the case's name where the case table states
+    none."""
 
     def bad(section, line_no, detail):
         return MalformedRecord(line_no, detail, sources.get(section, ""))
@@ -406,7 +415,9 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
             raise bad("case", line_no, f"key {key!r} is given twice")
         meta[key] = value.strip().strip('"')
         meta_line[key] = line_no
-    name = meta.get("name", "case")
+    if meta.get("name") == "":
+        raise bad("case", meta_line["name"], "name is empty")
+    name = meta.get("name", default_name)
     try:
         mva_base = _finite(meta.get("mva_base", "100"))
     except ValueError as exc:
@@ -439,10 +450,10 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
             try:
                 ext = int(cells[0])
                 bus_type = _CSV_TYPE_MAP[cells[1]]
-                v_mag, v_ang_deg, *rest = [_finite(c) for c in cells[2:]]
+                floats = [_finite(c) for c in cells[2:]]
             except (ValueError, KeyError) as exc:
                 raise bad("buses", line_no, f"bad bus record {cells}") from exc
-            yield ext, (bus_type, v_mag, math.radians(v_ang_deg), *rest)
+            yield ext, (bus_type, *floats)
 
     def branch_rows():
         source = sources.get("branches", "")
@@ -454,27 +465,9 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
                 raise bad("branches", line_no,
                           f"bad branch record {cells}") from exc
             yield (f"{source} line {line_no}".lstrip(), ends,
-                   (r, x, b, tap or 1.0, math.radians(shift_deg)))
+                   (r, x, b, tap or 1.0, shift_deg))
 
     return _assemble(name, mva_base, bus_rows(), branch_rows(), checksum)
-
-
-def _degrees_exact(rad: float) -> float:
-    """Degrees value whose radians() reproduces `rad` bit-for-bit.
-
-    Angles only ever enter the model through radians(deg), so an exact
-    preimage exists; plain degrees() can land one ulp off it.
-    """
-    deg = math.degrees(rad)
-    if math.radians(deg) == rad:
-        return deg
-    for direction in (math.inf, -math.inf):
-        candidate = deg
-        for _ in range(2):
-            candidate = math.nextafter(candidate, direction)
-            if math.radians(candidate) == rad:
-                return candidate
-    return deg
 
 
 def dumps_csv_fallback(case: PowerCase) -> str:
@@ -488,7 +481,7 @@ def dumps_csv_fallback(case: PowerCase) -> str:
     for b in case.buses:
         out.append(",".join([
             str(b.external_id), b.bus_type, repr(b.v_mag),
-            repr(_degrees_exact(b.v_ang)), repr(b.p_load), repr(b.q_load),
+            repr(b.v_ang_deg), repr(b.p_load), repr(b.q_load),
             repr(b.p_gen), repr(b.q_gen), repr(b.shunt_g), repr(b.shunt_b),
         ]))
     out += ["", "[branches]", _BRANCH_HEADER]
@@ -497,7 +490,7 @@ def dumps_csv_fallback(case: PowerCase) -> str:
             str(case.external_id(br.from_bus)),
             str(case.external_id(br.to_bus)),
             repr(br.r), repr(br.x), repr(br.b_charging), repr(br.tap_ratio),
-            repr(_degrees_exact(br.phase_shift)),
+            repr(br.shift_deg),
         ]))
     return "\n".join(out) + "\n"
 
@@ -525,8 +518,9 @@ def load_case(path: str | Path) -> PowerCase:
     """Load a case from a CDF text file or a CSV-bundle directory.
 
     A directory must hold ``case.toml``, ``buses.csv`` and
-    ``branches.csv``, each a plain table (see the module docstring);
-    any other path is read as CDF text.
+    ``branches.csv``, each a plain table (see the module docstring),
+    and takes its name where ``case.toml`` states none; any other path
+    is read as CDF text.
     """
     path = Path(path)
     if path.is_dir():
@@ -536,13 +530,11 @@ def load_case(path: str | Path) -> PowerCase:
                 raise MissingSection(f"{path}: missing {fname}")
             texts[section] = _read(path / fname, fname)
         # The checksum is the document's: each file under its header.
-        case = _parse_csv_sections(
+        return _parse_csv_sections(
             {section: _rows(text) for section, text in texts.items()},
             _BUNDLE_FILES,
-            _checksum("\n".join(f"[{s}]\n{t}" for s, t in texts.items())))
-        if case.name == "case":
-            case = replace(case, name=path.name)
-        return case
+            _checksum("\n".join(f"[{s}]\n{t}" for s, t in texts.items())),
+            path.name)
     return parse_cdf(_read(path), name=path.stem)
 
 

@@ -8,6 +8,7 @@ about four nonzeros per row), index arrays of the nonzeros do the work.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class BinaryAdjacency:
 def build_ybus(case: PowerCase) -> np.ndarray:
     """Assemble the complex bus admittance matrix.
 
-    Standard pi model with the off-nominal tap on the from side;
-    parallel branches accumulate. Bus shunts (and half the line
+    Standard pi model with the off-nominal tap on the from side, its
+    phase shift converted here from the case's degrees; parallel
+    branches accumulate. Bus shunts (and half the line
     charging per end) land on the diagonal. `InvalidBranch` names the
     case and the branch whose tap ratio squares to zero or to infinity,
     or whose pi model would hold a non-finite entry (a tap ratio or
@@ -61,7 +63,7 @@ def build_ybus(case: PowerCase) -> np.ndarray:
             j = br.to_bus - 1
             y_series = 1.0 / complex(br.r, br.x)
             y_shunt = 0.5j * br.b_charging
-            t = br.tap_ratio * np.exp(1j * br.phase_shift)
+            t = br.tap_ratio * np.exp(1j * math.radians(br.shift_deg))
             tap_sq = abs(t) ** 2
             # An infinite square would leave the branch electrically
             # open while the topological path still counts it.

@@ -1,5 +1,6 @@
 """Case model and reader tests."""
 
+import cmath
 import codecs
 import math
 from pathlib import Path
@@ -27,7 +28,7 @@ class TestCdfParser:
         bus9 = ieee14.buses[8]
         assert bus9.shunt_b == pytest.approx(0.19)
         assert bus9.p_load == pytest.approx(0.295)
-        assert bus9.v_ang == pytest.approx(math.radians(-14.94))
+        assert bus9.v_ang_deg == -14.94
         taps = [br.tap_ratio for br in ieee14.branches if br.tap_ratio != 1.0]
         assert sorted(taps) == pytest.approx([0.932, 0.969, 0.978])
 
@@ -233,7 +234,7 @@ def test_bundle_section_given_twice_rejected(tmp_path, member, section):
 # table takes `name` and `mva_base`, each once. Any other header or key
 # is refused at its line: read on, a header would take the rows after
 # it, a misspelt key would leave the default base and a second name
-# would replace the first.
+# would replace the first. A stated name may not be empty.
 @pytest.mark.parametrize("old, new, message", [
     ("[branches]", "[note]\n[branches]",
      "line 11: section [note] is unknown"),
@@ -241,9 +242,11 @@ def test_bundle_section_given_twice_rejected(tmp_path, member, section):
     ("mva_base = 100.0", "mva_bsae = 50.0",
      "line 3: key 'mva_bsae' is unknown"),
     ("mva_base = 100.0", "mva_base = 100.0\nname = other",
-     "line 4: key 'name' is given twice")],
+     "line 4: key 'name' is given twice"),
+    ("name = triangle", "name =", "line 2: name is empty"),
+    ("name = triangle", 'name = ""', "line 2: name is empty")],
     ids=["unknown-section", "misspelt-section", "unknown-key",
-         "repeated-key"])
+         "repeated-key", "empty-name", "empty-quoted-name"])
 def test_document_line_outside_the_grammar_rejected(old, new, message):
     text = TRIANGLE_CSV.replace(old, new)
     assert text != TRIANGLE_CSV
@@ -500,11 +503,13 @@ def _without_branches_csv(tmp_path):
     (lambda tmp: _bundle(tmp, "mva_base = 100.0",
                          "mva_base = 100.0\nname = other"),
      errors.MalformedRecord, "case.toml line 3: key 'name' is given twice",
-     4)],
+     4),
+    (lambda tmp: _bundle(tmp, "name = triangle", "name ="),
+     errors.MalformedRecord, "case.toml line 1: name is empty", 4)],
     ids=["empty-cdf", "one-bus", "header-only-branches", "self-loop",
          "case-line-without-equals", "wrong-header", "wrong-column-count",
          "bundle-missing-file", "bundle-section-header", "bundle-unknown-key",
-         "bundle-repeated-key"])
+         "bundle-repeated-key", "bundle-empty-name"])
 def test_rejected_case_file(tmp_path, capsys, make, error, message, code):
     path = make(tmp_path)
     message = message.format(path)
@@ -533,3 +538,96 @@ def test_cdf_skips_blank_lines_and_trailing_sections(ieee14):
     case = pp.parse_cdf("".join(lines), name="ieee14")
     assert (case.n, case.m) == (14, 20)
     assert (case.buses, case.branches) == (ieee14.buses, ieee14.branches)
+
+
+# A case table that states no name leaves the reader's own, `case` for
+# a document; a stated name is kept, `case` in a bundle too.
+def test_case_name_falls_back_only_where_none_is_stated(tmp_path):
+    unnamed = TRIANGLE_CSV.replace("name = triangle\n", "")
+    assert pp.parse_csv_fallback(unnamed).name == "case"
+    named = TRIANGLE_CSV.replace("name = triangle", "name = case")
+    assert pp.load_case(write_bundle(tmp_path / "named", named)).name \
+        == "case"
+
+
+# Only a blank CDF voltage field reads as 1.0 p.u.; a stated zero on a
+# PV bus is refused by both readers alike.
+@pytest.mark.parametrize("fmt", ["cdf", "bundle"])
+def test_stated_zero_voltage_on_a_pv_bus_rejected(tmp_path, capsys, ieee14,
+                                                  fmt):
+    if fmt == "cdf":
+        lines = (Path(pp.__file__).parent / "data" / "ieee14.txt"
+                 ).read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("   2 BUS 2"))
+        assert lines[at][27:33] == "1.0450"
+        lines[at] = lines[at][:27] + " 0.000" + lines[at][33:]
+        path = tmp_path / "ieee14.txt"
+        path.write_text("".join(lines))
+    else:
+        text = pp.dumps_csv_fallback(ieee14)
+        assert "\n2,PV,1.045," in text
+        path = write_bundle(tmp_path / "bundle",
+                            text.replace("\n2,PV,1.045,", "\n2,PV,0.0,"))
+    message = "ieee14: bus 2: regulated bus with non-positive voltage 0.0"
+    with pytest.raises(errors.CaseError, match=f"^{message}$"):
+        pp.load_case(path)
+    assert cli.main(["--case", str(path), "--mode", "count"]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A phase-shifting transformer 1-2 (tap 1.05 at 30 degrees) and a line
+# 2-3, as a CSV document and as CDF text (tap in columns 77-82, shift in
+# columns 84-90).
+SHIFTED_CSV = TRIANGLE_CSV.replace("name = triangle", "name = shifted").split(
+    "[branches]")[0] + """\
+[branches]
+from,to,r,x,b,tap,shift_deg
+1,2,0.01,0.1,0.02,1.05,30
+2,3,0.0,0.5,0.0,1.0,0.0
+"""
+
+SHIFTED_CDF = (
+    " 08/08/26 PMUPLACE ARCHIVE      100.0 2026 S SHIFTED\n"
+    "BUS DATA FOLLOWS                            3 ITEMS\n"
+    + "".join(f"   {i} BUS {i}         1  1  {code} 1.0000   0.00     0.00"
+              "      0.00    0.00    0.00    0.00 1.000    0.00    0.00"
+              "  0.0000  0.0000    0\n" for i, code in ((1, 3), (2, 0), (3, 0)))
+    + "-999\n"
+    "BRANCH DATA FOLLOWS                         2 ITEMS\n"
+    "   1    2  1  1  10   0.01000    0.10000   0.02000     0     0"
+    "     0   0 0  1.0500   30.00\n"
+    "   2    3  1  1  10   0.00000    0.50000   0.00000     0     0"
+    "     0   0 0  0.0000    0.00\n"
+    "-999\n"
+    "END OF DATA\n"
+)
+
+
+def test_phase_shift_enters_the_ybus_as_a_complex_tap():
+    case = pp.parse_csv_fallback(SHIFTED_CSV)
+    assert case.branches[0].shift_deg == 30.0
+    y = pp.build_ybus(case)
+    t = cmath.rect(1.05, math.radians(30))
+    y_series = 1 / complex(0.01, 0.1)
+    y_shunt = 0.5j * 0.02
+    assert y[0, 0] == pytest.approx((y_series + y_shunt) / abs(t) ** 2,
+                                    rel=1e-14)
+    assert y[0, 1] == pytest.approx(-y_series / t.conjugate(), rel=1e-14)
+    assert y[1, 0] == pytest.approx(-y_series / t, rel=1e-14)
+    assert y[1, 1] == pytest.approx(y_series + y_shunt + 1 / 0.5j, rel=1e-14)
+    assert y[0, 2] == y[2, 0] == 0
+
+
+def test_cdf_phase_shift_reads_as_the_csv_one():
+    cdf = pp.parse_cdf(SHIFTED_CDF)
+    csv = pp.parse_csv_fallback(SHIFTED_CSV)
+    assert cdf.branches == csv.branches
+    assert pp.build_ybus(cdf).tobytes() == pp.build_ybus(csv).tobytes()
+
+
+# The model holds each angle as the file states it, so the writer gives
+# the file's own digits back.
+def test_dump_writes_angles_as_stated():
+    text = pp.dumps_csv_fallback(pp.load_bundled_case("ieee57"))
+    assert "\n4,PQ,0.981,-7.32,0.0," in text

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in it, and every
-parameter of a library function is read in its body, so a deletion
-cannot leave a dead import or parameter behind; every attribute the
+"""Every name a library module imports is used in it, every parameter
+of a library function is read in its body, and every module-level name
+is read somewhere in the library or exported, so a deletion cannot
+leave a dead import, parameter or helper behind; every attribute the
 benchmark's tracer wraps exists, so a rename cannot leave it behind."""
 
 import ast
@@ -52,6 +53,39 @@ def test_every_parameter_is_read(path):
         unread += [f"{node.name}({param})" for param in params
                    if param not in read]
     assert unread == []
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names at the module's top
+    level, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {name.id for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def test_every_module_level_name_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(pmuplace.__file__).parent.glob("*.py")}
+    loaded = set()
+    for node in itertools.chain.from_iterable(map(ast.walk, trees.values())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            loaded.add(node.attr)
+    unused = [f"{module}:{name}" for module, tree in sorted(trees.items())
+              for name in sorted(defined_names(tree) - loaded
+                                 - set(pmuplace.__all__))]
+    assert unused == []
 
 
 def test_every_traced_target_resolves():

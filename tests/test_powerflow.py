@@ -87,7 +87,7 @@ class TestSolvePowerFlow:
         # file voltages are rounded to about 1e-3 / 0.01 degrees
         op = pp.solve_power_flow(ieee14, pp.build_ybus(ieee14))
         file_v = np.array([b.v_mag for b in ieee14.buses])
-        file_a = np.array([b.v_ang for b in ieee14.buses])
+        file_a = np.radians([b.v_ang_deg for b in ieee14.buses])
         assert np.abs(op.v_mag - file_v).max() < 2e-3
         assert np.abs(op.v_ang - file_a).max() < 2e-3
 
