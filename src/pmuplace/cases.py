@@ -28,8 +28,8 @@ Two input formats are supported:
 
   In both forms blank lines and ``#`` comment lines are skipped, and
   any other line that does not fit (an unknown or repeated header or
-  key, an empty name, a row with the wrong number of columns) is a
-  `MalformedRecord` at its file and line.
+  key, an empty or blank name, a row with the wrong number of columns)
+  is a `MalformedRecord` at its file and line.
 
 External bus numbers are remapped to contiguous internal indices
 1..N; the mapping is kept on the `PowerCase` for reporting. Angles stay
@@ -273,12 +273,13 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
         raise MissingSection("empty case file")
 
     title = lines[0]
-    mva_base = _num(title, 31, 37, 1) or 100.0
+    mva_base = _num(title, 31, 37, 1, blank=100.0)
     # Every load and generation is divided by the base, so a negative
-    # one would flip the sign of every injection.
-    if mva_base < 0:
+    # one would flip the sign of every injection and a zero one
+    # divide by zero.
+    if mva_base <= 0:
         raise MalformedRecord(1, f"columns 32-37: MVA base {mva_base!r} "
-                              "is negative")
+                              f"is {'negative' if mva_base < 0 else 'zero'}")
     case_name = name or _slice(title, 45, 73) or "case"
 
     bus_rows: list[tuple[int, tuple]] = []
@@ -296,11 +297,10 @@ def parse_cdf(text: str, name: str | None = None) -> PowerCase:
         if upper.startswith("BRANCH DATA"):
             section = "branch"
             continue
-        if stripped.startswith("-9"):  # -999 / -99 section terminators
+        # -999 / -99 section terminators, and the sections not read.
+        if stripped.startswith("-9") or upper.startswith(
+                ("LOSS ZONES", "INTERCHANGE DATA", "TIE LINES")):
             section = None
-            continue
-        if upper.startswith(("LOSS ZONES", "INTERCHANGE DATA", "TIE LINES")):
-            section = "skip"
             continue
         if section == "bus":
             ext = _num(line, 0, 4, line_no, int)
@@ -391,9 +391,9 @@ def parse_csv_fallback(text: str) -> PowerCase:
 def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
                         sources: dict[str, str], checksum: str,
                         default_name: str) -> PowerCase:
-    """The case in `sections`; `sources` names the file each came from,
-    and `default_name` is the case's name where the case table states
-    none."""
+    """The case in `sections`, read table by table and line by line;
+    `sources` names the file each came from, and `default_name` is the
+    case's name where the case table states none."""
 
     def bad(section, line_no, detail):
         return MalformedRecord(line_no, detail, sources.get(section, ""))
@@ -402,72 +402,63 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         if required not in sections or not sections[required]:
             raise MissingSection(f"CSV bundle is missing the {required} table")
 
-    meta = {}
-    meta_line = {}
+    stated = {}
     for line_no, line in sections["case"]:
         if "=" not in line:
             raise bad("case", line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip().strip('"')
         if key not in _CASE_KEYS:
             raise bad("case", line_no, f"key {key!r} is unknown")
-        if key in meta:
+        if key in stated:
             raise bad("case", line_no, f"key {key!r} is given twice")
-        meta[key] = value.strip().strip('"')
-        meta_line[key] = line_no
-    if meta.get("name") == "":
-        raise bad("case", meta_line["name"], "name is empty")
-    name = meta.get("name", default_name)
-    try:
-        mva_base = _finite(meta.get("mva_base", "100"))
-    except ValueError as exc:
-        raise bad("case", meta_line["mva_base"],
-                  f"mva_base {meta['mva_base']!r} is not "
-                  "a finite number") from exc
-    if mva_base < 0:
-        raise bad("case", meta_line["mva_base"],
-                  f"mva_base {meta['mva_base']!r} is negative")
+        if key == "name":
+            if not value.strip():
+                raise bad("case", line_no, "name is empty")
+            stated[key] = value
+            continue
+        try:
+            stated[key] = _finite(value)
+        except ValueError as exc:
+            raise bad("case", line_no, f"mva_base {value!r} is not "
+                      "a finite number") from exc
+        if stated[key] < 0:
+            raise bad("case", line_no, f"mva_base {value!r} is negative")
 
-    def parse_table(section, header, n_cols):
-        rows = sections[section]
-        line_no, head = rows[0]
+    def table(section, header, kind, record):
+        """The records of a row table, each row counted and converted by
+        `record(where, cells)` as it is read."""
+        (line_no, head), *rows = sections[section]
         if head.replace(" ", "") != header:
             raise bad(section, line_no, f"expected header {header!r}")
-        out = []
-        for line_no, line in rows[1:]:
+        n_cols = header.count(",") + 1
+        records = []
+        for line_no, line in rows:
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != n_cols:
                 raise bad(section, line_no, f"expected {n_cols} columns, "
                           f"got {len(cells)}")
-            out.append((line_no, cells))
-        return out
-
-    bus_table = parse_table("buses", _BUS_HEADER, 10)
-    branch_table = parse_table("branches", _BRANCH_HEADER, 7)
-
-    def bus_rows():
-        for line_no, cells in bus_table:
             try:
-                ext = int(cells[0])
-                bus_type = _CSV_TYPE_MAP[cells[1]]
-                floats = [_finite(c) for c in cells[2:]]
+                records.append(record(
+                    f"{sources.get(section, '')} line {line_no}".lstrip(),
+                    cells))
             except (ValueError, KeyError) as exc:
-                raise bad("buses", line_no, f"bad bus record {cells}") from exc
-            yield ext, (bus_type, *floats)
+                raise bad(section, line_no,
+                          f"bad {kind} record {cells}") from exc
+        return records
 
-    def branch_rows():
-        source = sources.get("branches", "")
-        for line_no, cells in branch_table:
-            try:
-                ends = int(cells[0]), int(cells[1])
-                r, x, b, tap, shift_deg = [_finite(c) for c in cells[2:]]
-            except ValueError as exc:
-                raise bad("branches", line_no,
-                          f"bad branch record {cells}") from exc
-            yield (f"{source} line {line_no}".lstrip(), ends,
-                   (r, x, b, tap or 1.0, shift_deg))
-
-    return _assemble(name, mva_base, bus_rows(), branch_rows(), checksum)
+    # A row's `where` ("line 14", "branches.csv line 4") locates a
+    # branch's unknown bus; a tap of zero reads as 1.
+    return _assemble(
+        stated.get("name", default_name), stated.get("mva_base", 100.0),
+        table("buses", _BUS_HEADER, "bus", lambda _, cells: (
+            int(cells[0]),
+            (_CSV_TYPE_MAP[cells[1]], *map(_finite, cells[2:])))),
+        table("branches", _BRANCH_HEADER, "branch", lambda where, cells: (
+            where, (int(cells[0]), int(cells[1])),
+            (*map(_finite, cells[2:5]), _finite(cells[5]) or 1.0,
+             _finite(cells[6])))),
+        checksum)
 
 
 def dumps_csv_fallback(case: PowerCase) -> str:

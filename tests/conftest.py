@@ -125,6 +125,20 @@ def write_bundle(directory, text):
     return directory
 
 
+def renumbered(case, rng):
+    """`case` written as a CSV document with its bus rows shuffled by
+    `rng` (a `random.Random`), then read back, and the permutation: the
+    old 0-based position of each new one. Every bus keeps its external
+    id and the branches their order; only the internal numbering
+    moves."""
+    lines = pp.dumps_csv_fallback(case).splitlines()
+    first = lines.index("[buses]") + 2
+    order = list(range(case.n))
+    rng.shuffle(order)
+    lines[first:first + case.n] = [lines[first + i] for i in order]
+    return pp.parse_csv_fallback("\n".join(lines)), np.array(order)
+
+
 def random_connected_adjacency(rng: np.random.Generator, n: int):
     """Unit-diagonal adjacency of a random connected graph (random
     spanning tree plus a few extra edges)."""

@@ -89,6 +89,13 @@ class TestCdfParser:
                 pp.parse_cdf(text)
             assert exc.value.line_no == 1
 
+    # Only a blank base reads as 100 MVA (a stated zero is refused by
+    # `test_rejected_case_file`).
+    def test_blank_mva_base_reads_as_100(self, two_bus):
+        text = TWO_BUS_CDF.replace(" 100.0 2026", "       2026")
+        assert text != TWO_BUS_CDF
+        assert pp.parse_cdf(text).mva_base == 100.0 == two_bus.mva_base
+
     def test_negative_reactance_rejected(self):
         text = TWO_BUS_CDF.replace("   0.00000    0.50000",
                                    "   0.00000   -0.50000")
@@ -244,15 +251,40 @@ def test_bundle_section_given_twice_rejected(tmp_path, member, section):
     ("mva_base = 100.0", "mva_base = 100.0\nname = other",
      "line 4: key 'name' is given twice"),
     ("name = triangle", "name =", "line 2: name is empty"),
-    ("name = triangle", 'name = ""', "line 2: name is empty")],
+    ("name = triangle", 'name = ""', "line 2: name is empty"),
+    ("name = triangle", 'name = "  "', "line 2: name is empty")],
     ids=["unknown-section", "misspelt-section", "unknown-key",
-         "repeated-key", "empty-name", "empty-quoted-name"])
+         "repeated-key", "empty-name", "empty-quoted-name",
+         "blank-quoted-name"])
 def test_document_line_outside_the_grammar_rejected(old, new, message):
     text = TRIANGLE_CSV.replace(old, new)
     assert text != TRIANGLE_CSV
     with pytest.raises(errors.MalformedRecord) as exc:
         pp.parse_csv_fallback(text)
     assert str(exc.value) == message
+
+
+# Each table is read line by line, case, buses, then branches, so the
+# first unreadable line is reported (exit 4) before any fault of the
+# model the lines describe (exit 5 or 6).
+@pytest.mark.parametrize("faults, message", [
+    ((("2,PQ,1.0,0.0,0,0", "2,PQ,1.0,0.0,nan,0"),
+      ("2,3,0.0,1.0,0.0,1.0,0.0", "2,3,0.0,1.0,0.0,1.0")),
+     "line 8: bad bus record "
+     "['2', 'PQ', '1.0', '0.0', 'nan', '0', '0', '0', '0', '0']"),
+    ((("2,PQ,", "1,PQ,"), ("3,PQ,1.0,0.0,0,", "3,PQ,1.0,0.0,x,")),
+     "line 9: bad bus record "
+     "['3', 'PQ', '1.0', '0.0', 'x', '0', '0', '0', '0', '0']")],
+    ids=["bus-before-branch", "unreadable-before-duplicate"])
+def test_first_unreadable_line_is_reported(faults, message):
+    text = TRIANGLE_CSV
+    for old, new in faults:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(errors.MalformedRecord) as exc:
+        pp.parse_csv_fallback(text)
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 4
 
 
 def _union_find_connected(n, pairs):
@@ -477,6 +509,14 @@ def _without_branches_csv(tmp_path):
     (lambda tmp: _cdf_file(tmp, ""), errors.MissingSection,
      "empty case file", 4),
     (_one_bus_cdf, errors.MissingSection, "case: a case needs at least 2 buses, got 1", 4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace(" 100.0 2026",
+                                                    "   0.0 2026")),
+     errors.MalformedRecord, "line 1: columns 32-37: MVA base 0.0 is zero",
+     4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace(" 100.0 2026",
+                                                    "  -0.0 2026")),
+     errors.MalformedRecord, "line 1: columns 32-37: MVA base -0.0 is zero",
+     4),
     (lambda tmp: write_bundle(tmp / "bundle",
                               TRIANGLE_CSV.split("1,2,0.0")[0]),
      errors.MissingSection, "triangle: a case needs at least 1 branch", 4),
@@ -505,11 +545,14 @@ def _without_branches_csv(tmp_path):
      errors.MalformedRecord, "case.toml line 3: key 'name' is given twice",
      4),
     (lambda tmp: _bundle(tmp, "name = triangle", "name ="),
+     errors.MalformedRecord, "case.toml line 1: name is empty", 4),
+    (lambda tmp: _bundle(tmp, "name = triangle", 'name = "  "'),
      errors.MalformedRecord, "case.toml line 1: name is empty", 4)],
-    ids=["empty-cdf", "one-bus", "header-only-branches", "self-loop",
+    ids=["empty-cdf", "one-bus", "cdf-zero-base", "cdf-minus-zero-base",
+         "header-only-branches", "self-loop",
          "case-line-without-equals", "wrong-header", "wrong-column-count",
          "bundle-missing-file", "bundle-section-header", "bundle-unknown-key",
-         "bundle-repeated-key", "bundle-empty-name"])
+         "bundle-repeated-key", "bundle-empty-name", "bundle-blank-name"])
 def test_rejected_case_file(tmp_path, capsys, make, error, message, code):
     path = make(tmp_path)
     message = message.format(path)

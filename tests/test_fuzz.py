@@ -47,17 +47,23 @@ def networks(draw):
 
 @st.composite
 def mutated_networks(draw):
+    """(bus rows, branch rows, case header), up to two fields replaced;
+    the header is ``[name, mva_base]``, and a blank value may replace
+    one of its fields."""
     buses, branches = draw(networks())
+    header = ["fuzz", "100.0"]
     for _ in range(draw(st.integers(0, 2))):
-        rows = draw(st.sampled_from([buses, branches]))
+        rows = draw(st.sampled_from([buses, branches, [header]]))
         row = draw(st.sampled_from(rows))
-        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(TOKENS))
-    return buses, branches
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+            TOKENS + ["  "] if row is header else TOKENS))
+    return buses, branches, header
 
 
-def csv_bundle(buses, branches) -> dict[str, str]:
+def csv_bundle(buses, branches, header) -> dict[str, str]:
+    name, mva_base = header
     return {
-        "case.toml": "name = fuzz\nmva_base = 100.0\n",
+        "case.toml": f"name = {name}\nmva_base = {mva_base}\n",
         "buses.csv": "id,type,vmag,vang_deg,pload,qload,pgen,qgen,gs,bs\n"
                      + "".join(",".join(r) + "\n" for r in buses),
         "branches.csv": "from,to,r,x,b,tap,shift_deg\n"
@@ -76,10 +82,11 @@ def _fixed(fields, width) -> str:
 _CDF_TYPE = {"PQ": "0", "PV": "2", "slack": "3"}
 
 
-def cdf_text(buses, branches) -> str:
-    """The same network in the IEEE common data format; its load and
-    generation cells read as MW on a 100 MVA base."""
-    lines = [" 01/01/26 FUZZ                   100.0 2026 S FUZZ CASE",
+def cdf_text(buses, branches, header) -> str:
+    """The same network in the IEEE common data format, the header's
+    MVA base in title columns 32-37; its load and generation cells read
+    as MW on that base."""
+    lines = [f" 01/01/26 FUZZ{header[1][-6:]:>23} 2026 S FUZZ CASE",
              "BUS DATA FOLLOWS"]
     for b in buses:
         lines.append(_fixed([
@@ -109,9 +116,8 @@ def read_or_reject(parse, text):
        st.sampled_from(["solved", "flat"]), st.sampled_from(["count", "full"]))
 def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
                                                mode):
-    buses, branches = network
-    files = csv_bundle(buses, branches)
-    cdf = cdf_text(buses, branches)
+    files = csv_bundle(*network)
+    cdf = cdf_text(*network)
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         warnings.simplefilter("ignore")
         read_or_reject(pp.parse_csv_fallback, "\n".join(
