@@ -26,6 +26,8 @@ Two input formats are supported:
       from,to,r,x,b,tap,shift_deg
       ...
 
+  A case-table value may be enclosed in one pair of double quotes,
+  which the reader removes; any other quote is part of the value.
   In both forms blank lines and ``#`` comment lines are skipped, and
   any other line that does not fit (an unknown or repeated header or
   key, an empty or blank name, a row with the wrong number of columns)
@@ -407,7 +409,9 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         if "=" not in line:
             raise bad("case", line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip().strip('"')
+        key, value = key.strip(), value.strip()
+        if len(value) > 1 and value[0] == value[-1] == '"':
+            value = value[1:-1]  # one enclosing pair, as the writer quotes
         if key not in _CASE_KEYS:
             raise bad("case", line_no, f"key {key!r} is unknown")
         if key in stated:

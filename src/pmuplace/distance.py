@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetryWarning, SingularSubmatrix, TieAtThreshold
+from .errors import SingularSubmatrix, TieAtThreshold
 from .network import BinaryAdjacency
 
 # Relative residual above which a grounded matrix is treated as singular.
 _SINGULAR_RTOL = 1e-8
-# Asymmetry (relative to the largest distance) absorbed silently.
-_ASYM_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,26 +74,19 @@ def grounded_inverse(g: np.ndarray, r: int) -> np.ndarray:
 def _laplacian_part(g: np.ndarray) -> np.ndarray:
     """Symmetric zero-row-sum projection of a conductance matrix.
 
+    Resistance distance is defined on a symmetric Laplacian, so this
+    projection is the distance's definition, not a repair of its input.
     Away from a flat voltage profile the power/angle sensitivities are
-    not exactly symmetric (the skew part carries the loss gradients),
-    and their row/column sums differ. Distances are defined on the
-    underlying mutual couplings, so the off-diagonal part is averaged
-    with its transpose and the diagonal rebuilt to make a true
-    Laplacian; this is what keeps the distance matrix a metric and
-    independent of the grounding node.
+    not symmetric (the skew part carries the loss gradients) and their
+    row sums differ; the projection drops those gradients by design. The
+    off-diagonal part is averaged with its transpose and the diagonal
+    rebuilt as minus the row sums, which keeps the distance matrix a
+    metric and independent of the grounding node.
     """
     g = np.asarray(g, dtype=float)
-    sym = 0.5 * (g + g.T)
-    lap = sym.copy()
+    lap = 0.5 * (g + g.T)
     np.fill_diagonal(lap, 0.0)
     np.fill_diagonal(lap, -lap.sum(axis=1))
-    asym = float(np.abs(g - lap).max())
-    scale = max(1.0, float(np.abs(g).max()))
-    if asym > _ASYM_RTOL * scale:
-        warnings.warn(
-            f"conductance matrix deviates from a symmetric Laplacian by "
-            f"{asym:.3e} (loss gradients at the operating point); using "
-            "its Laplacian part", AsymmetryWarning, stacklevel=3)
     return lap
 
 

@@ -111,8 +111,3 @@ class PmuPlaceWarning(UserWarning):
 class TieAtThreshold(PmuPlaceWarning):
     """The branch-count cutoff fell inside a group of equal distances;
     the selection is still deterministic (index order)."""
-
-
-class AsymmetryWarning(PmuPlaceWarning):
-    """Input matrix asymmetry exceeded the expected numerical level and
-    was symmetrized away."""

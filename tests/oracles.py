@@ -2,12 +2,15 @@
 cover search, the lexicographically first minimum cover by sequential
 fixing on an integer program, a dense power-flow Newton method on full
 N x N derivative blocks, a metric-axiom check of distance matrices, the
-reconstruction residual of a singular-value decomposition and the
-number of distinct branch pairs."""
+reconstruction residual of a singular-value decomposition, the
+number of distinct branch pairs and the buses a PMU set leaves
+unobserved under the linear measurement model."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,3 +221,28 @@ def reconstruction_error(d: SingularDecomposition, matrix: np.ndarray) -> float:
 def distinct_pairs(case: PowerCase) -> int:
     """Number of distinct connected bus pairs (parallel circuits count once)."""
     return len({frozenset((br.from_bus, br.to_bus)) for br in case.branches})
+
+
+def unobserved_count(case: PowerCase, pmu_buses) -> int:
+    """N - rank(H) for the PMUs at `pmu_buses` (internal indices). H has
+    a row e_i for each PMU bus's voltage and, for each branch end at a
+    PMU bus, a row of that end's current in the two bus voltages: the
+    pi-model coefficients, tap and phase shift on the from side. Read
+    from the branch records alone, not from any adjacency or cover."""
+    n = case.n
+    pmus = set(pmu_buses)
+    rows = list(np.eye(n)[[k - 1 for k in pmus]])
+    for br in case.branches:
+        y_series = 1.0 / complex(br.r, br.x)
+        y_shunt = 0.5j * br.b_charging
+        t = br.tap_ratio * cmath.exp(1j * math.radians(br.shift_deg))
+        ends = [(br.from_bus, (y_series + y_shunt) / abs(t) ** 2,
+                 br.to_bus, -y_series / t.conjugate()),
+                (br.to_bus, y_series + y_shunt, br.from_bus, -y_series / t)]
+        for here, own, there, mutual in ends:
+            if here in pmus:
+                row = np.zeros(n, dtype=complex)
+                row[here - 1] += own
+                row[there - 1] += mutual
+                rows.append(row / np.abs(row).max())
+    return n - int(np.linalg.matrix_rank(np.array(rows)))

@@ -7,14 +7,12 @@ red criterion is both visible and fails the suite.
 
 import shutil
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pmuplace as pp
-from pmuplace.errors import AsymmetryWarning
 from pmuplace.pipeline import RunConfig, run_batch
 from conftest import BUNDLED, random_connected_adjacency
 from acceptance_log import record
@@ -35,33 +33,24 @@ NINE_ELEC_ILP = (1, 2, 5, 9)
 NINE_LAMBDA_ARGMINS = {2, 5, 9}
 
 
-@pytest.fixture(autouse=True)
-def _quiet_asymmetry():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymmetryWarning)
-        yield
-
-
 @pytest.fixture(scope="session")
 def electrical(cases):
     """Distance matrices, cover solutions and profiles per case/mode."""
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymmetryWarning)
-        for name in BUNDLED:
-            case = cases[name]
-            ybus = pp.build_ybus(case)
-            for mode in ("solved", "flat"):
-                op = (pp.solve_power_flow(case, ybus) if mode == "solved"
-                      else pp.flat_point(case))
-                g = pp.p_theta_jacobian(case, op, ybus)
-                dist = pp.resistance_matrix(g, case.slack_index)
-                adj = pp.electrical_adjacency(dist, case.m)
-                sol = pp.solve_cover(pp.CoverInstance(adjacency=adj))
-                out[name, mode] = {
-                    "g": g, "dist": dist, "adjacency": adj, "solution": sol,
-                    "profile": pp.average_profile(adj),
-                }
+    for name in BUNDLED:
+        case = cases[name]
+        ybus = pp.build_ybus(case)
+        for mode in ("solved", "flat"):
+            op = (pp.solve_power_flow(case, ybus) if mode == "solved"
+                  else pp.flat_point(case))
+            g = pp.p_theta_jacobian(case, op, ybus)
+            dist = pp.resistance_matrix(g, case.slack_index)
+            adj = pp.electrical_adjacency(dist, case.m)
+            sol = pp.solve_cover(pp.CoverInstance(adjacency=adj))
+            out[name, mode] = {
+                "g": g, "dist": dist, "adjacency": adj, "solution": sol,
+                "profile": pp.average_profile(adj),
+            }
     return out
 
 

@@ -593,6 +593,15 @@ def test_case_name_falls_back_only_where_none_is_stated(tmp_path):
         == "case"
 
 
+# The writer encloses the name in one pair of quotes and the reader
+# removes exactly that pair, so quotes and spaces inside a name survive.
+@pytest.mark.parametrize("name", ['"quoted"', 'a"', '"', ' x '])
+def test_quoted_name_round_trips(tmp_path, name):
+    text = pp.dumps_csv_fallback(pp.parse_cdf(TWO_BUS_CDF, name=name))
+    assert pp.parse_csv_fallback(text).name == name
+    assert pp.load_case(write_bundle(tmp_path / "bundle", text)).name == name
+
+
 # Only a blank CDF voltage field reads as 1.0 p.u.; a stated zero on a
 # PV bus is refused by both readers alike.
 @pytest.mark.parametrize("fmt", ["cdf", "bundle"])

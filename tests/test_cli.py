@@ -3,7 +3,10 @@
 import dataclasses
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,18 +15,10 @@ import pytest
 
 import pmuplace as pp
 from pmuplace import cli, errors, pipeline, report
-from pmuplace.errors import AsymmetryWarning
-from conftest import (PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV, TWO_BUS_CDF,
-                      TWO_SLACK_CDF, load_tied, write_bundle)
+from conftest import (BUNDLED, PARALLEL_PAIR_CSV, SINGULAR_JACOBIAN_CSV,
+                      TWO_BUS_CDF, TWO_SLACK_CDF, load_tied, write_bundle)
 
 DATA = Path(pp.__file__).parent / "data"
-
-
-@pytest.fixture(autouse=True)
-def _quiet_asymmetry():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymmetryWarning)
-        yield
 
 
 def run_cli(*args):
@@ -819,3 +814,30 @@ class TestBatch:
         assert files_a == files_b
         for rel in files_a:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+# A solved point's sensitivity matrix is not symmetric; distances use
+# its Laplacian part by definition, which is nothing to warn of. Only a
+# threshold tie warns, and no bundled case has one.
+@pytest.mark.parametrize("jacobian", ["solved", "flat"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_warns_of_nothing(name, jacobian):
+    config = pp.RunConfig(case_path=DATA / f"{name}.txt", structure="both",
+                          jacobian_mode=jacobian, mode="full")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pp.run(config)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_default_cli_run_writes_nothing_to_stderr(tmp_path):
+    """In its own interpreter, where warnings reach stderr as they do
+    for a user."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from pmuplace import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", "--case",
+         str(DATA / "ieee14.txt")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout

@@ -15,7 +15,6 @@ import functools
 import hashlib
 import itertools
 import operator
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pmuplace as pp
-from pmuplace.errors import AsymmetryWarning
 from pmuplace.network import BinaryAdjacency
 from conftest import BUNDLED, load_tied, random_connected_adjacency
 from oracles import NoSolutionWithinK, brute_force_cover, lex_first_cover
@@ -136,16 +134,14 @@ def tied_adjacencies():
 @pytest.fixture(scope="module")
 def electrical_insts(cases):
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymmetryWarning)
-        for name in BUNDLED:
-            case = cases[name]
-            ybus = pp.build_ybus(case)
-            g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus),
-                                    ybus)
-            dist = pp.resistance_matrix(g, case.slack_index)
-            out[name] = pp.CoverInstance(
-                adjacency=pp.electrical_adjacency(dist, case.m))
+    for name in BUNDLED:
+        case = cases[name]
+        ybus = pp.build_ybus(case)
+        g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus),
+                                ybus)
+        dist = pp.resistance_matrix(g, case.slack_index)
+        out[name] = pp.CoverInstance(
+            adjacency=pp.electrical_adjacency(dist, case.m))
     return out
 
 

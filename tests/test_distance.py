@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmuplace as pp
-from pmuplace.errors import AsymmetryWarning, SingularSubmatrix, TieAtThreshold
-from pmuplace.distance import _laplacian_part
-from conftest import laplacian_from_adjacency, random_connected_adjacency
+from pmuplace.errors import SingularSubmatrix, TieAtThreshold
+from conftest import (BUNDLED, laplacian_from_adjacency,
+                      random_connected_adjacency)
 from oracles import verify_metric
 
 TRIANGLE_LAP = np.array([[2.0, -1.0, -1.0],
@@ -22,7 +22,13 @@ PATH3_LAP = np.array([[1.0, -1.0, 0.0],
 
 
 def pinv_distance(g):
-    lap = _laplacian_part(g)
+    """Resistance distances from the pseudoinverse of the symmetric
+    zero-row-sum part of `g`, built here from its mutual couplings: the
+    off-diagonal weight of pair (i, j) is minus the mean of g[i, j] and
+    g[j, i], and each diagonal entry the sum of its row's weights."""
+    weights = -0.5 * (g + g.T)
+    np.fill_diagonal(weights, 0.0)
+    lap = np.diag(weights.sum(axis=1)) - weights
     lp = np.linalg.pinv(lap)
     d = np.diag(lp)
     e = d[:, None] + d[None, :] - lp - lp.T
@@ -76,21 +82,14 @@ class TestResistanceMatrix:
         assert dist.e[1, 2] == pytest.approx(1.0)
         assert dist.e[0, 2] == pytest.approx(2.0)
 
-    def test_metric_on_solved_case(self, ieee9):
-        ybus = pp.build_ybus(ieee9)
-        g = pp.p_theta_jacobian(ieee9, pp.solve_power_flow(ieee9, ybus), ybus)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AsymmetryWarning)
-            dist = pp.resistance_matrix(g, ieee9.slack_index)
-            oracle = pinv_distance(g)
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_metric_on_solved_case(self, cases, name):
+        case = cases[name]
+        ybus = pp.build_ybus(case)
+        g = pp.p_theta_jacobian(case, pp.solve_power_flow(case, ybus), ybus)
+        dist = pp.resistance_matrix(g, case.slack_index)
         assert verify_metric(dist).ok
-        assert np.abs(dist.e - oracle).max() <= 1e-8
-
-    def test_asymmetry_warns_at_solved_point(self, ieee9):
-        ybus = pp.build_ybus(ieee9)
-        g = pp.p_theta_jacobian(ieee9, pp.solve_power_flow(ieee9, ybus), ybus)
-        with pytest.warns(AsymmetryWarning):
-            pp.resistance_matrix(g, ieee9.slack_index)
+        assert np.abs(dist.e - pinv_distance(g)).max() <= 1e-8
 
     def test_reference_node_immaterial(self, ieee14):
         g = pp.p_theta_jacobian(ieee14, pp.flat_point(ieee14),
@@ -207,9 +206,7 @@ class TestVerifyMetric:
         ybus = pp.build_ybus(ieee14)
         for op in (pp.flat_point(ieee14), pp.solve_power_flow(ieee14, ybus)):
             g = pp.p_theta_jacobian(ieee14, op, ybus)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", AsymmetryWarning)
-                dist = pp.resistance_matrix(g, ieee14.slack_index)
+            dist = pp.resistance_matrix(g, ieee14.slack_index)
             assert verify_metric(dist).ok
 
 

@@ -7,11 +7,9 @@ import dataclasses
 import inspect
 import io
 import re
-import warnings
 from pathlib import Path
 
 from pmuplace import cases, cli, errors
-from pmuplace.errors import AsymmetryWarning
 from pmuplace.pipeline import RunConfig, StructureResult
 from pmuplace.powerflow import solve_power_flow
 
@@ -86,8 +84,7 @@ def test_library_example_runs():
     section = README.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     buf = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
-        warnings.simplefilter("ignore", AsymmetryWarning)
+    with contextlib.redirect_stdout(buf):
         exec(compile(block, "README.md", "exec"), {})
     buses = ast.literal_eval(buf.getvalue().strip())
     assert buses and all(1 <= b <= 14 for b in buses)

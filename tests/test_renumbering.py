@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pmuplace as pp
-from pmuplace.errors import AsymmetryWarning, TieAtThreshold
+from pmuplace.errors import TieAtThreshold
 from pmuplace.pipeline import RunConfig, run_structure
 from conftest import BUNDLED, renumbered
 
@@ -24,7 +24,6 @@ def run(case, structure):
     threshold tie fired."""
     ybus = pp.build_ybus(case)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("ignore", AsymmetryWarning)
         warnings.simplefilter("always", TieAtThreshold)
         sres = run_structure(case, structure, CONFIG, ybus)
     tied = any(issubclass(w.category, TieAtThreshold) for w in caught)

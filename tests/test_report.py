@@ -3,7 +3,6 @@
 import json
 import os
 import stat
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace import report
-from pmuplace.errors import AsymmetryWarning, ReportError
+from pmuplace.errors import ReportError
 from pmuplace.network import BinaryAdjacency
 from pmuplace.pipeline import RunConfig, run_structure
 
@@ -93,10 +92,8 @@ class TestEmitReport:
     def sres(self, ieee9):
         cfg = RunConfig(case_path="unused", structure="electrical",
                         jacobian_mode="flat", mode="full")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AsymmetryWarning)
-            return run_structure(ieee9, "electrical", cfg,
-                                 pp.build_ybus(ieee9))
+        return run_structure(ieee9, "electrical", cfg,
+                             pp.build_ybus(ieee9))
 
     def test_report_round_trips(self, sres, tmp_path):
         paths = pp.emit_report(pp.report_files(sres, tmp_path))
@@ -175,9 +172,7 @@ def test_fig_assignment_bytes(cases, name, structure, tmp_path):
     case = cases[name]
     cfg = RunConfig(case_path="unused", structure=structure,
                     jacobian_mode="flat", mode="full")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymmetryWarning)
-        art = run_structure(case, structure, cfg, pp.build_ybus(case))
+    art = run_structure(case, structure, cfg, pp.build_ybus(case))
     pp.emit_report(pp.report_files(art, tmp_path))
     expected = "\n".join(reference_assignment_lines(art)) + "\n"
     assert (tmp_path / "fig_assignment.csv").read_bytes() == expected.encode()
