@@ -157,53 +157,51 @@ def _assemble(name: str, mva_base: float, bus_rows, branch_rows,
     to id), Branch fields)``, the fields after the two ends, where
     `where` ("line 7", "branches.csv line 2") locates the record in
     error messages. External ids are remapped to 1..N in bus order.
+    Each record is checked as it is built, so faults come table by
+    table: the bus table, the bus and slack counts, the branch table (a
+    fault named by `where` and the file's bus ids), then connectivity.
     """
     ext_to_int: dict[int, int] = {}
     buses: list[Bus] = []
+    slacks = 0
     for ext, fields in bus_rows:
         if ext in ext_to_int:
             raise DuplicateBusId(f"{name}: bus {ext} appears twice")
-        internal = ext_to_int[ext] = len(buses) + 1
-        buses.append(Bus(internal, ext, *fields))
-
-    branches: list[Branch] = []
-    for where, ends, fields in branch_rows:
-        for end in ends:
-            if end not in ext_to_int:
-                raise UnknownBusReference(f"{name}: {where}: branch "
-                                          f"references unknown bus {end}")
-        branches.append(Branch(ext_to_int[ends[0]], ext_to_int[ends[1]],
-                               *fields))
+        bus = Bus(len(buses) + 1, ext, *fields)
+        if bus.bus_type in (PV, SLACK) and bus.v_mag <= 0:
+            raise CaseError(f"{name}: bus {ext}: regulated bus "
+                            f"with non-positive voltage {bus.v_mag}")
+        ext_to_int[ext] = bus.index
+        slacks += bus.bus_type == SLACK
+        buses.append(bus)
 
     n = len(buses)
     if n < 2:
         raise MissingSection(f"{name}: a case needs at least 2 buses, got {n}")
+    if slacks > 1:
+        raise DuplicateSlack(f"{name}: {slacks} slack buses, expected 1")
+    if slacks == 0:
+        raise MissingSlack(f"{name}: no slack bus")
+
+    branches: list[Branch] = []
+    for where, (a, b), fields in branch_rows:
+        for end in (a, b):
+            if end not in ext_to_int:
+                raise UnknownBusReference(f"{name}: {where}: branch "
+                                          f"references unknown bus {end}")
+        br = Branch(ext_to_int[a], ext_to_int[b], *fields)
+        fault = ("is a self-loop" if a == b else
+                 f"has negative series reactance {br.x}; the distance "
+                 "construction needs nonnegative reactances" if br.x < 0 else
+                 "has zero impedance" if br.r == 0 and br.x == 0 else
+                 f"has negative tap ratio {br.tap_ratio}; a phase shift "
+                 "belongs in shift_deg" if br.tap_ratio < 0 else None)
+        if fault:
+            raise InvalidBranch(f"{name}: {where}: branch {a}-{b} {fault}")
+        branches.append(br)
+
     if not branches:
         raise MissingSection(f"{name}: a case needs at least 1 branch")
-
-    slack_count = sum(1 for b in buses if b.bus_type == SLACK)
-    if slack_count > 1:
-        raise DuplicateSlack(f"{name}: {slack_count} slack buses, expected 1")
-    if slack_count == 0:
-        raise MissingSlack(f"{name}: no slack bus")
-    for bus in buses:
-        if bus.bus_type in (PV, SLACK) and bus.v_mag <= 0:
-            raise CaseError(f"{name}: bus {bus.external_id}: regulated bus "
-                            f"with non-positive voltage {bus.v_mag}")
-
-    for br in branches:
-        if br.from_bus == br.to_bus:
-            raise InvalidBranch(f"{name}: branch {br.from_bus}-{br.to_bus} "
-                                "is a self-loop")
-        if br.x < 0:
-            raise InvalidBranch(
-                f"{name}: branch {br.from_bus}-{br.to_bus} has negative "
-                f"series reactance {br.x}; the distance construction needs "
-                "nonnegative reactances")
-        if br.r == 0 and br.x == 0:
-            raise InvalidBranch(f"{name}: branch {br.from_bus}-{br.to_bus} "
-                                "has zero impedance")
-
     if not _connected(n, branches):
         raise DisconnectedNetwork(f"{name}: branch graph is not connected")
 
@@ -452,7 +450,7 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         return records
 
     # A row's `where` ("line 14", "branches.csv line 4") locates a
-    # branch's unknown bus; a tap of zero reads as 1.
+    # branch's fault; a tap of zero reads as 1.
     return _assemble(
         stated.get("name", default_name), stated.get("mva_base", 100.0),
         table("buses", _BUS_HEADER, "bus", lambda _, cells: (
@@ -507,6 +505,14 @@ def _read(path: Path, source: str = "") -> str:
         raise MalformedRecord(line_no, f"byte {data[exc.start]:#04x} is "
                               "not UTF-8", source) from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def case_files(path: str | Path) -> list[Path]:
+    """The files `load_case` reads for `path`: a bundle's three tables,
+    or the one case file."""
+    path = Path(path)
+    return ([path / fname for fname in _BUNDLE_FILES.values()]
+            if path.is_dir() else [path])
 
 
 def load_case(path: str | Path) -> PowerCase:

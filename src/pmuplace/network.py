@@ -48,14 +48,14 @@ def build_ybus(case: PowerCase) -> np.ndarray:
 
     Standard pi model with the off-nominal tap on the from side, its
     phase shift converted here from the case's degrees; parallel
-    branches accumulate. Bus shunts (and half the line
-    charging per end) land on the diagonal. `InvalidBranch` names the
-    case and the branch whose tap ratio squares to zero or to infinity,
-    or whose pi model would hold a non-finite entry (a tap ratio or
-    series impedance so small that the division overflows), or the bus
-    whose sum overflows.
+    branches accumulate. Bus shunts (and half the line charging per end)
+    land on the diagonal. `InvalidBranch` names the case and, by the
+    file's bus ids, the branch whose tap ratio squares to zero or to
+    infinity, or whose pi model would hold a non-finite entry (a tap
+    ratio or series impedance so small that the division overflows), or
+    the bus whose sum overflows.
     """
-    n = case.n
+    n, ext = case.n, case.external_id
     y = np.zeros((n, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for br in case.branches:
@@ -69,18 +69,18 @@ def build_ybus(case: PowerCase) -> np.ndarray:
             # open while the topological path still counts it.
             if tap_sq == 0 or tap_sq == np.inf:
                 size = "too close to zero" if tap_sq == 0 else "too large"
-                raise InvalidBranch(f"{case.name}: branch {br.from_bus}-"
-                                    f"{br.to_bus} has tap ratio "
-                                    f"{br.tap_ratio}, {size}")
+                raise InvalidBranch(
+                    f"{case.name}: branch {ext(br.from_bus)}-"
+                    f"{ext(br.to_bus)} has tap ratio {br.tap_ratio}, {size}")
             y_ii = (y_series + y_shunt) / tap_sq
             y_ij = -y_series / np.conj(t)
             y_ji = -y_series / t
             if not (cmath.isfinite(y_ii) and cmath.isfinite(y_ij)
                     and cmath.isfinite(y_ji)):
                 raise InvalidBranch(
-                    f"{case.name}: branch {br.from_bus}-{br.to_bus} has a "
-                    f"non-finite admittance (r {br.r}, x {br.x}, tap ratio "
-                    f"{br.tap_ratio})")
+                    f"{case.name}: branch {ext(br.from_bus)}-"
+                    f"{ext(br.to_bus)} has a non-finite admittance "
+                    f"(r {br.r}, x {br.x}, tap ratio {br.tap_ratio})")
             y[i, i] += y_ii
             y[j, j] += y_series + y_shunt
             y[i, j] += y_ij
@@ -91,7 +91,7 @@ def build_ybus(case: PowerCase) -> np.ndarray:
     finite = np.isfinite(y)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise InvalidBranch(f"{case.name}: bus {case.external_id(row + 1)}: "
+        raise InvalidBranch(f"{case.name}: bus {ext(row + 1)}: "
                             "admittance sum is not finite")
     return y
 

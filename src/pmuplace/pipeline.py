@@ -12,8 +12,9 @@ Stage order per structure:
 Counting mode never touches the singular-value stage. A single run and
 each batch cell compute every structure first, then pass all their
 files to `report.emit_report`, which resolves each output, refuses two
-at one path and writes all or none, so a failing stage leaves nothing
-on disk. Rerunning a config writes byte-identical files.
+at one path or one at a file the case was read from, and writes all
+or none, so a failing stage leaves nothing on disk. Rerunning a config
+writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from .cases import PowerCase, load_case
+from .cases import PowerCase, case_files, load_case
 from .cover import (CoverInstance, Optima, PlacementSolution,
                     enumerate_optima, solve_cover)
 from .distance import ResistanceDistance, electrical_adjacency, resistance_matrix
@@ -109,7 +110,7 @@ class StructureResult:
 
     @property
     def artifacts(self) -> StructureResult:
-        """Self, for `perfbench/outcomes.py` until ROADMAP item 4 step 1."""
+        """Self, for `perfbench/outcomes.py` until ROADMAP item 1."""
         return self
 
 
@@ -158,10 +159,10 @@ def run_structure(case: PowerCase, structure: str, config: RunConfig,
 def _run_loaded(case: PowerCase, ybus: np.ndarray,
                 config: RunConfig) -> RunResult:
     """Compute every configured structure, then write the run's files in
-    one `emit_report` call, which refuses two outputs at one path. Under
-    `both` the reports go to `<structure>/`, each adjacency dump gets a
-    `<structure>_` prefix and the Y-bus is written once, under the first
-    structure."""
+    one `emit_report` call, which refuses two outputs at one path and an
+    output at a file the case was read from. Under `both` the reports go
+    to `<structure>/`, each adjacency dump gets a `<structure>_` prefix
+    and the Y-bus is written once, under the first structure."""
     both = config.structure == "both"
     results = {structure: run_structure(case, structure, config, ybus)
                for structure in (STRUCTURES if both else (config.structure,))}
@@ -184,7 +185,7 @@ def _run_loaded(case: PowerCase, ybus: np.ndarray,
         plan += files
         results[structure] = replace(sres, written=tuple(p for p, _ in files))
     if plan:
-        report_mod.emit_report(plan)
+        report_mod.emit_report(plan, case_files(config.case_path))
     return RunResult(case, results)
 
 

@@ -160,14 +160,21 @@ def matrix_lines(matrix: np.ndarray, case: PowerCase) -> Iterator[str]:
         yield f"{label}," + ",".join(text[row].tolist())
 
 
-def emit_report(files: list[tuple[Path, Iterable[str]]]) -> list[Path]:
+def emit_report(files: list[tuple[Path, Iterable[str]]],
+                inputs: Iterable[Path] = ()) -> list[Path]:
     """Write `files`, (path, lines) pairs, all or none, and return the
-    paths. Each is resolved once; two at one target are a `UsageError`
-    before anything is touched. Each is written to `<target>.tmp` (plus
-    a `~` per name taken by an output or a file); the temps replace
-    their targets only once all are written; a failure removes them."""
+    paths. Each path and each of `inputs`, the files the run read, is
+    resolved once; two outputs at one target, or one at an input, are a
+    `UsageError` before anything is touched. Each output is written to
+    `<target>.tmp` (plus a `~` per name taken by an output or a file);
+    the temps replace their targets only once all are written; a
+    failure removes them."""
     targets = [Path(path).resolve() for path, _ in files]
+    read = {Path(path).resolve() for path in inputs}
     for i, target in enumerate(targets):
+        if target in read:
+            raise UsageError(f"an output of the run would overwrite its "
+                             f"input {target}")
         if target in targets[:i]:
             raise UsageError(f"two outputs of the run would be "
                              f"written to {target}")

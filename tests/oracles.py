@@ -20,7 +20,7 @@ from pmuplace.cases import PQ, PV, SLACK, PowerCase
 from pmuplace.cover import CoverInstance, PlacementSolution
 from pmuplace.distance import ResistanceDistance
 from pmuplace.errors import NonConvergence, SolverError
-from pmuplace.powerflow import OperatingPoint, _injections
+from pmuplace.powerflow import OperatingPoint
 from pmuplace.spectral import SingularDecomposition
 
 
@@ -92,6 +92,15 @@ def lex_first_cover(inst: CoverInstance,
     return tuple(int(i) + 1 for i in np.flatnonzero(lo))
 
 
+def injections(ybus: np.ndarray, v_mag, v_ang):
+    """Real and reactive nodal injections S = V . conj(Y V), with the
+    library's operation order, so that the dense Newton method and
+    `solve_power_flow` can agree bit for bit."""
+    v = v_mag * np.exp(1j * v_ang)
+    s = v * np.conj(ybus @ v)
+    return s.real, s.imag
+
+
 def dense_derivatives(ybus: np.ndarray, v_mag, v_ang, p, q):
     """Injection derivatives [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]] as
     full N x N blocks at the given voltages, where `p`, `q` are the
@@ -147,7 +156,7 @@ def dense_power_flow(case: PowerCase, ybus: np.ndarray, tol: float = 1e-8,
     v_ang = np.zeros(case.n)
     iterations = 0
     while True:
-        p, q = _injections(ybus, v_mag, v_ang)
+        p, q = injections(ybus, v_mag, v_ang)
         mis = np.concatenate([p_sched[ang_idx] - p[ang_idx],
                               q_sched[pq] - q[pq]])
         norm = float(np.abs(mis).max()) if mis.size else 0.0
@@ -170,7 +179,7 @@ def dense_power_flow(case: PowerCase, ybus: np.ndarray, tol: float = 1e-8,
 
 def dense_p_theta_jacobian(ybus: np.ndarray, op: OperatingPoint):
     """dP/dtheta over all buses, the full dense block."""
-    p, q = _injections(ybus, op.v_mag, op.v_ang)
+    p, q = injections(ybus, op.v_mag, op.v_ang)
     return dense_derivatives(ybus, op.v_mag, op.v_ang, p, q)[0][0]
 
 

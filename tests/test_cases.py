@@ -3,6 +3,8 @@
 import cmath
 import codecs
 import math
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace import cli, errors
-from conftest import TRIANGLE_CSV, TWO_BUS_CDF, TWO_SLACK_CDF, write_bundle
+from conftest import (TRIANGLE_CSV, TWO_BUS_CDF, TWO_SLACK_CDF, load_tied,
+                      write_bundle)
 
 
 class TestCdfParser:
@@ -204,6 +207,115 @@ def test_bus_reference_faults(tmp_path, fmt, old, new, error, message):
         else:
             pp.load_case(write_bundle(tmp_path / "bundle", text))
     assert str(exc.value) == message
+
+
+# The two-bus CDF with its buses numbered 10 and 20 (internal 1 and 2).
+TEN_TWENTY_CDF = TWO_BUS_CDF.replace("   1 BUS 1", "  10 BUS 1").replace(
+    "   2 BUS 2", "  20 BUS 2").replace("   1    2  1", "  10   20  1")
+
+
+@pytest.fixture(scope="module")
+def tied_bundle(tmp_path_factory):
+    """The tied 2x118 grid (seed 1) as a bundle; `branches.csv` line 200
+    is the branch 1002-1012, whose internal ends are 120 and 130."""
+    tied = load_tied()
+    bundle = tmp_path_factory.mktemp("tied") / "ieee118x2-s1"
+    tied.write_case(tied.tied_case(2, 1), bundle)
+    assert (bundle / "branches.csv").read_text().splitlines()[199] \
+        .startswith("1002,1012,")
+    return bundle
+
+
+# Each branch fault, made on a branch whose file ids are not its
+# internal indices: in the tied bundle, cells of `branches.csv` line 200
+# (from,to,r,x,b,tap,shift_deg by position); in the renumbered CDF, a
+# text edit of the branch on line 7. The reader names the record's line
+# and the file's ids; the Y-bus, which hand-built cases reach too,
+# names the ids only.
+BRANCH_FAULTS = {
+    "self-loop": ({1: "1002"}, ("  10   20  1", "  10   10  1"),
+                  True, "is a self-loop"),
+    "negative-x": ({3: "-0.0616"}, ("    0.50000", "   -0.50000"), True,
+                   "has negative series reactance -"),
+    "zero-impedance": ({2: "0.0", 3: "0.0"}, ("    0.50000", "    0.00000"),
+                       True, "has zero impedance"),
+    "negative-tap": ({5: "-1.0"}, ("0.0000    0.00", "-1.000    0.00"),
+                     True, "has negative tap ratio -1.0; a phase shift "
+                     "belongs in shift_deg"),
+    "huge-tap": ({5: "1e200"}, ("0.0000    0.00", " 1e200    0.00"),
+                 False, "has tap ratio 1e+200, too large"),
+    "tiny-x": ({2: "0.0", 3: "1e-320"}, ("    0.50000", "     1e-320"),
+               False, "has a non-finite admittance (r 0.0, x 1e-320"),
+}
+
+
+@pytest.mark.parametrize("fault", BRANCH_FAULTS)
+def test_branch_fault_names_the_file_line_and_ids(tmp_path, capsys,
+                                                  tied_bundle, fault):
+    cells, _, in_reader, detail = BRANCH_FAULTS[fault]
+    bundle = tmp_path / "ieee118x2-s1"
+    shutil.copytree(tied_bundle, bundle)
+    lines = (bundle / "branches.csv").read_text().splitlines()
+    row = lines[199].split(",")
+    for col, value in cells.items():
+        row[col] = value
+    lines[199] = ",".join(row)
+    (bundle / "branches.csv").write_text("\n".join(lines) + "\n")
+    ends = "1002-1002" if fault == "self-loop" else "1002-1012"
+    where = "branches.csv line 200: " if in_reader else ""
+    with pytest.raises(errors.InvalidBranch) as exc:
+        pp.build_ybus(pp.load_case(bundle))
+    message = str(exc.value)
+    assert message.startswith(f"ieee118x2-s1: {where}branch {ends} {detail}")
+    assert not re.search(r"\b(120|130)\b", message)
+    assert cli.main(["--case", str(bundle), "--mode", "count"]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fault", BRANCH_FAULTS)
+def test_cdf_branch_fault_names_the_line_and_ids(tmp_path, capsys, fault):
+    _, (old, new), in_reader, detail = BRANCH_FAULTS[fault]
+    lines = TEN_TWENTY_CDF.splitlines(keepends=True)
+    assert old in lines[6]
+    lines[6] = lines[6].replace(old, new)
+    path = _cdf_file(tmp_path, "".join(lines))
+    ends = "10-10" if fault == "self-loop" else "10-20"
+    where = "line 7: " if in_reader else ""
+    with pytest.raises(errors.InvalidBranch) as exc:
+        pp.build_ybus(pp.load_case(path))
+    message = str(exc.value)
+    assert message.startswith(f"case: {where}branch {ends} {detail}")
+    assert cli.main(["--case", str(path), "--mode", "count"]) == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A tap of zero, either sign, reads as 1 in both readers; only a
+# negative one is refused (`test_rejected_case_file`).
+def test_zero_tap_reads_as_one():
+    for zero in ("0.0", "-0.0"):
+        text = TRIANGLE_CSV.replace("1,2,0.0,1.0,0.0,1.0",
+                                    f"1,2,0.0,1.0,0.0,{zero}")
+        assert pp.parse_csv_fallback(text).branches[0].tap_ratio == 1.0
+    assert pp.parse_cdf(TWO_BUS_CDF).branches[0].tap_ratio == 1.0
+
+
+# Faults are reported table by table: a fault of the bus table, or of
+# the bus or slack count, comes before any fault of a branch.
+@pytest.mark.parametrize("bus_fault, branch_fault, error", [
+    (("2,PQ,", "2,slack,"), ("2,3,0.0,1.0", "2,2,0.0,1.0"),
+     errors.DuplicateSlack),
+    (("1,slack,", "1,PQ,"), ("1,3,0.0", "1,99,0.0"), errors.MissingSlack),
+    (("2,PQ,1.0", "2,PV,0.0"), ("1,3,0.0,1.0", "1,3,0.0,-1.0"),
+     errors.CaseError)],
+    ids=["two-slacks", "no-slack", "zero-voltage-pv"])
+def test_bus_table_fault_before_branch_fault(bus_fault, branch_fault, error):
+    text = TRIANGLE_CSV
+    for old, new in (bus_fault, branch_fault):
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(errors.CaseError) as exc:
+        pp.parse_csv_fallback(text)
+    assert type(exc.value) is error
 
 
 # A section given twice is refused at the repeated header: reading on
@@ -521,7 +633,11 @@ def _without_branches_csv(tmp_path):
                               TRIANGLE_CSV.split("1,2,0.0")[0]),
      errors.MissingSection, "triangle: a case needs at least 1 branch", 4),
     (lambda tmp: _bundle(tmp, "2,3,0.0,1.0", "2,2,0.0,1.0"),
-     errors.InvalidBranch, "triangle: branch 2-2 is a self-loop", 5),
+     errors.InvalidBranch,
+     "triangle: branches.csv line 3: branch 2-2 is a self-loop", 5),
+    (lambda tmp: _bundle(tmp, "1,2,0.0,1.0,0.0,1.0", "1,2,0.0,1.0,0.0,-1.0"),
+     errors.InvalidBranch, "triangle: branches.csv line 2: branch 1-2 has "
+     "negative tap ratio -1.0; a phase shift belongs in shift_deg", 5),
     (lambda tmp: _bundle(tmp, "name = triangle", "name triangle"),
      errors.MalformedRecord,
      "case.toml line 1: expected key = value, got 'name triangle'", 4),
@@ -549,7 +665,7 @@ def _without_branches_csv(tmp_path):
     (lambda tmp: _bundle(tmp, "name = triangle", 'name = "  "'),
      errors.MalformedRecord, "case.toml line 1: name is empty", 4)],
     ids=["empty-cdf", "one-bus", "cdf-zero-base", "cdf-minus-zero-base",
-         "header-only-branches", "self-loop",
+         "header-only-branches", "self-loop", "negative-tap",
          "case-line-without-equals", "wrong-header", "wrong-column-count",
          "bundle-missing-file", "bundle-section-header", "bundle-unknown-key",
          "bundle-repeated-key", "bundle-empty-name", "bundle-blank-name"])

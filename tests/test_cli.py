@@ -293,6 +293,42 @@ class TestExitCodes:
             captured.err
         assert list(tmp_path.iterdir()) == []
 
+    # An output at a file the run reads would replace its own input: the
+    # case file, or any table of a bundle, however the path is spelled.
+    @pytest.mark.parametrize("source, args, target", [
+        ("cdf", ["--structure", "topological", "--mode", "count",
+                 "--dump-ybus", "ieee9.txt"], "ieee9.txt"),
+        ("cdf", ["--structure", "electrical", "--dump-distance",
+                 "./ieee9.txt"], "ieee9.txt"),
+        ("bundle", ["--structure", "electrical", "--mode", "count",
+                    "--dump-adjacency", "grid/branches.csv"],
+         "grid/branches.csv"),
+        ("bundle", ["--dump-ybus", "grid/../grid/case.toml"],
+         "grid/case.toml")],
+        ids=["cdf-ybus", "cdf-distance", "bundle-adjacency", "bundle-ybus"])
+    def test_output_at_an_input_is_usage_error(self, tmp_path, monkeypatch,
+                                               capsys, source, args, target):
+        monkeypatch.chdir(tmp_path)
+        if source == "cdf":
+            case = Path(shutil.copy(DATA / "ieee9.txt", tmp_path))
+            inputs = [case]
+        else:
+            case = write_bundle(tmp_path / "grid", pp.dumps_csv_fallback(
+                pp.load_bundled_case("ieee9")))
+            inputs = sorted(case.iterdir())
+        assert tmp_path / target in inputs
+        before = {path: path.read_bytes() for path in inputs}
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--case", str(case), *args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert " wrote " not in captured.out
+        assert f"would overwrite its input {(tmp_path / target).resolve()}" \
+            in captured.err
+        assert {path: path.read_bytes() for path in inputs} == before
+        assert sorted(tmp_path.rglob("*")) == sorted(
+            {*inputs, *(path.parent for path in inputs)} - {tmp_path})
+
     # The type code is checked on its own line, before the reader looks
     # for the branch section or a repeated id.
     @pytest.mark.parametrize("fault", ["no-branch-data", "duplicate-id"])
@@ -464,7 +500,8 @@ class TestOutputs:
                 (out / structure / "report.json").read_text())
             assert payload["structure"] == structure
 
-    # The writer resolves each output once; the pipeline resolves none.
+    # The writer resolves each output and the case file once; the
+    # pipeline resolves none.
     def test_each_output_resolved_once(self, tmp_path, monkeypatch):
         resolved = []
         real_resolve = Path.resolve
@@ -482,7 +519,7 @@ class TestOutputs:
         written = [path for sres in result.per_structure.values()
                    for path in sres.written]
         assert len(written) == 12
-        assert sorted(resolved) == sorted(written)
+        assert sorted(resolved) == sorted(written + [DATA / "ieee9.txt"])
 
     def test_dump_flags(self, tmp_path):
         out = tmp_path / "out"
@@ -507,6 +544,27 @@ class TestOutputs:
                                     ("b.csv", int, bits)):
             assert np.array_equal(read_dump(tmp_path / name, number),
                                   exact), name
+
+    # A dump beside the case file, or inside the bundle directory, is
+    # written as any other, and the case still reads as before.
+    @pytest.mark.parametrize("source", ["cdf", "bundle"])
+    def test_dump_beside_the_input_is_written(self, tmp_path, capsys,
+                                              source):
+        if source == "cdf":
+            case = Path(shutil.copy(DATA / "ieee9.txt", tmp_path))
+            dump = tmp_path / "ieee9.csv"
+        else:
+            case = write_bundle(tmp_path / "grid", pp.dumps_csv_fallback(
+                pp.load_bundled_case("ieee9")))
+            dump = case / "ybus.csv"
+        before = {path: path.read_bytes()
+                  for path in ([case] if case.is_file() else case.iterdir())}
+        assert run_cli("--case", str(case), "--mode", "count",
+                       "--dump-ybus", str(dump)) == 0
+        assert f"wrote {dump}" in capsys.readouterr().out
+        assert {path: path.read_bytes() for path in before} == before
+        assert np.array_equal(read_dump(dump, complex),
+                              pp.build_ybus(pp.load_case(case)))
 
     # The benchmark's count-export operation, on the grid it builds:
     # two IEEE-118 copies joined by a seeded tie line.
