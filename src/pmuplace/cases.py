@@ -93,6 +93,12 @@ class Bus:
         if self.bus_type not in _BUS_TYPES:
             raise ValueError(f"unknown bus type {self.bus_type!r}")
 
+    @property
+    def fault(self) -> str | None:
+        """Why no power flow can hold this bus, or None."""
+        return (f"regulated bus with non-positive voltage {self.v_mag}"
+                if self.bus_type in (PV, SLACK) and self.v_mag <= 0 else None)
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -110,6 +116,17 @@ class Branch:
     b_charging: float = 0.0
     tap_ratio: float = 1.0
     shift_deg: float = 0.0
+
+    @property
+    def fault(self) -> str | None:
+        """What the model refuses in this branch, or None; an
+        `InvalidBranch` message gives it after the branch's ends."""
+        return ("is a self-loop" if self.from_bus == self.to_bus else
+                f"has negative series reactance {self.x}; the distance "
+                "construction needs nonnegative reactances" if self.x < 0 else
+                "has zero impedance" if self.r == 0 and self.x == 0 else
+                f"has negative tap ratio {self.tap_ratio}; a phase shift "
+                "belongs in shift_deg" if self.tap_ratio < 0 else None)
 
 
 @dataclass(frozen=True)
@@ -168,9 +185,8 @@ def _assemble(name: str, mva_base: float, bus_rows, branch_rows,
         if ext in ext_to_int:
             raise DuplicateBusId(f"{name}: bus {ext} appears twice")
         bus = Bus(len(buses) + 1, ext, *fields)
-        if bus.bus_type in (PV, SLACK) and bus.v_mag <= 0:
-            raise CaseError(f"{name}: bus {ext}: regulated bus "
-                            f"with non-positive voltage {bus.v_mag}")
+        if bus.fault:
+            raise CaseError(f"{name}: bus {ext}: {bus.fault}")
         ext_to_int[ext] = bus.index
         slacks += bus.bus_type == SLACK
         buses.append(bus)
@@ -190,14 +206,8 @@ def _assemble(name: str, mva_base: float, bus_rows, branch_rows,
                 raise UnknownBusReference(f"{name}: {where}: branch "
                                           f"references unknown bus {end}")
         br = Branch(ext_to_int[a], ext_to_int[b], *fields)
-        fault = ("is a self-loop" if a == b else
-                 f"has negative series reactance {br.x}; the distance "
-                 "construction needs nonnegative reactances" if br.x < 0 else
-                 "has zero impedance" if br.r == 0 and br.x == 0 else
-                 f"has negative tap ratio {br.tap_ratio}; a phase shift "
-                 "belongs in shift_deg" if br.tap_ratio < 0 else None)
-        if fault:
-            raise InvalidBranch(f"{name}: {where}: branch {a}-{b} {fault}")
+        if br.fault:
+            raise InvalidBranch(f"{name}: {where}: branch {a}-{b} {br.fault}")
         branches.append(br)
 
     if not branches:

@@ -97,11 +97,17 @@ def resistance_matrix(g: np.ndarray, r: int) -> ResistanceDistance:
     `_laplacian_part`). With G the grounded inverse and γ its diagonal,
     entry (i, j) is γᵢ + γⱼ − Gᵢⱼ − Gⱼᵢ; the zero row and column of G
     at the reference node make its distances the γⱼ themselves.
+    Conductances so large or small that a sum overflows the float range
+    are `SingularSubmatrix` too.
     """
-    inv = grounded_inverse(_laplacian_part(g), r)
-    gamma = np.diag(inv)
-    e = gamma[None, :] + gamma[:, None] - inv - inv.T
-    e = 0.5 * (e + e.T)
+    with np.errstate(all="ignore"):  # non-finite values are refused
+        inv = grounded_inverse(_laplacian_part(g), r)
+        gamma = np.diag(inv)
+        e = gamma[None, :] + gamma[:, None] - inv - inv.T
+        e = 0.5 * (e + e.T)
+    if not np.isfinite(e).all():
+        raise SingularSubmatrix(f"grounded matrix at node {r} gives "
+                                "distances beyond the float range")
     np.fill_diagonal(e, 0.0)
     return ResistanceDistance(e)
 

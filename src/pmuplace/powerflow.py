@@ -5,10 +5,10 @@ mismatch at PV and PQ buses, reactive mismatch at PQ buses, no reactive
 limit enforcement. One derivative builder serves the Newton step and
 the sensitivity, its dP/dtheta block. It evaluates the derivatives only
 at the nonzeros of the admittance matrix and its diagonal, so a Newton
-step costs O(nnz) before the dense solve, not O(N^2) trigonometry; the
-Newton matrix is scattered from them through index maps built once per
-solve. Everything is deterministic; identical inputs give bit-identical
-outputs.
+step costs O(nnz) before the dense solve, not O(N^2) trigonometry.
+One Newton matrix serves a solve: each step writes the derivatives at
+the same places of it. Everything is deterministic; identical inputs
+give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import PQ, PV, PowerCase
-from .errors import NonConvergence
+from .errors import CaseError, NonConvergence
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -30,15 +30,13 @@ class OperatingPoint:
 
     v_mag: np.ndarray
     v_ang: np.ndarray
-    mismatch_inf_norm: float
     iterations: int = 0
 
 
 def flat_point(case: PowerCase) -> OperatingPoint:
     """All magnitudes 1.0, all angles zero."""
     n = case.n
-    return OperatingPoint(v_mag=np.ones(n), v_ang=np.zeros(n),
-                          mismatch_inf_norm=0.0)
+    return OperatingPoint(v_mag=np.ones(n), v_ang=np.zeros(n))
 
 
 def _injections(ybus: np.ndarray, v_mag, v_ang):
@@ -48,6 +46,8 @@ def _injections(ybus: np.ndarray, v_mag, v_ang):
     return s.real, s.imag
 
 
+# Overflow and NaN end in the non-finite mismatch test of the loop.
+@np.errstate(all="ignore")
 def solve_power_flow(case: PowerCase, ybus: np.ndarray,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> OperatingPoint:
@@ -55,9 +55,10 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
 
     PV buses hold their file voltage magnitude, the slack holds both
     magnitude and a zero angle. Raises `MissingSlack` without a slack,
-    and `NonConvergence` if the mismatch inf-norm is still above `tol`
-    after `max_iter` Newton steps, becomes non-finite, or meets a
-    singular Newton Jacobian.
+    `CaseError` for a regulated bus with a `Bus.fault` (a case built by
+    hand meets the readers' voltage rule here), and `NonConvergence` if
+    the mismatch inf-norm is still above `tol` after `max_iter` Newton
+    steps, becomes non-finite, or meets a singular Newton Jacobian.
     """
     slack = case.slack_index - 1
     types = [bus.bus_type for bus in case.buses]
@@ -73,7 +74,11 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
 
     v_mag = np.ones(case.n)
     for i in (*pv, slack):
-        v_mag[i] = case.buses[i].v_mag
+        bus = case.buses[i]
+        if bus.fault:
+            raise CaseError(f"{case.name}: bus {bus.external_id}: "
+                            f"{bus.fault}")
+        v_mag[i] = bus.v_mag
     v_ang = np.zeros(case.n)
 
     iterations = 0
@@ -98,14 +103,11 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
             step = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
             raise NonConvergence(iterations, norm) from None
-        v_ang = v_ang.copy()
-        v_mag = v_mag.copy()
         v_ang[ang_idx] += step[:n_ang]
         v_mag[pq] += step[n_ang:]
         iterations += 1
 
-    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, mismatch_inf_norm=norm,
-                          iterations=iterations)
+    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, iterations=iterations)
 
 
 def _pattern(ybus: np.ndarray):
@@ -143,9 +145,9 @@ def _derivatives(ybus: np.ndarray, at, v_mag, v_ang, p, q):
 
 
 def _newton_layout(at, n: int, ang_idx, pq):
-    """Where the four `_derivatives` blocks go in the Newton matrix,
-    whose rows are P at `ang_idx` then Q at `pq` and whose columns are
-    theta at `ang_idx` then V at `pq`: its size, and per block the
+    """The zero Newton matrix, whose rows are P at `ang_idx` then Q at
+    `pq` and whose columns are theta at `ang_idx` then V at `pq`, and
+    where the four `_derivatives` blocks go in it: per block the
     pattern entries it keeps with their flat indices there."""
     size = len(ang_idx) + len(pq)
     place = np.full((2, n), -1)  # -1: not an unknown of that kind
@@ -157,17 +159,17 @@ def _newton_layout(at, n: int, ang_idx, pq):
         for c in place[:, cols]:
             keep = np.flatnonzero((r >= 0) & (c >= 0))
             blocks.append((keep, r[keep] * size + c[keep]))
-    return size, blocks
+    return np.zeros((size, size)), blocks
 
 
 def _newton_matrix(derivatives, layout) -> np.ndarray:
-    """The square Newton matrix: the `_derivatives` blocks scattered by
-    their `_newton_layout` places into zeros."""
-    size, blocks = layout
-    jac = np.zeros(size * size)
+    """The layout's one Newton matrix, the `_derivatives` blocks written
+    at their `_newton_layout` places, the same each call; the rest is 0."""
+    jac, blocks = layout
+    cells = jac.reshape(-1)  # a view: the matrix is contiguous
     for values, (keep, flat) in zip(derivatives, blocks):
-        jac[flat] = values[keep]
-    return jac.reshape(size, size)
+        cells[flat] = values[keep]
+    return jac
 
 
 def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
@@ -177,14 +179,19 @@ def p_theta_jacobian(case: PowerCase, op: OperatingPoint,
     Returns the full N x N block over all buses (slack included) with
     voltage magnitudes held constant. Rows sum to zero: a uniform angle
     shift moves no power, so the matrix behaves like a Laplacian of the
-    operating-point coupling strengths.
+    operating-point coupling strengths. `CaseError` refuses a
+    sensitivity that overflows, as admittances near the float range do.
     """
     if len(op.v_mag) != case.n or len(op.v_ang) != case.n:
         raise ValueError("operating point does not match the case size")
     v_mag = np.asarray(op.v_mag, float)
     v_ang = np.asarray(op.v_ang, float)
-    p, q = _injections(ybus, v_mag, v_ang)
     at = _pattern(ybus)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        p, q = _injections(ybus, v_mag, v_ang)
+        h = _derivatives(ybus, at, v_mag, v_ang, p, q)[0]
+    if not np.isfinite(h).all():
+        raise CaseError(f"{case.name}: the angle sensitivity is not finite")
     g = np.zeros((case.n, case.n))
-    g[at] = _derivatives(ybus, at, v_mag, v_ang, p, q)[0]
+    g[at] = h
     return g

@@ -173,8 +173,7 @@ def dense_power_flow(case: PowerCase, ybus: np.ndarray, tol: float = 1e-8,
         v_ang[ang_idx] += step[:n_ang]
         v_mag[pq] += step[n_ang:]
         iterations += 1
-    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, mismatch_inf_norm=norm,
-                          iterations=iterations)
+    return OperatingPoint(v_mag=v_mag, v_ang=v_ang, iterations=iterations)
 
 
 def dense_p_theta_jacobian(ybus: np.ndarray, op: OperatingPoint):

@@ -1,18 +1,25 @@
 """Fuzzed case input: small generated networks, with parallel circuits
 and mutated fields, in both file formats. The readers may raise only
 `PmuPlaceError` subclasses, and the command line may end only with
-exit code 0 or a documented failure code (2-10)."""
+exit code 0 or a documented failure code (2-10). A case built by hand,
+which no reader checked, may make the stages raise only `PmuPlaceError`
+subclasses, and no warning."""
 
+import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace import cli
-from pmuplace.errors import PmuPlaceError
+from pmuplace.errors import (CaseError, NonConvergence, PmuPlaceError,
+                             SingularSubmatrix, TieAtThreshold)
+from pmuplace.pipeline import STRUCTURES, RunConfig, run_structure
 
 # Replacements for one field: non-numbers, non-finite and extreme
 # values (1e-160 squares to a subnormal, 1e-320 is one), an unknown
@@ -20,6 +27,15 @@ from pmuplace.errors import PmuPlaceError
 TOKENS = ["nan", "inf", "-inf", "x", "", "0", "-0.0", "-1", "1e308",
           "-1e308", "1e-300", "1e-160", "1e-320", "7", "2.5", "PV",
           "slack", "3"]
+
+# Replacements for one numeric field of a hand-built `Bus` or `Branch`:
+# zero of both signs, a negative, a subnormal, extremes, and the
+# non-finite values that no reader lets through.
+VALUES = [0.0, -0.0, -1.0, 1e-320, 1e-160, 1e308, -1e308, math.nan,
+          math.inf, -math.inf, 2.5]
+BUS_FIELDS = ("v_mag", "v_ang_deg", "p_load", "q_load", "p_gen", "q_gen",
+              "shunt_g", "shunt_b")
+BRANCH_FIELDS = ("r", "x", "b_charging", "tap_ratio", "shift_deg")
 
 CELL = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False).map(
     lambda v: f"{v:.3f}")
@@ -71,6 +87,13 @@ def csv_bundle(buses, branches, header) -> dict[str, str]:
     }
 
 
+def csv_document(buses, branches, header) -> str:
+    files = csv_bundle(buses, branches, header)
+    return "\n".join(f"[{section}]\n{files[name]}" for section, name in (
+        ("case", "case.toml"), ("buses", "buses.csv"),
+        ("branches", "branches.csv")))
+
+
 def _fixed(fields, width) -> str:
     """Place each (start, end, text) right-aligned in its columns."""
     line = [" "] * width
@@ -120,10 +143,7 @@ def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
     cdf = cdf_text(*network)
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
         warnings.simplefilter("ignore")
-        read_or_reject(pp.parse_csv_fallback, "\n".join(
-            f"[{section}]\n{files[name]}" for section, name in (
-                ("case", "case.toml"), ("buses", "buses.csv"),
-                ("branches", "branches.csv"))))
+        read_or_reject(pp.parse_csv_fallback, csv_document(*network))
         read_or_reject(pp.parse_cdf, cdf)
         bundle = Path(tmp) / "bundle"
         bundle.mkdir()
@@ -135,3 +155,78 @@ def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
                              "--jacobian", jacobian, "--mode", mode,
                              "--out", str(Path(tmp) / "out")])
             assert code == 0 or 2 <= code <= 10, (case, code)
+
+
+@st.composite
+def hand_built_cases(draw):
+    """A network of `networks()`, read once, with up to two numeric
+    fields of its buses or branches replaced through
+    `dataclasses.replace`; a branch end may become bus index 0 or
+    n + 1."""
+    case = pp.parse_csv_fallback(
+        csv_document(*draw(networks()), ["fuzz", "100.0"]))
+    buses, branches = list(case.buses), list(case.branches)
+    for _ in range(draw(st.integers(0, 2))):
+        records = draw(st.sampled_from([buses, branches]))
+        k = draw(st.integers(0, len(records) - 1))
+        if records is buses:
+            field = draw(st.sampled_from(BUS_FIELDS))
+            value = draw(st.sampled_from(VALUES))
+        else:
+            field = draw(st.sampled_from(
+                BRANCH_FIELDS + ("from_bus", "to_bus")))
+            value = draw(st.sampled_from(
+                [0, case.n + 1] if field.endswith("bus") else VALUES))
+        records[k] = replace(records[k], **{field: value})
+    return replace(case, buses=tuple(buses), branches=tuple(branches))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hand_built_cases(), st.sampled_from(["count", "full"]))
+def test_hand_built_cases_end_in_documented_errors(case, mode):
+    # A tie at the link cutoff is a documented diagnostic, which equal
+    # reactances on a ring raise with no field replaced.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", TieAtThreshold)
+        try:
+            ybus = pp.build_ybus(case)
+        except PmuPlaceError:
+            return
+        for structure in STRUCTURES:
+            for jacobian in ("solved", "flat"):
+                config = RunConfig(case_path="unused", structure=structure,
+                                   jacobian_mode=jacobian, mode=mode)
+                try:
+                    run_structure(case, structure, config, ybus)
+                except PmuPlaceError:
+                    pass
+
+
+# One hand-built extreme per stage whose arithmetic can leave the float
+# range: each ends in that stage's documented error, with no warning.
+EXTREMES = {
+    "pv-voltage-1e308": ("ieee9", "buses", 1, {"v_mag": 1e308}, "solved",
+                         NonConvergence, "mismatch inf-norm nan"),
+    "row-sum-overflow": ("two_bus", "branches", 0,
+                         {"r": 0.0, "x": 1e-308, "shift_deg": 180.0}, "flat",
+                         CaseError, "the angle sensitivity is not finite"),
+    "reactance-1e308": ("two_bus", "branches", 0, {"x": 1e308}, "flat",
+                        SingularSubmatrix, "distances beyond the float range"),
+}
+
+
+@pytest.mark.parametrize("extreme", EXTREMES)
+def test_hand_built_extremes(request, extreme):
+    name, table, k, fields, jacobian, error, detail = EXTREMES[extreme]
+    case = request.getfixturevalue(name)
+    records = list(getattr(case, table))
+    records[k] = replace(records[k], **fields)
+    case = replace(case, **{table: tuple(records)})
+    config = RunConfig(case_path="unused", structure="electrical",
+                       jacobian_mode=jacobian, mode="count")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=detail):
+            run_structure(case, "electrical", config, pp.build_ybus(case))

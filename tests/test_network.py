@@ -7,7 +7,8 @@ import pytest
 
 import pmuplace as pp
 from pmuplace.cases import PowerCase
-from pmuplace.errors import InvalidBranch
+from pmuplace.errors import InvalidBranch, UnknownBusReference
+from pmuplace.pipeline import STRUCTURES, RunConfig, run_structure
 from conftest import PARALLEL_PAIR_CSV
 from oracles import distinct_pairs
 
@@ -43,6 +44,41 @@ def test_overflowing_admittance_sum_rejected():
         PARALLEL_PAIR_CSV.replace(",0.5,", ",1e-308,"))
     with pytest.raises(InvalidBranch, match="pair: bus 1: admittance sum"):
         pp.build_ybus(case)
+
+
+# IEEE-9's first branch, 1-4, built by hand with one fault each: the
+# readers' branch rules, and an end outside the bus indices.
+HAND_BUILT_FAULTS = {
+    "zero-impedance": ({"x": 0.0}, InvalidBranch,
+                       "ieee9: branch 1-4 has zero impedance"),
+    "self-loop": ({"to_bus": 1}, InvalidBranch,
+                  "ieee9: branch 1-1 is a self-loop"),
+    "negative-x": ({"x": -0.05}, InvalidBranch,
+                   "ieee9: branch 1-4 has negative series reactance -0.05; "
+                   "the distance construction needs nonnegative reactances"),
+    "negative-tap": ({"tap_ratio": -1.0}, InvalidBranch,
+                     "ieee9: branch 1-4 has negative tap ratio -1.0; a phase "
+                     "shift belongs in shift_deg"),
+    "end-past-n": ({"to_bus": 99}, UnknownBusReference,
+                   "ieee9: branches[0] references bus index 99, outside 1..9"),
+    "end-zero": ({"from_bus": 0}, UnknownBusReference,
+                 "ieee9: branches[0] references bus index 0, outside 1..9"),
+}
+
+
+@pytest.mark.parametrize("fault", HAND_BUILT_FAULTS)
+def test_hand_built_branch_fault(ieee9, fault):
+    fields, error, message = HAND_BUILT_FAULTS[fault]
+    assert ieee9.branches[0].r == 0.0
+    branch = replace(ieee9.branches[0], **fields)
+    case = replace(ieee9, branches=(branch, *ieee9.branches[1:]))
+    for structure in STRUCTURES:
+        config = RunConfig(case_path="unused", structure=structure,
+                           mode="count")
+        with pytest.raises(error) as exc:
+            run_structure(case, structure, config, pp.build_ybus(case))
+        assert str(exc.value) == message
+        assert exc.value.exit_code == 5
 
 
 def test_triangle_ybus(triangle):
