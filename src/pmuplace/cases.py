@@ -38,6 +38,12 @@ External bus numbers are remapped to contiguous internal indices
 in degrees, as both formats state them (`Bus.v_ang_deg`,
 `Branch.shift_deg`); the Y-bus converts the phase shift where it uses
 it.
+
+A `PowerCase` checks the case's rules when it is made, by a reader,
+by hand or by `dataclasses.replace`: each bus's index is its position,
+no bus or branch has a `fault`, and every branch end is a bus index.
+No stage checks them again. The readers also check each record as
+they build it, to name its file line.
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ _BUS_TYPES = (PQ, PV, SLACK)
 class Bus:
     """One electrical bus, all quantities per-unit on the system base.
 
-    `index` is the contiguous internal id (1..N); `external_id` is the
-    number that appeared in the source file. `v_ang_deg` is the stated
-    voltage angle in degrees.
+    `index` is the contiguous internal id, the bus's 1-based position
+    in `PowerCase.buses`; `external_id` is the number that appeared in
+    the source file. `v_ang_deg` is the stated voltage angle in degrees.
     """
 
     index: int
@@ -129,6 +135,13 @@ class Branch:
                 "belongs in shift_deg" if self.tap_ratio < 0 else None)
 
 
+def _integer(value) -> bool:
+    # A bool would read as bus 0 or 1; numpy integers are fine. A plain
+    # int skips the ABC check, which would triple a case's checking time.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class PowerCase:
     name: str
@@ -137,6 +150,26 @@ class PowerCase:
     branches: tuple[Branch, ...]
     source_checksum: str = ""
     external_ids: dict[int, int] = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        # The readers' rules, for a hand-built case too: no stage checks.
+        for k, bus in enumerate(self.buses, start=1):
+            if not _integer(bus.index) or bus.index != k:
+                raise CaseError(f"{self.name}: buses[{k - 1}] has index "
+                                f"{bus.index}, not its position {k}")
+            if bus.fault:
+                raise CaseError(f"{self.name}: bus {bus.external_id}: "
+                                f"{bus.fault}")
+        n, ext = self.n, self.external_id
+        for k, br in enumerate(self.branches):
+            for end in (br.from_bus, br.to_bus):
+                if not (_integer(end) and 1 <= end <= n):
+                    raise UnknownBusReference(
+                        f"{self.name}: branches[{k}] references bus index "
+                        f"{end}, outside 1..{n}")
+            if br.fault:
+                raise InvalidBranch(f"{self.name}: branch {ext(br.from_bus)}-"
+                                    f"{ext(br.to_bus)} {br.fault}")
 
     @property
     def n(self) -> int:
@@ -147,9 +180,7 @@ class PowerCase:
         return len(self.branches)
 
     def external_id(self, internal: int) -> int:
-        # A bool would read as bus 0 or 1; numpy integers are fine.
-        if (isinstance(internal, bool)
-                or not isinstance(internal, numbers.Integral)):
+        if not _integer(internal):
             raise TypeError(f"internal bus index {internal!r} is not an "
                             "integer")
         if not 1 <= internal <= self.n:

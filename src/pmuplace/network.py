@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import PowerCase
-from .errors import InvalidBranch, UnknownBusReference
+from .errors import InvalidBranch
 
 TOPOLOGICAL = "topological"
 ELECTRICAL = "electrical"
@@ -49,28 +49,18 @@ def build_ybus(case: PowerCase) -> np.ndarray:
     Standard pi model with the off-nominal tap on the from side, its
     phase shift converted here from the case's degrees; parallel
     branches accumulate. Bus shunts (and half the line charging per end)
-    land on the diagonal. A case built by hand meets the readers'
-    branch rules here: `UnknownBusReference` names a branch end outside
-    1..N, and `InvalidBranch` names the case and, by the file's bus
-    ids, the branch with a `Branch.fault`, or whose tap ratio squares
-    to zero or to infinity, or whose pi model would hold a non-finite
-    entry (a tap ratio or series impedance so small that the division
-    overflows), or the bus whose sum overflows.
+    land on the diagonal. The case met the readers' rules when it was
+    made; `InvalidBranch` names the case and, by the file's bus ids,
+    the branch whose tap ratio squares to zero or to infinity, or whose
+    pi model would hold a non-finite entry (a tap ratio or series
+    impedance so small that the division overflows), or the bus whose
+    sum overflows.
     """
     n, ext = case.n, case.external_id
     y = np.zeros((n, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, br in enumerate(case.branches):
-            i = br.from_bus - 1
-            j = br.to_bus - 1
-            if not (0 <= i < n and 0 <= j < n):
-                end = br.to_bus if 0 <= i < n else br.from_bus
-                raise UnknownBusReference(
-                    f"{case.name}: branches[{k}] references bus index "
-                    f"{end}, outside 1..{n}")
-            if br.fault:
-                raise InvalidBranch(f"{case.name}: branch {ext(br.from_bus)}-"
-                                    f"{ext(br.to_bus)} {br.fault}")
+        for br in case.branches:
+            i, j = br.from_bus - 1, br.to_bus - 1
             y_series = 1.0 / complex(br.r, br.x)
             y_shunt = 0.5j * br.b_charging
             t = br.tap_ratio * np.exp(1j * math.radians(br.shift_deg))

@@ -54,10 +54,9 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
     """Solve the AC power flow on `ybus` with full Newton iterations.
 
     PV buses hold their file voltage magnitude, the slack holds both
-    magnitude and a zero angle. Raises `MissingSlack` without a slack,
-    `CaseError` for a regulated bus with a `Bus.fault` (a case built by
-    hand meets the readers' voltage rule here), and `NonConvergence` if
-    the mismatch inf-norm is still above `tol` after `max_iter` Newton
+    magnitude and a zero angle (each positive, a rule of `PowerCase`).
+    Raises `MissingSlack` without a slack and `NonConvergence` if the
+    mismatch inf-norm is still above `tol` after `max_iter` Newton
     steps, becomes non-finite, or meets a singular Newton Jacobian.
     """
     slack = case.slack_index - 1
@@ -74,11 +73,7 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
 
     v_mag = np.ones(case.n)
     for i in (*pv, slack):
-        bus = case.buses[i]
-        if bus.fault:
-            raise CaseError(f"{case.name}: bus {bus.external_id}: "
-                            f"{bus.fault}")
-        v_mag[i] = bus.v_mag
+        v_mag[i] = case.buses[i].v_mag
     v_ang = np.zeros(case.n)
 
     iterations = 0

@@ -5,6 +5,7 @@ import codecs
 import math
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,29 @@ def test_external_id_refuses_an_index_that_is_not_an_integer(two_bus):
     for internal in (True, False, 1.5, 1.0, "1", None):
         with pytest.raises(TypeError, match=f"index {internal!r} is not"):
             two_bus.external_id(internal)
+
+
+# A bus's index is its 1-based position: any other would move its
+# shunt onto another bus of the Y-bus (IEEE-14's bus 9 at index 10) or
+# name another bus the slack (IEEE-9's bus 1 at index 2).
+@pytest.mark.parametrize("name, position, index", [
+    ("ieee14", 9, 10), ("ieee9", 1, 2), ("ieee9", 9, 0), ("ieee9", 1, 1.0),
+    ("ieee9", 1, True)])
+def test_bus_index_is_its_position(cases, name, position, index):
+    case = cases[name]
+    buses = list(case.buses)
+    buses[position - 1] = replace(buses[position - 1], index=index)
+    with pytest.raises(errors.CaseError) as exc:
+        replace(case, buses=tuple(buses))
+    assert type(exc.value) is errors.CaseError
+    assert str(exc.value) == (f"{name}: buses[{position - 1}] has index "
+                              f"{index}, not its position {position}")
+    assert exc.value.exit_code == 5
+
+
+def test_numpy_integer_bus_index_accepted(ieee9):
+    buses = tuple(replace(b, index=np.int64(b.index)) for b in ieee9.buses)
+    assert replace(ieee9, buses=buses).slack_index == 1
 
 
 def test_unknown_bus_type_rejected():

@@ -2,8 +2,8 @@
 and mutated fields, in both file formats. The readers may raise only
 `PmuPlaceError` subclasses, and the command line may end only with
 exit code 0 or a documented failure code (2-10). A case built by hand,
-which no reader checked, may make the stages raise only `PmuPlaceError`
-subclasses, and no warning."""
+which no reader read, may raise only `PmuPlaceError` subclasses, when
+it is made or in the stages, and no warning."""
 
 import math
 import tempfile
@@ -159,10 +159,10 @@ def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
 
 @st.composite
 def hand_built_cases(draw):
-    """A network of `networks()`, read once, with up to two numeric
-    fields of its buses or branches replaced through
-    `dataclasses.replace`; a branch end may become bus index 0 or
-    n + 1."""
+    """A network of `networks()`, read once, and its buses and branches
+    with up to two fields replaced through `dataclasses.replace`: a
+    numeric field, a bus index (0 to n + 1) or a branch end (bus index
+    0 or n + 1)."""
     case = pp.parse_csv_fallback(
         csv_document(*draw(networks()), ["fuzz", "100.0"]))
     buses, branches = list(case.buses), list(case.branches)
@@ -170,27 +170,30 @@ def hand_built_cases(draw):
         records = draw(st.sampled_from([buses, branches]))
         k = draw(st.integers(0, len(records) - 1))
         if records is buses:
-            field = draw(st.sampled_from(BUS_FIELDS))
-            value = draw(st.sampled_from(VALUES))
+            field = draw(st.sampled_from(BUS_FIELDS + ("index",)))
+            value = draw(st.integers(0, case.n + 1) if field == "index"
+                         else st.sampled_from(VALUES))
         else:
             field = draw(st.sampled_from(
                 BRANCH_FIELDS + ("from_bus", "to_bus")))
             value = draw(st.sampled_from(
                 [0, case.n + 1] if field.endswith("bus") else VALUES))
         records[k] = replace(records[k], **{field: value})
-    return replace(case, buses=tuple(buses), branches=tuple(branches))
+    return case, tuple(buses), tuple(branches)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(hand_built_cases(), st.sampled_from(["count", "full"]))
-def test_hand_built_cases_end_in_documented_errors(case, mode):
+def test_hand_built_cases_end_in_documented_errors(records, mode):
     # A tie at the link cutoff is a documented diagnostic, which equal
     # reactances on a ring raise with no field replaced.
+    base, buses, branches = records
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", TieAtThreshold)
         try:
+            case = replace(base, buses=buses, branches=branches)
             ybus = pp.build_ybus(case)
         except PmuPlaceError:
             return

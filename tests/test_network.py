@@ -8,7 +8,6 @@ import pytest
 import pmuplace as pp
 from pmuplace.cases import PowerCase
 from pmuplace.errors import InvalidBranch, UnknownBusReference
-from pmuplace.pipeline import STRUCTURES, RunConfig, run_structure
 from conftest import PARALLEL_PAIR_CSV
 from oracles import distinct_pairs
 
@@ -71,14 +70,27 @@ def test_hand_built_branch_fault(ieee9, fault):
     fields, error, message = HAND_BUILT_FAULTS[fault]
     assert ieee9.branches[0].r == 0.0
     branch = replace(ieee9.branches[0], **fields)
-    case = replace(ieee9, branches=(branch, *ieee9.branches[1:]))
-    for structure in STRUCTURES:
-        config = RunConfig(case_path="unused", structure=structure,
-                           mode="count")
-        with pytest.raises(error) as exc:
-            run_structure(case, structure, config, pp.build_ybus(case))
-        assert str(exc.value) == message
-        assert exc.value.exit_code == 5
+    with pytest.raises(error) as exc:
+        replace(ieee9, branches=(branch, *ieee9.branches[1:]))
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 5
+
+
+# The topological structure reads branch ends with no check of its
+# own, so an end outside the buses, or one that is not an integer, is
+# refused when the case is made: by the constructor as by `replace`.
+@pytest.mark.parametrize("end, shown", [
+    ({"from_bus": 0}, "0"), ({"to_bus": 99}, "99"), ({"to_bus": 4.0}, "4.0")],
+    ids=["from-zero", "to-past-n", "to-float"])
+def test_bad_end_refused_before_any_structure(ieee9, end, shown):
+    branches = (replace(ieee9.branches[0], **end), *ieee9.branches[1:])
+    message = (rf"^ieee9: branches\[0\] references bus index {shown}, "
+               r"outside 1\.\.9$")
+    with pytest.raises(UnknownBusReference, match=message):
+        PowerCase(ieee9.name, ieee9.mva_base, ieee9.buses, branches)
+    with pytest.raises(UnknownBusReference, match=message) as exc:
+        replace(ieee9, branches=branches)
+    assert exc.value.exit_code == 5
 
 
 def test_triangle_ybus(triangle):
