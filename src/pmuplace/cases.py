@@ -34,16 +34,17 @@ Two input formats are supported:
   is a `MalformedRecord` at its file and line.
 
 External bus numbers are remapped to contiguous internal indices
-1..N; the mapping is kept on the `PowerCase` for reporting. Angles stay
-in degrees, as both formats state them (`Bus.v_ang_deg`,
-`Branch.shift_deg`); the Y-bus converts the phase shift where it uses
-it.
+1..N; each `Bus` keeps its own. Angles stay in degrees, as both formats
+state them (`Bus.v_ang_deg`, `Branch.shift_deg`); the Y-bus converts
+the phase shift where it uses it.
 
-A `PowerCase` checks the case's rules when it is made, by a reader,
-by hand or by `dataclasses.replace`: each bus's index is its position,
-no bus or branch has a `fault`, and every branch end is a bus index.
-No stage checks them again. The readers also check each record as
-they build it, to name its file line.
+A `PowerCase` checks the model's rules when it is made, by a reader,
+by hand or by `dataclasses.replace`, and nothing else checks them: each
+bus's index is its position and its external id is unique, no bus or
+branch has a `fault`, there are at least 2 buses with exactly one
+slack, every branch end is a bus index, and at least 1 branch joins
+the buses into one network. A reader only builds the records; it names
+a faulty branch's file line and ids in the case's error.
 """
 
 from __future__ import annotations
@@ -149,27 +150,51 @@ class PowerCase:
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     source_checksum: str = ""
+    # Derived from `buses` when the case is made; a value passed is
+    # replaced.
     external_ids: dict[int, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        # The readers' rules, for a hand-built case too: no stage checks.
+        # The model's rules, in the readers' order: no stage checks.
+        name, n = self.name, self.n
+        ids: dict[int, int] = {}
+        seen: set[int] = set()
+        slacks = 0
         for k, bus in enumerate(self.buses, start=1):
             if not _integer(bus.index) or bus.index != k:
-                raise CaseError(f"{self.name}: buses[{k - 1}] has index "
+                raise CaseError(f"{name}: buses[{k - 1}] has index "
                                 f"{bus.index}, not its position {k}")
+            if bus.external_id in seen:
+                raise DuplicateBusId(f"{name}: bus {bus.external_id} "
+                                     "appears twice")
             if bus.fault:
-                raise CaseError(f"{self.name}: bus {bus.external_id}: "
+                raise CaseError(f"{name}: bus {bus.external_id}: "
                                 f"{bus.fault}")
-        n, ext = self.n, self.external_id
+            ids[k] = bus.external_id
+            seen.add(bus.external_id)
+            slacks += bus.bus_type == SLACK
+        object.__setattr__(self, "external_ids", ids)
+        if n < 2:
+            raise MissingSection(f"{name}: a case needs at least 2 buses, "
+                                 f"got {n}")
+        if slacks > 1:
+            raise DuplicateSlack(f"{name}: {slacks} slack buses, expected 1")
+        if slacks == 0:
+            raise MissingSlack(f"{name}: no slack bus")
         for k, br in enumerate(self.branches):
             for end in (br.from_bus, br.to_bus):
                 if not (_integer(end) and 1 <= end <= n):
-                    raise UnknownBusReference(
-                        f"{self.name}: branches[{k}] references bus index "
-                        f"{end}, outside 1..{n}")
+                    raise _at(k, UnknownBusReference(
+                        f"{name}: branches[{k}] references bus index "
+                        f"{end}, outside 1..{n}"))
             if br.fault:
-                raise InvalidBranch(f"{self.name}: branch {ext(br.from_bus)}-"
-                                    f"{ext(br.to_bus)} {br.fault}")
+                raise _at(k, InvalidBranch(
+                    f"{name}: branch {ids[br.from_bus]}-{ids[br.to_bus]} "
+                    f"{br.fault}"))
+        if not self.branches:
+            raise MissingSection(f"{name}: a case needs at least 1 branch")
+        if not _connected(n, self.branches):
+            raise DisconnectedNetwork(f"{name}: branch graph is not connected")
 
     @property
     def n(self) -> int:
@@ -190,73 +215,45 @@ class PowerCase:
 
     @property
     def slack_index(self) -> int:
-        for bus in self.buses:
-            if bus.bus_type == SLACK:
-                return bus.index
-        raise MissingSlack("case has no slack bus")
+        return next(bus.index for bus in self.buses if bus.bus_type == SLACK)
+
+
+def _at(k: int, error: CaseError) -> CaseError:
+    """`error`, marked with the position `k` of the branch it names, so
+    that a reader can name the branch's file line."""
+    error.branch = k
+    return error
 
 
 def _assemble(name: str, mva_base: float, bus_rows, branch_rows,
               checksum: str) -> PowerCase:
-    """The validated case built from per-unit records in file order.
+    """The case built from per-unit records in file order.
 
     A bus row is ``(external id, Bus fields)``, the fields after
     `index` and `external_id`. A branch row is ``(where, (from id,
     to id), Branch fields)``, the fields after the two ends, where
     `where` ("line 7", "branches.csv line 2") locates the record in
-    error messages. External ids are remapped to 1..N in bus order.
-    Each record is checked as it is built, so faults come table by
-    table: the bus table, the bus and slack counts, the branch table (a
-    fault named by `where` and the file's bus ids), then connectivity.
+    error messages. External ids are remapped to 1..N in bus order, and
+    an id that names no bus to 0, which the case refuses as a branch
+    end. The case checks the records; a fault of branch k is raised
+    again named by its row's `where` and the file's bus ids.
     """
-    ext_to_int: dict[int, int] = {}
-    buses: list[Bus] = []
-    slacks = 0
-    for ext, fields in bus_rows:
-        if ext in ext_to_int:
-            raise DuplicateBusId(f"{name}: bus {ext} appears twice")
-        bus = Bus(len(buses) + 1, ext, *fields)
-        if bus.fault:
-            raise CaseError(f"{name}: bus {ext}: {bus.fault}")
-        ext_to_int[ext] = bus.index
-        slacks += bus.bus_type == SLACK
-        buses.append(bus)
-
-    n = len(buses)
-    if n < 2:
-        raise MissingSection(f"{name}: a case needs at least 2 buses, got {n}")
-    if slacks > 1:
-        raise DuplicateSlack(f"{name}: {slacks} slack buses, expected 1")
-    if slacks == 0:
-        raise MissingSlack(f"{name}: no slack bus")
-
-    branches: list[Branch] = []
-    for where, (a, b), fields in branch_rows:
-        for end in (a, b):
-            if end not in ext_to_int:
-                raise UnknownBusReference(f"{name}: {where}: branch "
-                                          f"references unknown bus {end}")
-        br = Branch(ext_to_int[a], ext_to_int[b], *fields)
-        if br.fault:
-            raise InvalidBranch(f"{name}: {where}: branch {a}-{b} {br.fault}")
-        branches.append(br)
-
-    if not branches:
-        raise MissingSection(f"{name}: a case needs at least 1 branch")
-    if not _connected(n, branches):
-        raise DisconnectedNetwork(f"{name}: branch graph is not connected")
-
-    return PowerCase(
-        name=name,
-        mva_base=mva_base,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        source_checksum=checksum,
-        external_ids={b.index: b.external_id for b in buses},
-    )
+    buses = tuple(Bus(k, ext, *fields)
+                  for k, (ext, fields) in enumerate(bus_rows, start=1))
+    ext_to_int = {bus.external_id: bus.index for bus in buses}
+    try:
+        return PowerCase(name, mva_base, buses, tuple(
+            Branch(ext_to_int.get(a, 0), ext_to_int.get(b, 0), *fields)
+            for _, (a, b), fields in branch_rows), checksum)
+    except (UnknownBusReference, InvalidBranch) as exc:
+        where, ends, _ = branch_rows[exc.branch]
+        unknown = [end for end in ends if end not in ext_to_int]
+        detail = (f"branch references unknown bus {unknown[0]}" if unknown
+                  else str(exc).removeprefix(f"{name}: "))
+        raise type(exc)(f"{name}: {where}: {detail}") from None
 
 
-def _connected(n: int, branches: list[Branch]) -> bool:
+def _connected(n: int, branches: tuple[Branch, ...]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for br in branches:
         adj[br.from_bus].append(br.to_bus)

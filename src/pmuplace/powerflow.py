@@ -54,10 +54,10 @@ def solve_power_flow(case: PowerCase, ybus: np.ndarray,
     """Solve the AC power flow on `ybus` with full Newton iterations.
 
     PV buses hold their file voltage magnitude, the slack holds both
-    magnitude and a zero angle (each positive, a rule of `PowerCase`).
-    Raises `MissingSlack` without a slack and `NonConvergence` if the
-    mismatch inf-norm is still above `tol` after `max_iter` Newton
-    steps, becomes non-finite, or meets a singular Newton Jacobian.
+    magnitude and a zero angle (one slack and positive magnitudes are
+    rules of `PowerCase`). Raises `NonConvergence` if the mismatch
+    inf-norm is still above `tol` after `max_iter` Newton steps, becomes
+    non-finite, or meets a singular Newton Jacobian.
     """
     slack = case.slack_index - 1
     types = [bus.bus_type for bus in case.buses]

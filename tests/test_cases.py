@@ -5,6 +5,7 @@ import codecs
 import math
 import re
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -288,6 +289,20 @@ def test_cdf_branch_fault_names_the_line_and_ids(tmp_path, capsys, fault):
     assert message.startswith(f"case: {where}branch {ends} {detail}")
     assert cli.main(["--case", str(path), "--mode", "count"]) == 5
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A read case is checked once: each record's `fault` is read once, when
+# the case is made.
+def test_each_record_is_checked_once(monkeypatch, tied_bundle):
+    reads = Counter()
+    for kind in (pp.Bus, pp.Branch):
+        def counted(record, rule=kind.fault.fget):
+            reads[id(record)] += 1
+            return rule(record)
+        monkeypatch.setattr(kind, "fault", property(counted))
+    case = pp.load_case(tied_bundle)
+    assert (case.n, case.m) == (236, 373)
+    assert reads == Counter(id(r) for r in (*case.buses, *case.branches))
 
 
 # A tap of zero, either sign, reads as 1 in both readers; only a
@@ -595,6 +610,58 @@ def test_bus_index_is_its_position(cases, name, position, index):
     assert str(exc.value) == (f"{name}: buses[{position - 1}] has index "
                               f"{index}, not its position {position}")
     assert exc.value.exit_code == 5
+
+
+def _bus_edit(position, **fields):
+    """The `replace` fields that give IEEE-9's bus `position` `fields`."""
+    def edit(case):
+        buses = list(case.buses)
+        buses[position - 1] = replace(buses[position - 1], **fields)
+        return {"buses": tuple(buses)}
+    return edit
+
+
+# The readers' model rules hold for a hand-built case too: IEEE-9 with
+# one edit each is refused when it is made, with the error, message and
+# exit code a case file with the same fault gets (its first branch is
+# 1-4, the only one at bus 1).
+@pytest.mark.parametrize("edit, error, message, code", [
+    (_bus_edit(2, bus_type=pp.cases.SLACK), errors.DuplicateSlack,
+     "ieee9: 2 slack buses, expected 1", 5),
+    (_bus_edit(1, bus_type=pp.cases.PV), errors.MissingSlack,
+     "ieee9: no slack bus", 5),
+    (_bus_edit(2, external_id=1), errors.DuplicateBusId,
+     "ieee9: bus 1 appears twice", 5),
+    (lambda case: {"buses": case.buses[:1]}, errors.MissingSection,
+     "ieee9: a case needs at least 2 buses, got 1", 4),
+    (lambda case: {"branches": ()}, errors.MissingSection,
+     "ieee9: a case needs at least 1 branch", 4),
+    (lambda case: {"branches": case.branches[1:]}, errors.DisconnectedNetwork,
+     "ieee9: branch graph is not connected", 6)],
+    ids=["two-slacks", "no-slack", "repeated-id", "one-bus", "no-branch",
+         "without-branch-1-4"])
+def test_hand_built_case_refused_as_the_readers_refuse(ieee9, edit, error,
+                                                       message, code):
+    fields = edit(ieee9)
+    for make in (lambda: replace(ieee9, **fields),
+                 lambda: pp.PowerCase(
+                     ieee9.name, ieee9.mva_base,
+                     fields.get("buses", ieee9.buses),
+                     fields.get("branches", ieee9.branches))):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert exc.value.exit_code == code
+
+
+# The external ids are the buses' own: a case made with new ones
+# reports them, whatever mapping is passed with them.
+def test_external_ids_follow_the_buses(ieee9):
+    case = replace(ieee9, **_bus_edit(1, external_id=99)(ieee9),
+                   external_ids={1: 1})
+    assert case.external_ids[1] == 99 == case.external_id(1)
+    assert case.external_ids == {b.index: b.external_id for b in case.buses}
 
 
 def test_numpy_integer_bus_index_accepted(ieee9):

@@ -601,9 +601,7 @@ class TestOutputs:
         base = pp.load_bundled_case("ieee14")
         buses = tuple(dataclasses.replace(b, external_id=100 - b.index)
                       for b in base.buses)
-        case = dataclasses.replace(
-            base, buses=buses,
-            external_ids={b.index: b.external_id for b in buses})
+        case = dataclasses.replace(base, buses=buses)
         bundle = write_bundle(tmp_path / "reversed",
                               pp.dumps_csv_fallback(case))
         out = tmp_path / "out"

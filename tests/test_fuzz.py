@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace import cli
+from pmuplace.cases import PQ, PV, SLACK
 from pmuplace.errors import (CaseError, NonConvergence, PmuPlaceError,
                              SingularSubmatrix, TieAtThreshold)
 from pmuplace.pipeline import STRUCTURES, RunConfig, run_structure
@@ -161,8 +162,9 @@ def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
 def hand_built_cases(draw):
     """A network of `networks()`, read once, and its buses and branches
     with up to two fields replaced through `dataclasses.replace`: a
-    numeric field, a bus index (0 to n + 1) or a branch end (bus index
-    0 or n + 1)."""
+    numeric field, a bus index (0 to n + 1), a bus type, an external id
+    (1 to n + 1, so it may repeat another bus's) or a branch end (bus
+    index 0 or n + 1)."""
     case = pp.parse_csv_fallback(
         csv_document(*draw(networks()), ["fuzz", "100.0"]))
     buses, branches = list(case.buses), list(case.branches)
@@ -170,9 +172,13 @@ def hand_built_cases(draw):
         records = draw(st.sampled_from([buses, branches]))
         k = draw(st.integers(0, len(records) - 1))
         if records is buses:
-            field = draw(st.sampled_from(BUS_FIELDS + ("index",)))
-            value = draw(st.integers(0, case.n + 1) if field == "index"
-                         else st.sampled_from(VALUES))
+            field = draw(st.sampled_from(
+                ("bus_type", "external_id", "index") + BUS_FIELDS))
+            value = draw(
+                st.integers(0, case.n + 1) if field == "index" else
+                st.sampled_from([SLACK, PQ, PV]) if field == "bus_type" else
+                st.integers(1, case.n + 1) if field == "external_id" else
+                st.sampled_from(VALUES))
         else:
             field = draw(st.sampled_from(
                 BRANCH_FIELDS + ("from_bus", "to_bus")))

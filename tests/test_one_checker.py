@@ -1,6 +1,7 @@
-"""Only `cases.py` reads a `Bus.fault` or a `Branch.fault`: a
-`PowerCase` is checked when it is made, so no stage re-applies the
-readers' rules to the case it is given."""
+"""Only `PowerCase.__post_init__` reads a `Bus.fault` or a
+`Branch.fault`: a case is checked when it is made, so no stage
+re-applies the model's rules to the case it is given, and no reader
+checks a record before the case does."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 
 import pmuplace
 
-MODULES = sorted(path for path in Path(pmuplace.__file__).parent.glob("*.py")
-                 if path.name != "cases.py")
+CASES = Path(pmuplace.__file__).parent / "cases.py"
+MODULES = sorted(path for path in CASES.parent.glob("*.py") if path != CASES)
 
 
 def fault_reads(tree: ast.AST) -> list[str]:
@@ -23,6 +24,17 @@ def fault_reads(tree: ast.AST) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_only_cases_reads_faults(path):
     assert fault_reads(ast.parse(path.read_text())) == []
+
+
+def test_only_the_case_reads_faults_in_cases():
+    tree = ast.parse(CASES.read_text())
+    post_init, = (node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  and cls.name == "PowerCase" for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "__post_init__")
+    checked = fault_reads(post_init)
+    assert checked
+    assert sorted(fault_reads(tree)) == sorted(checked)
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -15,9 +15,8 @@ import pytest
 from scipy.optimize import root
 
 import pmuplace as pp
-from pmuplace.cases import PQ, PV, SLACK
+from pmuplace.cases import PQ, PV, SLACK, PowerCase
 from pmuplace.errors import CaseError, MissingSlack, NonConvergence
-from pmuplace.pipeline import RunConfig, run_structure
 from pmuplace.powerflow import (_derivatives, _injections, _newton_layout,
                                 _newton_matrix, _pattern, flat_point)
 from conftest import BUNDLED, SINGULAR_JACOBIAN_CSV, load_tied
@@ -147,26 +146,24 @@ class TestSolvePowerFlow:
 
 @pytest.fixture
 def no_slack(ieee14):
-    """IEEE-14 with its slack made a PV bus. No reader builds such a
-    case; a hand-built one reaches the stages."""
+    """IEEE-14's buses with its slack made a PV bus. No power flow can
+    hold them, and no case is made of them."""
     slack = ieee14.slack_index - 1
     buses = list(ieee14.buses)
     buses[slack] = replace(buses[slack], bus_type=PV)
-    return replace(ieee14, buses=tuple(buses))
+    return tuple(buses)
 
 
-def test_power_flow_without_slack_is_missing_slack(no_slack):
-    with pytest.raises(MissingSlack, match="^case has no slack bus$"):
-        pp.solve_power_flow(no_slack, pp.build_ybus(no_slack))
+def test_power_flow_without_slack_is_missing_slack(ieee14, no_slack):
+    with pytest.raises(MissingSlack, match="^ieee14: no slack bus$") as exc:
+        replace(ieee14, buses=no_slack)
+    assert exc.value.exit_code == 5
 
 
-@pytest.mark.parametrize("jacobian_mode", ["solved", "flat"])
-def test_electrical_stages_without_slack(no_slack, jacobian_mode):
-    config = RunConfig(case_path="unused", structure="electrical",
-                       jacobian_mode=jacobian_mode)
-    with pytest.raises(MissingSlack, match="^case has no slack bus$") as exc:
-        run_structure(no_slack, "electrical", config,
-                      pp.build_ybus(no_slack))
+# The case is refused when it is made, so no stage reaches it.
+def test_case_without_slack_cannot_be_built(ieee14, no_slack):
+    with pytest.raises(MissingSlack, match="^ieee14: no slack bus$") as exc:
+        PowerCase(ieee14.name, ieee14.mva_base, no_slack, ieee14.branches)
     assert exc.value.exit_code == 5
 
 
