@@ -39,12 +39,10 @@ state them (`Bus.v_ang_deg`, `Branch.shift_deg`); the Y-bus converts
 the phase shift where it uses it.
 
 A `PowerCase` checks the model's rules when it is made, by a reader,
-by hand or by `dataclasses.replace`, and nothing else checks them: each
-bus's index is its position and its external id is unique, no bus or
-branch has a `fault`, there are at least 2 buses with exactly one
-slack, every branch end is a bus index, and at least 1 branch joins
-the buses into one network. A reader only builds the records; it names
-a faulty branch's file line and ids in the case's error.
+by hand or by `dataclasses.replace`, and nothing else checks them; a
+`Bus` or `Branch` states its own faults but checks nothing. A reader
+only builds the records; it names a faulty branch's file line and ids
+in the case's error.
 """
 
 from __future__ import annotations
@@ -96,15 +94,16 @@ class Bus:
     shunt_g: float = 0.0
     shunt_b: float = 0.0
 
-    def __post_init__(self):
-        if self.bus_type not in _BUS_TYPES:
-            raise ValueError(f"unknown bus type {self.bus_type!r}")
-
     @property
     def fault(self) -> str | None:
         """Why no power flow can hold this bus, or None."""
-        return (f"regulated bus with non-positive voltage {self.v_mag}"
-                if self.bus_type in (PV, SLACK) and self.v_mag <= 0 else None)
+        if self.bus_type not in _BUS_TYPES:
+            return f"unknown bus type {self.bus_type!r}"
+        non_finite = _non_finite(self, _BUS_VALUES)
+        return (f"non-finite {non_finite}" if non_finite else
+                f"regulated bus with non-positive voltage {self.v_mag}"
+                if self.bus_type in (PV, SLACK) and not self.v_mag > 0 else
+                None)
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,30 @@ class Branch:
     def fault(self) -> str | None:
         """What the model refuses in this branch, or None; an
         `InvalidBranch` message gives it after the branch's ends."""
+        non_finite = _non_finite(self, _BRANCH_VALUES)
         return ("is a self-loop" if self.from_bus == self.to_bus else
+                f"has a non-finite {non_finite}" if non_finite else
                 f"has negative series reactance {self.x}; the distance "
                 "construction needs nonnegative reactances" if self.x < 0 else
                 "has zero impedance" if self.r == 0 and self.x == 0 else
                 f"has negative tap ratio {self.tap_ratio}; a phase shift "
                 "belongs in shift_deg" if self.tap_ratio < 0 else None)
+
+
+# The numeric fields of each record, which the readers read with
+# `_finite`.
+_BUS_VALUES = ("v_mag", "v_ang_deg", "p_load", "q_load", "p_gen", "q_gen",
+               "shunt_g", "shunt_b")
+_BRANCH_VALUES = ("r", "x", "b_charging", "tap_ratio", "shift_deg")
+
+
+def _non_finite(record, names) -> str | None:
+    """"<name> <value>" for the first of the fields `names` of `record`
+    that is nan or infinite, or None."""
+    for name in names:
+        if not math.isfinite(value := getattr(record, name)):
+            return f"{name} {value}"
+    return None
 
 
 def _integer(value) -> bool:
@@ -164,6 +181,9 @@ class PowerCase:
             if not _integer(bus.index) or bus.index != k:
                 raise CaseError(f"{name}: buses[{k - 1}] has index "
                                 f"{bus.index}, not its position {k}")
+            if not _integer(bus.external_id):
+                raise CaseError(f"{name}: buses[{k - 1}] has external id "
+                                f"{bus.external_id!r}, not an integer")
             if bus.external_id in seen:
                 raise DuplicateBusId(f"{name}: bus {bus.external_id} "
                                      "appears twice")
@@ -211,7 +231,7 @@ class PowerCase:
         if not 1 <= internal <= self.n:
             raise IndexError(f"internal bus index {internal} is outside "
                              f"1..{self.n}")
-        return self.buses[internal - 1].external_id
+        return int(self.buses[internal - 1].external_id)
 
     @property
     def slack_index(self) -> int:

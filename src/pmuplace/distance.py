@@ -43,8 +43,10 @@ def grounded_inverse(g: np.ndarray, r: int) -> np.ndarray:
     and column at r.
 
     Raises `SingularSubmatrix` when the reduced matrix is not
-    invertible to working precision, which for these inputs means the
-    network is disconnected.
+    invertible to working precision. A case's branch graph is
+    connected, but the conductances need not be: an angle sensitivity
+    joins no bus whose every branch carries no susceptance (zero
+    reactance, at the flat point).
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]

@@ -621,10 +621,21 @@ def _bus_edit(position, **fields):
     return edit
 
 
+def _first_branch_edit(**fields):
+    """The `replace` fields that give IEEE-9's first branch, 1-4,
+    `fields`."""
+    def edit(case):
+        return {"branches": (replace(case.branches[0], **fields),
+                             *case.branches[1:])}
+    return edit
+
+
 # The readers' model rules hold for a hand-built case too: IEEE-9 with
 # one edit each is refused when it is made, with the error, message and
 # exit code a case file with the same fault gets (its first branch is
-# 1-4, the only one at bus 1).
+# 1-4, the only one at bus 1). A record holds no check of its own, so
+# a bus of unknown type is made and its case refused. The readers
+# refuse nan and inf in every field, and read only integer bus ids.
 @pytest.mark.parametrize("edit, error, message, code", [
     (_bus_edit(2, bus_type=pp.cases.SLACK), errors.DuplicateSlack,
      "ieee9: 2 slack buses, expected 1", 5),
@@ -637,9 +648,29 @@ def _bus_edit(position, **fields):
     (lambda case: {"branches": ()}, errors.MissingSection,
      "ieee9: a case needs at least 1 branch", 4),
     (lambda case: {"branches": case.branches[1:]}, errors.DisconnectedNetwork,
-     "ieee9: branch graph is not connected", 6)],
+     "ieee9: branch graph is not connected", 6),
+    (_bus_edit(2, bus_type="PQX"), errors.CaseError,
+     "ieee9: bus 2: unknown bus type 'PQX'", 5),
+    (_bus_edit(5, v_ang_deg=math.nan), errors.CaseError,
+     "ieee9: bus 5: non-finite v_ang_deg nan", 5),
+    (_bus_edit(2, v_mag=math.nan), errors.CaseError,
+     "ieee9: bus 2: non-finite v_mag nan", 5),
+    (_bus_edit(7, p_load=-math.inf), errors.CaseError,
+     "ieee9: bus 7: non-finite p_load -inf", 5),
+    (_first_branch_edit(x=math.inf), errors.InvalidBranch,
+     "ieee9: branch 1-4 has a non-finite x inf", 5),
+    (_first_branch_edit(b_charging=math.nan), errors.InvalidBranch,
+     "ieee9: branch 1-4 has a non-finite b_charging nan", 5),
+    (_bus_edit(2, external_id=2.0), errors.CaseError,
+     "ieee9: buses[1] has external id 2.0, not an integer", 5),
+    (_bus_edit(2, external_id="2"), errors.CaseError,
+     "ieee9: buses[1] has external id '2', not an integer", 5),
+    (_bus_edit(2, external_id=True), errors.CaseError,
+     "ieee9: buses[1] has external id True, not an integer", 5)],
     ids=["two-slacks", "no-slack", "repeated-id", "one-bus", "no-branch",
-         "without-branch-1-4"])
+         "without-branch-1-4", "unknown-type", "nan-angle",
+         "nan-pv-voltage", "inf-load", "inf-reactance", "nan-charging",
+         "float-id", "str-id", "bool-id"])
 def test_hand_built_case_refused_as_the_readers_refuse(ieee9, edit, error,
                                                        message, code):
     fields = edit(ieee9)
@@ -667,11 +698,6 @@ def test_external_ids_follow_the_buses(ieee9):
 def test_numpy_integer_bus_index_accepted(ieee9):
     buses = tuple(replace(b, index=np.int64(b.index)) for b in ieee9.buses)
     assert replace(ieee9, buses=buses).slack_index == 1
-
-
-def test_unknown_bus_type_rejected():
-    with pytest.raises(ValueError, match=r"^unknown bus type 'PQX'$"):
-        pp.Bus(1, 1, "PQX")
 
 
 def test_csv_content_before_first_section_rejected():

@@ -1,6 +1,7 @@
 """Resistance-distance construction tests."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import pmuplace as pp
 from pmuplace.errors import SingularSubmatrix, TieAtThreshold
+from pmuplace.pipeline import RunConfig, run_structure
 from conftest import (BUNDLED, laplacian_from_adjacency,
                       random_connected_adjacency)
 from oracles import verify_metric
@@ -63,6 +65,21 @@ class TestGroundedInverse:
         with pytest.raises(ValueError,
                            match="^conductance matrix must be square$"):
             pp.grounded_inverse(np.zeros((2, 3)), 1)
+
+
+# A connected grid can still ground to a singular matrix: at the flat
+# point a branch without susceptance (x = 0) carries no angle
+# sensitivity, so IEEE-9's bus 1, whose only branch is 1-4, is joined
+# to nothing.
+def test_branch_without_susceptance_singular_at_flat_point(ieee9):
+    case = replace(ieee9, branches=(
+        replace(ieee9.branches[0], r=0.05, x=0.0), *ieee9.branches[1:]))
+    cfg = RunConfig(case_path="unused", structure="electrical",
+                    jacobian_mode="flat", mode="count")
+    with pytest.raises(SingularSubmatrix) as exc:
+        run_structure(case, "electrical", cfg, pp.build_ybus(case))
+    assert type(exc.value) is SingularSubmatrix
+    assert exc.value.exit_code == 6
 
 
 class TestResistanceMatrix:

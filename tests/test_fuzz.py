@@ -3,7 +3,8 @@ and mutated fields, in both file formats. The readers may raise only
 `PmuPlaceError` subclasses, and the command line may end only with
 exit code 0 or a documented failure code (2-10). A case built by hand,
 which no reader read, may raise only `PmuPlaceError` subclasses, when
-it is made or in the stages, and no warning."""
+it is made or in the stages, and no warning; one that the case and the
+Y-bus accept reads back from its CSV dump."""
 
 import math
 import tempfile
@@ -162,9 +163,10 @@ def test_fuzzed_cases_end_in_documented_errors(network, structure, jacobian,
 def hand_built_cases(draw):
     """A network of `networks()`, read once, and its buses and branches
     with up to two fields replaced through `dataclasses.replace`: a
-    numeric field, a bus index (0 to n + 1), a bus type, an external id
-    (1 to n + 1, so it may repeat another bus's) or a branch end (bus
-    index 0 or n + 1)."""
+    numeric field, a bus index (0 to n + 1), a bus type (or an unknown
+    one), an external id (1 to n + 1, so it may repeat another bus's,
+    or one that is not an integer) or a branch end (bus index 0 or
+    n + 1)."""
     case = pp.parse_csv_fallback(
         csv_document(*draw(networks()), ["fuzz", "100.0"]))
     buses, branches = list(case.buses), list(case.branches)
@@ -174,11 +176,12 @@ def hand_built_cases(draw):
         if records is buses:
             field = draw(st.sampled_from(
                 ("bus_type", "external_id", "index") + BUS_FIELDS))
-            value = draw(
-                st.integers(0, case.n + 1) if field == "index" else
-                st.sampled_from([SLACK, PQ, PV]) if field == "bus_type" else
-                st.integers(1, case.n + 1) if field == "external_id" else
-                st.sampled_from(VALUES))
+            value = draw({
+                "index": st.integers(0, case.n + 1),
+                "bus_type": st.sampled_from([SLACK, PQ, PV, "PQX"]),
+                "external_id": (st.integers(1, case.n + 1)
+                                | st.sampled_from([2.0, True])),
+            }.get(field, st.sampled_from(VALUES)))
         else:
             field = draw(st.sampled_from(
                 BRANCH_FIELDS + ("from_bus", "to_bus")))
@@ -211,6 +214,22 @@ def test_hand_built_cases_end_in_documented_errors(records, mode):
                     run_structure(case, structure, config, ybus)
                 except PmuPlaceError:
                     pass
+
+
+# The case and the Y-bus accept only what the readers accept, so a
+# hand-built case they take is written and read back field for field.
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hand_built_cases())
+def test_accepted_hand_built_cases_read_back_from_their_dump(records):
+    base, buses, branches = records
+    try:
+        case = replace(base, buses=buses, branches=branches)
+        pp.build_ybus(case)
+    except PmuPlaceError:
+        return
+    back = pp.parse_csv_fallback(pp.dumps_csv_fallback(case))
+    assert (back.buses, back.branches) == (case.buses, case.branches)
 
 
 # One hand-built extreme per stage whose arithmetic can leave the float

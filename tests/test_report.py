@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -176,6 +177,26 @@ def test_fig_assignment_bytes(cases, name, structure, tmp_path):
     pp.emit_report(pp.report_files(art, tmp_path))
     expected = "\n".join(reference_assignment_lines(art)) + "\n"
     assert (tmp_path / "fig_assignment.csv").read_bytes() == expected.encode()
+
+
+# A hand-built case may number its buses with numpy integers; its
+# files are those of the same case numbered with ints.
+def test_numpy_external_ids_report_as_ints(ieee9, tmp_path):
+    numbered = replace(ieee9, buses=tuple(
+        replace(b, external_id=np.int64(b.external_id)) for b in ieee9.buses))
+    assert type(numbered.external_id(1)) is int
+    cfg = RunConfig(case_path="unused", mode="full")
+
+    def written(case, out):
+        for structure in ("topological", "electrical"):
+            art = run_structure(case, structure, cfg, pp.build_ybus(case))
+            pp.emit_report(pp.report_files(art, out / structure))
+        return {path.relative_to(out): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()}
+
+    expected = written(ieee9, tmp_path / "int")
+    assert len(expected) == 8
+    assert written(numbered, tmp_path / "numpy") == expected
 
 
 def naive_matrix_lines(matrix: np.ndarray, case) -> list[str]:
