@@ -99,9 +99,11 @@ class Bus:
         """Why no power flow can hold this bus, or None."""
         if self.bus_type not in _BUS_TYPES:
             return f"unknown bus type {self.bus_type!r}"
-        non_finite = _non_finite(self, _BUS_VALUES)
-        return (f"non-finite {non_finite}" if non_finite else
-                f"regulated bus with non-positive voltage {self.v_mag}"
+        if bad := _bad_number(self, _BUS_VALUES):
+            name, value, why = bad
+            return f"{name} {value!r} {why}" if why else \
+                f"non-finite {name} {value}"
+        return (f"regulated bus with non-positive voltage {self.v_mag}"
                 if self.bus_type in (PV, SLACK) and not self.v_mag > 0 else
                 None)
 
@@ -127,30 +129,56 @@ class Branch:
     def fault(self) -> str | None:
         """What the model refuses in this branch, or None; an
         `InvalidBranch` message gives it after the branch's ends."""
-        non_finite = _non_finite(self, _BRANCH_VALUES)
-        return ("is a self-loop" if self.from_bus == self.to_bus else
-                f"has a non-finite {non_finite}" if non_finite else
-                f"has negative series reactance {self.x}; the distance "
+        if self.from_bus == self.to_bus:
+            return "is a self-loop"
+        if bad := _bad_number(self, _BRANCH_VALUES):
+            name, value, why = bad
+            return f"has {name} {value!r}, which {why}" if why else \
+                f"has a non-finite {name} {value}"
+        return (f"has negative series reactance {self.x}; the distance "
                 "construction needs nonnegative reactances" if self.x < 0 else
                 "has zero impedance" if self.r == 0 and self.x == 0 else
                 f"has negative tap ratio {self.tap_ratio}; a phase shift "
-                "belongs in shift_deg" if self.tap_ratio < 0 else None)
+                "belongs in shift_deg" if self.tap_ratio < 0 else
+                f"has tap ratio {self.tap_ratio}, too close to zero"
+                if self.tap_ratio == 0 else None)
 
 
 # The numeric fields of each record, which the readers read with
-# `_finite`.
+# `_finite`; they are also the CSV columns after the ids and the bus
+# type, in order.
 _BUS_VALUES = ("v_mag", "v_ang_deg", "p_load", "q_load", "p_gen", "q_gen",
                "shunt_g", "shunt_b")
 _BRANCH_VALUES = ("r", "x", "b_charging", "tap_ratio", "shift_deg")
 
 
-def _non_finite(record, names) -> str | None:
-    """"<name> <value>" for the first of the fields `names` of `record`
-    that is nan or infinite, or None."""
+def _bad_number(record, names) -> tuple[str, object, str | None] | None:
+    """(name, value, why) for the first of the numeric fields `names` of
+    `record` that a dump would not read back, or None: `why` says what
+    the value is not, and is None for nan or an infinity."""
     for name in names:
-        if not math.isfinite(value := getattr(record, name)):
-            return f"{name} {value}"
+        value = getattr(record, name)
+        # A plain float skips the ABC check (see `_integer`).
+        if type(value) is not float and (why := _not_float(value)):
+            return name, value, why
+        if not math.isfinite(value):
+            return name, value, None
     return None
+
+
+def _not_float(value) -> str | None:
+    """Why `value` is no numeric field, or None: it must be a real
+    number, not a bool (which would read as 0 or 1), that a float holds
+    exactly, as the dump writes it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return "is not a real number"
+    try:
+        # nan equals nothing; it is refused as non-finite.
+        if float(value) == value or math.isnan(value):
+            return None
+    except OverflowError:
+        pass
+    return "is not exactly a float"
 
 
 def _integer(value) -> bool:
@@ -174,6 +202,16 @@ class PowerCase:
     def __post_init__(self):
         # The model's rules, in the readers' order: no stage checks.
         name, n = self.name, self.n
+        why = ("is not a str" if not isinstance(name, str) else
+               "is blank" if not name.strip() else
+               "is not one line" if name.splitlines() != [name] else None)
+        if why:
+            raise CaseError(f"case name {name!r} {why}")
+        if bad := _bad_number(self, ("mva_base",)):
+            raise CaseError(f"{name}: mva_base {self.mva_base!r} "
+                            f"{bad[2] or 'is not a finite number'}")
+        if self.mva_base < 0:
+            raise CaseError(f"{name}: mva_base {self.mva_base!r} is negative")
         ids: dict[int, int] = {}
         seen: set[int] = set()
         slacks = 0
@@ -522,27 +560,23 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
 
 
 def dumps_csv_fallback(case: PowerCase) -> str:
-    """Serialize a PowerCase to the CSV fallback bundle.
+    """Serialize a PowerCase to one CSV fallback document.
 
-    Floats use repr so that parse_csv_fallback(dumps_csv_fallback(c))
-    reproduces the model field-for-field.
+    Numbers are written as the repr of their float, so that
+    parse_csv_fallback(dumps_csv_fallback(c)) reproduces the model
+    field-for-field.
     """
-    out = ["[case]", f'name = "{case.name}"', f"mva_base = {case.mva_base!r}",
-           "", "[buses]", _BUS_HEADER]
-    for b in case.buses:
-        out.append(",".join([
-            str(b.external_id), b.bus_type, repr(b.v_mag),
-            repr(b.v_ang_deg), repr(b.p_load), repr(b.q_load),
-            repr(b.p_gen), repr(b.q_gen), repr(b.shunt_g), repr(b.shunt_b),
-        ]))
+    def cells(record, names):
+        return [repr(float(getattr(record, name))) for name in names]
+
+    out = ["[case]", f'name = "{case.name}"',
+           f"mva_base = {float(case.mva_base)!r}", "", "[buses]", _BUS_HEADER]
+    out += [",".join([str(b.external_id), b.bus_type, *cells(b, _BUS_VALUES)])
+            for b in case.buses]
     out += ["", "[branches]", _BRANCH_HEADER]
-    for br in case.branches:
-        out.append(",".join([
-            str(case.external_id(br.from_bus)),
-            str(case.external_id(br.to_bus)),
-            repr(br.r), repr(br.x), repr(br.b_charging), repr(br.tap_ratio),
-            repr(br.shift_deg),
-        ]))
+    out += [",".join([str(case.external_id(br.from_bus)),
+                      str(case.external_id(br.to_bus)),
+                      *cells(br, _BRANCH_VALUES)]) for br in case.branches]
     return "\n".join(out) + "\n"
 
 

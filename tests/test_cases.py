@@ -7,6 +7,7 @@ import re
 import shutil
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -635,7 +636,11 @@ def _first_branch_edit(**fields):
 # exit code a case file with the same fault gets (its first branch is
 # 1-4, the only one at bus 1). A record holds no check of its own, so
 # a bus of unknown type is made and its case refused. The readers
-# refuse nan and inf in every field, and read only integer bus ids.
+# refuse nan and inf in every field, read only integer bus ids and
+# numbers, and read a case name as one nonblank line and a base as a
+# number that is not negative. A zero tap, which they read as 1, is
+# refused as the Y-bus refuses it; a number that a float does not hold
+# exactly would not read back from the case's dump.
 @pytest.mark.parametrize("edit, error, message, code", [
     (_bus_edit(2, bus_type=pp.cases.SLACK), errors.DuplicateSlack,
      "ieee9: 2 slack buses, expected 1", 5),
@@ -666,17 +671,56 @@ def _first_branch_edit(**fields):
     (_bus_edit(2, external_id="2"), errors.CaseError,
      "ieee9: buses[1] has external id '2', not an integer", 5),
     (_bus_edit(2, external_id=True), errors.CaseError,
-     "ieee9: buses[1] has external id True, not an integer", 5)],
+     "ieee9: buses[1] has external id True, not an integer", 5),
+    (lambda case: {"name": ""}, errors.CaseError,
+     "case name '' is blank", 5),
+    (lambda case: {"name": "  "}, errors.CaseError,
+     "case name '  ' is blank", 5),
+    (lambda case: {"name": "a\nb"}, errors.CaseError,
+     "case name 'a\\nb' is not one line", 5),
+    (lambda case: {"name": "a\u2028b"}, errors.CaseError,
+     "case name 'a\\u2028b' is not one line", 5),
+    (lambda case: {"name": 5}, errors.CaseError,
+     "case name 5 is not a str", 5),
+    (lambda case: {"mva_base": -100.0}, errors.CaseError,
+     "ieee9: mva_base -100.0 is negative", 5),
+    (lambda case: {"mva_base": math.nan}, errors.CaseError,
+     "ieee9: mva_base nan is not a finite number", 5),
+    (lambda case: {"mva_base": True}, errors.CaseError,
+     "ieee9: mva_base True is not a real number", 5),
+    (lambda case: {"mva_base": "100"}, errors.CaseError,
+     "ieee9: mva_base '100' is not a real number", 5),
+    (_first_branch_edit(tap_ratio=0.0), errors.InvalidBranch,
+     "ieee9: branch 1-4 has tap ratio 0.0, too close to zero", 5),
+    (_bus_edit(5, p_load="0.9"), errors.CaseError,
+     "ieee9: bus 5: p_load '0.9' is not a real number", 5),
+    (_bus_edit(5, p_load=None), errors.CaseError,
+     "ieee9: bus 5: p_load None is not a real number", 5),
+    (_bus_edit(5, q_load=True), errors.CaseError,
+     "ieee9: bus 5: q_load True is not a real number", 5),
+    (_bus_edit(5, p_load=Fraction(1, 3)), errors.CaseError,
+     "ieee9: bus 5: p_load Fraction(1, 3) is not exactly a float", 5),
+    (_bus_edit(5, p_load=2**53 + 1), errors.CaseError,
+     "ieee9: bus 5: p_load 9007199254740993 is not exactly a float", 5),
+    (_first_branch_edit(x="0.1"), errors.InvalidBranch,
+     "ieee9: branch 1-4 has x '0.1', which is not a real number", 5),
+    (_first_branch_edit(r=1j), errors.InvalidBranch,
+     "ieee9: branch 1-4 has r 1j, which is not a real number", 5)],
     ids=["two-slacks", "no-slack", "repeated-id", "one-bus", "no-branch",
          "without-branch-1-4", "unknown-type", "nan-angle",
          "nan-pv-voltage", "inf-load", "inf-reactance", "nan-charging",
-         "float-id", "str-id", "bool-id"])
+         "float-id", "str-id", "bool-id", "empty-name", "blank-name",
+         "two-line-name", "separator-name", "int-name", "negative-base",
+         "nan-base", "bool-base", "str-base", "zero-tap", "str-load",
+         "none-load", "bool-load", "fraction-load", "inexact-int-load",
+         "str-reactance", "complex-resistance"])
 def test_hand_built_case_refused_as_the_readers_refuse(ieee9, edit, error,
                                                        message, code):
     fields = edit(ieee9)
     for make in (lambda: replace(ieee9, **fields),
                  lambda: pp.PowerCase(
-                     ieee9.name, ieee9.mva_base,
+                     fields.get("name", ieee9.name),
+                     fields.get("mva_base", ieee9.mva_base),
                      fields.get("buses", ieee9.buses),
                      fields.get("branches", ieee9.branches))):
         with pytest.raises(error) as exc:
@@ -693,6 +737,32 @@ def test_external_ids_follow_the_buses(ieee9):
                    external_ids={1: 1})
     assert case.external_ids[1] == 99 == case.external_id(1)
     assert case.external_ids == {b.index: b.external_id for b in case.buses}
+
+
+# The writer writes each number as its float, so numpy scalars and ints
+# read back equal, and dump the bytes of the floats they equal.
+def test_numpy_numbers_read_back_from_the_dump(ieee9):
+    branches = (replace(ieee9.branches[0], x=np.float32(0.5), tap_ratio=1),
+                *ieee9.branches[1:])
+    floats = replace(ieee9, branches=(replace(
+        branches[0], x=0.5, tap_ratio=1.0), *branches[1:]))
+    case = replace(ieee9, mva_base=np.float64(100.0), branches=branches,
+                   buses=tuple(replace(b, p_load=np.float64(b.p_load))
+                               for b in ieee9.buses))
+    text = pp.dumps_csv_fallback(case)
+    assert text == pp.dumps_csv_fallback(floats)
+    assert replace(pp.parse_csv_fallback(text),
+                   source_checksum=case.source_checksum) == case
+
+
+# A CDF file takes its stem as the case name, which the name rule
+# refuses when it is blank.
+def test_blank_file_stem_refused(tmp_path):
+    path = tmp_path / "  .txt"
+    path.write_text(TWO_BUS_CDF)
+    with pytest.raises(errors.CaseError, match="^case name '  ' is blank$"):
+        pp.load_case(path)
+    assert cli.main(["--case", str(path), "--mode", "count"]) == 5
 
 
 def test_numpy_integer_bus_index_accepted(ieee9):

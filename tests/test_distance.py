@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmuplace as pp
+from pmuplace.distance import _laplacian_part
 from pmuplace.errors import SingularSubmatrix, TieAtThreshold
 from pmuplace.pipeline import RunConfig, run_structure
 from conftest import (BUNDLED, laplacian_from_adjacency,
@@ -80,6 +81,37 @@ def test_branch_without_susceptance_singular_at_flat_point(ieee9):
         run_structure(case, "electrical", cfg, pp.build_ybus(case))
     assert type(exc.value) is SingularSubmatrix
     assert exc.value.exit_code == 6
+
+
+# The distance matrix is affine in d = diag(L⁺) (Klein and Randić,
+# J. Math. Chem. 12, 1993): E = d1ᵀ + 1dᵀ − 2L⁺ for the Laplacian part
+# L of the angle sensitivity, and as L⁺1 = 0 each bus's mean distance is
+# (n·dᵢ + tr L⁺)/(n − 1). So E's first left singular vector lies in
+# span{1, d} and |u₁| tracks the mean distance. Its largest entry is the
+# bus farthest on average at the solved point; at the flat point it is
+# not on IEEE-14.
+@pytest.mark.parametrize("jacobian", ["solved", "flat"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_mean_distance_is_affine_in_the_pseudoinverse_diagonal(
+        cases, name, jacobian):
+    case = cases[name]
+    n, ybus = case.n, pp.build_ybus(case)
+    op = (pp.solve_power_flow(case, ybus) if jacobian == "solved"
+          else pp.flat_point(case))
+    g = pp.p_theta_jacobian(case, op, ybus)
+    lp = np.linalg.pinv(_laplacian_part(g))
+    d = np.diag(lp)
+    e = pp.resistance_matrix(g, case.slack_index).e
+    assert np.abs(d[:, None] + d[None, :] - 2 * lp - e).max() \
+        <= 1e-12 * e.max()
+    mean = e.sum(axis=1) / (n - 1)
+    assert (np.abs(mean - (n * d + np.trace(lp)) / (n - 1)) / mean).max() \
+        <= 1e-12
+    u1 = pp.compute_svd(e).u[:, 0]
+    span, _ = np.linalg.qr(np.column_stack([np.ones(n), d]))
+    assert np.linalg.norm(span.T @ u1) >= 0.999
+    if jacobian == "solved":
+        assert np.argmax(np.abs(u1)) == np.argmax(mean)
 
 
 class TestResistanceMatrix:
