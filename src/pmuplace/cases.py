@@ -181,6 +181,12 @@ def _not_float(value) -> str | None:
     return "is not exactly a float"
 
 
+def _shown(value) -> str:
+    """`value!r`; a numpy real that a float holds reads as that float."""
+    exact = type(value).__module__ == "numpy" and _not_float(value) is None
+    return repr(float(value) if exact else value)
+
+
 def _integer(value) -> bool:
     # A bool would read as bus 0 or 1; numpy integers are fine. A plain
     # int skips the ABC check, which would triple a case's checking time.
@@ -207,11 +213,9 @@ class PowerCase:
                "is not one line" if name.splitlines() != [name] else None)
         if why:
             raise CaseError(f"case name {name!r} {why}")
-        if bad := _bad_number(self, ("mva_base",)):
-            raise CaseError(f"{name}: mva_base {self.mva_base!r} "
-                            f"{bad[2] or 'is not a finite number'}")
-        if self.mva_base < 0:
-            raise CaseError(f"{name}: mva_base {self.mva_base!r} is negative")
+        if (bad := _bad_number(self, ("mva_base",))) or self.mva_base < 0:
+            why = bad[2] or "is not a finite number" if bad else "is negative"
+            raise CaseError(f"{name}: mva_base {_shown(self.mva_base)} {why}")
         ids: dict[int, int] = {}
         seen: set[int] = set()
         slacks = 0
@@ -221,7 +225,7 @@ class PowerCase:
                                 f"{bus.index}, not its position {k}")
             if not _integer(bus.external_id):
                 raise CaseError(f"{name}: buses[{k - 1}] has external id "
-                                f"{bus.external_id!r}, not an integer")
+                                f"{_shown(bus.external_id)}, not an integer")
             if bus.external_id in seen:
                 raise DuplicateBusId(f"{name}: bus {bus.external_id} "
                                      "appears twice")
@@ -355,8 +359,9 @@ def _num(line: str, start: int, end: int, line_no: int, kind=_finite,
     try:
         return kind(text)
     except ValueError as exc:
+        what = "an integer" if kind is int else "a finite number"
         raise MalformedRecord(line_no, f"columns {start + 1}-{end}: "
-                              f"{text!r} is not a finite number") from exc
+                              f"{text!r} is not {what}") from exc
 
 
 _CDF_TYPE_MAP = {0: PQ, 1: PQ, 2: PV, 3: SLACK}
@@ -495,8 +500,10 @@ def _parse_csv_sections(sections: dict[str, list[tuple[int, str]]],
         return MalformedRecord(line_no, detail, sources.get(section, ""))
 
     for required in _BUNDLE_FILES:
-        if required not in sections or not sections[required]:
-            raise MissingSection(f"CSV bundle is missing the {required} table")
+        if not sections.get(required):
+            raise MissingSection(
+                f"CSV bundle is missing the {required} table" if sources
+                else f"CSV document is missing the [{required}] section")
 
     stated = {}
     for line_no, line in sections["case"]:

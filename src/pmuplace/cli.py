@@ -61,8 +61,9 @@ def _print_structure(art, config: RunConfig):
             note = "" if a.rank == 1 else \
                 f"  (deflected from bus {ext(a.intended_bus)}, " \
                 f"entry rank {a.rank})"
+            sigma = art.decomposition.sigma[a.vector_index - 1]
             print(f"  vector {a.vector_index:>3}  |sigma*u| = "
-                  f"{a.magnitude:.6g}  -> bus {ext(a.bus)}{note}")
+                  f"{sigma:.6g}  -> bus {ext(a.bus)}{note}")
         print(f"[{name}] placement buses: "
               f"{[ext(b) for b in art.ranking.buses]}")
     above = art.profile.above_minimum(art.solution.nodes)

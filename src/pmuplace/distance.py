@@ -145,7 +145,7 @@ def electrical_adjacency(dist: ResistanceDistance, m: int) -> BinaryAdjacency:
         if below.size + ties.size > m:
             warnings.warn(
                 f"distance threshold ties at the {m}-th smallest entry "
-                f"({values[chosen[-1]]!r}); keeping index order",
+                f"({float(values[chosen[-1]])!r}); keeping index order",
                 TieAtThreshold, stacklevel=2)
     bits = np.eye(n, dtype=np.int8)
     bits[iu[chosen], ju[chosen]] = 1

@@ -1,11 +1,11 @@
 """Singular-value analysis of network matrices and bus assignment.
 
 The placement rule: decompose the chosen network matrix, rank the left
-singular vectors by the magnitude of the singular-value-scaled columns,
-then walk the ranked vectors assigning each to the bus where it has the
-largest absolute entry. A bus can host only one monitor, so later
-(weaker) vectors fall through to their next-largest entry; the fallback
-recurses to arbitrary depth.
+singular vectors by ||sigma_n u_n||, which unit-norm columns make
+sigma_n, so that the order is the index order; then walk them, putting
+each on the bus where it has the largest absolute entry. A bus can
+host only one monitor, so later (weaker) vectors fall through to their
+next-largest entry; the fallback recurses to arbitrary depth.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class Assignment:
     conflicts (its largest-entry bus)."""
 
     vector_index: int
-    magnitude: float
     bus: int
     rank: int
     intended_bus: int
@@ -74,27 +73,22 @@ def compute_svd(matrix: np.ndarray) -> SingularDecomposition:
     return SingularDecomposition(u=u, sigma=sigma, v=vh.conj().T)
 
 
-def rank_vectors(d: SingularDecomposition, p: int) -> list[tuple[int, float]]:
-    """Top `p` singular vectors, strongest first: the first `p`, as
-    `sigma` is nonincreasing, so equal singular values keep index order.
-    Each comes with its scaled-column magnitude ||sigma_n u_n||.
-
-    Unit-norm columns make the magnitude equal the singular value; the
-    equality is asserted rather than assumed. Ranking by the singular
-    value keeps the rounding of ||u_n|| from reordering equal ones.
-    """
+def rank_vectors(d: SingularDecomposition, p: int) -> list[int]:
+    """Numbers of the `p` strongest singular vectors, strongest first:
+    1..p. Strength ||sigma_n u_n|| is sigma_n, as the columns are unit
+    norm (asserted, not assumed), and `sigma` is nonincreasing, so equal
+    singular values keep index order whatever ||u_n|| rounds to."""
     if not 1 <= p <= d.n:
         raise ValueError(f"budget {p} outside 1..{d.n}")
     magnitudes = d.sigma * np.linalg.norm(d.u, axis=0)
     if not np.allclose(magnitudes, d.sigma, rtol=1e-10, atol=1e-12):
         raise AssertionError("singular-vector columns are not unit norm")
-    return [(n + 1, float(magnitudes[n])) for n in range(p)]
+    return list(range(1, p + 1))
 
 
 def assign_buses(d: SingularDecomposition,
-                 ranked: list[tuple[int, float]]) -> CouplingRanking:
-    """Place one monitor per entry of `ranked`, walking it
-    strongest-first.
+                 ranked: list[int]) -> CouplingRanking:
+    """Place one monitor per vector in `ranked`, strongest first.
 
     Every decision uses absolute entry values, so singular-vector sign
     indeterminacy cannot change the outcome. Within a vector, equal
@@ -103,7 +97,7 @@ def assign_buses(d: SingularDecomposition,
     """
     taken: set[int] = set()
     selected: list[Assignment] = []
-    for vector_index, magnitude in ranked:
+    for vector_index in ranked:
         column = np.abs(d.u[:, vector_index - 1])
         order = np.argsort(-column, kind="stable")
         intended = int(order[0]) + 1
@@ -111,9 +105,6 @@ def assign_buses(d: SingularDecomposition,
             bus = int(entry) + 1
             if bus not in taken:
                 taken.add(bus)
-                selected.append(Assignment(vector_index=vector_index,
-                                           magnitude=magnitude,
-                                           bus=bus, rank=rank,
-                                           intended_bus=intended))
+                selected.append(Assignment(vector_index, bus, rank, intended))
                 break
     return CouplingRanking(selected=tuple(selected))

@@ -143,7 +143,8 @@ class TestCsvFallback:
 
     def test_missing_branch_table(self):
         text = TRIANGLE_CSV.split("[branches]")[0]
-        with pytest.raises(errors.MissingSection):
+        with pytest.raises(errors.MissingSection, match=r"^CSV document is "
+                           r"missing the \[branches\] section$"):
             pp.parse_csv_fallback(text)
 
     def test_unknown_bus_reference(self):
@@ -672,6 +673,8 @@ def _first_branch_edit(**fields):
      "ieee9: buses[1] has external id '2', not an integer", 5),
     (_bus_edit(2, external_id=True), errors.CaseError,
      "ieee9: buses[1] has external id True, not an integer", 5),
+    (_bus_edit(2, external_id=np.float64(2.5)), errors.CaseError,
+     "ieee9: buses[1] has external id 2.5, not an integer", 5),
     (lambda case: {"name": ""}, errors.CaseError,
      "case name '' is blank", 5),
     (lambda case: {"name": "  "}, errors.CaseError,
@@ -686,6 +689,14 @@ def _first_branch_edit(**fields):
      "ieee9: mva_base -100.0 is negative", 5),
     (lambda case: {"mva_base": math.nan}, errors.CaseError,
      "ieee9: mva_base nan is not a finite number", 5),
+    (lambda case: {"mva_base": np.float64(-100.0)}, errors.CaseError,
+     "ieee9: mva_base -100.0 is negative", 5),
+    (lambda case: {"mva_base": np.float64("nan")}, errors.CaseError,
+     "ieee9: mva_base nan is not a finite number", 5),
+    (lambda case: {"mva_base": np.float32(-0.5)}, errors.CaseError,
+     "ieee9: mva_base -0.5 is negative", 5),
+    (lambda case: {"mva_base": Fraction(-1, 3)}, errors.CaseError,
+     "ieee9: mva_base Fraction(-1, 3) is not exactly a float", 5),
     (lambda case: {"mva_base": True}, errors.CaseError,
      "ieee9: mva_base True is not a real number", 5),
     (lambda case: {"mva_base": "100"}, errors.CaseError,
@@ -702,6 +713,8 @@ def _first_branch_edit(**fields):
      "ieee9: bus 5: p_load Fraction(1, 3) is not exactly a float", 5),
     (_bus_edit(5, p_load=2**53 + 1), errors.CaseError,
      "ieee9: bus 5: p_load 9007199254740993 is not exactly a float", 5),
+    (_bus_edit(5, p_load=2**1024), errors.CaseError,
+     f"ieee9: bus 5: p_load {2**1024} is not exactly a float", 5),
     (_first_branch_edit(x="0.1"), errors.InvalidBranch,
      "ieee9: branch 1-4 has x '0.1', which is not a real number", 5),
     (_first_branch_edit(r=1j), errors.InvalidBranch,
@@ -709,10 +722,13 @@ def _first_branch_edit(**fields):
     ids=["two-slacks", "no-slack", "repeated-id", "one-bus", "no-branch",
          "without-branch-1-4", "unknown-type", "nan-angle",
          "nan-pv-voltage", "inf-load", "inf-reactance", "nan-charging",
-         "float-id", "str-id", "bool-id", "empty-name", "blank-name",
-         "two-line-name", "separator-name", "int-name", "negative-base",
-         "nan-base", "bool-base", "str-base", "zero-tap", "str-load",
-         "none-load", "bool-load", "fraction-load", "inexact-int-load",
+         "float-id", "str-id", "bool-id", "numpy-float-id", "empty-name",
+         "blank-name", "two-line-name", "separator-name", "int-name",
+         "negative-base",
+         "nan-base", "numpy-negative-base", "numpy-nan-base",
+         "numpy-float32-base", "fraction-base", "bool-base", "str-base",
+         "zero-tap", "str-load", "none-load", "bool-load", "fraction-load",
+         "inexact-int-load", "overflowing-int-load",
          "str-reactance", "complex-resistance"])
 def test_hand_built_case_refused_as_the_readers_refuse(ieee9, edit, error,
                                                        message, code):
@@ -802,6 +818,12 @@ def _without_branches_csv(tmp_path):
     return bundle
 
 
+def _with_empty_branches_csv(tmp_path):
+    bundle = write_bundle(tmp_path / "bundle", TRIANGLE_CSV)
+    (bundle / "branches.csv").write_text("")
+    return bundle
+
+
 # Each case file the readers refuse, its error and message, and the
 # exit code README gives that error.
 @pytest.mark.parametrize("make, error, message, code", [
@@ -819,6 +841,22 @@ def _without_branches_csv(tmp_path):
     (lambda tmp: write_bundle(tmp / "bundle",
                               TRIANGLE_CSV.split("1,2,0.0")[0]),
      errors.MissingSection, "triangle: a case needs at least 1 branch", 4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace("   2 BUS 2",
+                                                    " 2.0 BUS 2")),
+     errors.MalformedRecord, "line 4: columns 1-4: '2.0' is not an integer",
+     4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace("1  3 1.0000",
+                                                    "1 2. 1.0000")),
+     errors.MalformedRecord, "line 3: columns 25-26: '2.' is not an integer",
+     4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace("   1    2  1",
+                                                    " 1.5    2  1")),
+     errors.MalformedRecord, "line 7: columns 1-4: '1.5' is not an integer",
+     4),
+    (lambda tmp: _cdf_file(tmp, TWO_BUS_CDF.replace("   1    2  1",
+                                                    "   1  2.0  1")),
+     errors.MalformedRecord, "line 7: columns 6-9: '2.0' is not an integer",
+     4),
     (lambda tmp: _bundle(tmp, "2,3,0.0,1.0", "2,2,0.0,1.0"),
      errors.InvalidBranch,
      "triangle: branches.csv line 3: branch 2-2 is a self-loop", 5),
@@ -836,6 +874,8 @@ def _without_branches_csv(tmp_path):
      4),
     (_without_branches_csv, errors.MissingSection, "{}: missing branches.csv",
      4),
+    (_with_empty_branches_csv, errors.MissingSection,
+     "CSV bundle is missing the branches table", 4),
     (lambda tmp: _bundle(tmp, "1,slack,1.0,0.0,0,0,0,0,0,0\n",
                          "1,slack,1.0,0.0,0,0,0,0,0,0\n[note]\n"),
      errors.MalformedRecord, "buses.csv line 3: expected 10 columns, got 1",
@@ -852,9 +892,11 @@ def _without_branches_csv(tmp_path):
     (lambda tmp: _bundle(tmp, "name = triangle", 'name = "  "'),
      errors.MalformedRecord, "case.toml line 1: name is empty", 4)],
     ids=["empty-cdf", "one-bus", "cdf-zero-base", "cdf-minus-zero-base",
-         "header-only-branches", "self-loop", "negative-tap",
+         "header-only-branches", "cdf-float-bus-id", "cdf-float-type-code",
+         "cdf-float-from-bus", "cdf-float-to-bus", "self-loop", "negative-tap",
          "case-line-without-equals", "wrong-header", "wrong-column-count",
-         "bundle-missing-file", "bundle-section-header", "bundle-unknown-key",
+         "bundle-missing-file", "bundle-empty-branches",
+         "bundle-section-header", "bundle-unknown-key",
          "bundle-repeated-key", "bundle-empty-name", "bundle-blank-name"])
 def test_rejected_case_file(tmp_path, capsys, make, error, message, code):
     path = make(tmp_path)

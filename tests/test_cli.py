@@ -357,6 +357,38 @@ class TestExitCodes:
         assert "dump_distance" in capsys.readouterr().err
         assert not target.exists()
 
+    # A kernel that fails inside the SVD is a DecompositionError, not a
+    # bare numpy exception.
+    def test_svd_failure_is_decomposition_error(self, monkeypatch, capsys):
+        def diverge(matrix):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", diverge)
+        assert run_cli("--case", str(DATA / "ieee9.txt")) == 9
+        assert capsys.readouterr().err == \
+            "error: SVD failed to converge: SVD did not converge\n"
+
+    # A cover search that finds no cover at the optimal count, or a
+    # witness that leaves a bus unobserved, is a solver bug: Infeasible.
+    def test_witness_without_a_cover_is_infeasible(self, monkeypatch,
+                                                   capsys):
+        real = pp.cover.optimal_count
+        monkeypatch.setattr(pp.cover, "optimal_count",
+                            lambda inst: real(inst) - 1)
+        assert run_cli("--case", str(DATA / "ieee9.txt")) == 8
+        assert capsys.readouterr().err == \
+            "error: internal error: optimal witness extraction failed\n"
+
+    def test_witness_that_is_no_cover_is_infeasible(self, monkeypatch,
+                                                    capsys):
+        # the first cover less its lowest bus
+        real = pp.CoverInstance.first_cover
+        monkeypatch.setattr(pp.CoverInstance, "first_cover",
+                            lambda *args: (c := real(*args)) & (c - 1))
+        assert run_cli("--case", str(DATA / "ieee9.txt")) == 8
+        assert capsys.readouterr().err == \
+            "error: solution leaves buses unobserved\n"
+
 
 # Each failure class's exit status; a new class must be added here.
 EXIT_CODES = {

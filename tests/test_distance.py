@@ -220,7 +220,7 @@ def test_pair_order_matches_lexsort(data):
     if tie:
         assert str(caught[0].message) == (
             f"distance threshold ties at the {m}-th smallest entry "
-            f"({values[order[m - 1]]!r}); keeping index order")
+            f"({float(values[order[m - 1]])!r}); keeping index order")
 
 
 @pytest.mark.parametrize("values, m, named", [
@@ -237,7 +237,7 @@ def test_tie_warning_names_signed_zero(values, m, named):
     e[iu, ju] = e[ju, iu] = values
     with pytest.warns(TieAtThreshold) as caught:
         pp.electrical_adjacency(pp.ResistanceDistance(e), m)
-    assert f"entry ({np.float64(named)!r});" in str(caught[0].message)
+    assert f"entry ({named!r});" in str(caught[0].message)
 
 
 class TestVerifyMetric:

@@ -65,25 +65,25 @@ class TestRankVectors:
         u = np.eye(4)
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([5.0, 2.0, 2.0, 1.0]), v=u)
-        ranked = pp.rank_vectors(d, 2)
-        assert [n for n, _ in ranked] == [1, 2]
+        assert pp.rank_vectors(d, 2) == [1, 2]
 
     def test_equal_sigma_ignores_norm_rounding(self):
         # ||u_2|| rounds one ulp above ||u_1||; the singular values tie
         u = np.diag([1.0, 1.0 + 2.0 ** -52])
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([1.0, 1.0]), v=u)
-        assert [n for n, _ in pp.rank_vectors(d, 2)] == [1, 2]
+        assert pp.rank_vectors(d, 2) == [1, 2]
 
     def test_full_budget_keeps_sigma_order(self, nine_bus_distance):
         d = pp.compute_svd(nine_bus_distance)
-        ranked = pp.rank_vectors(d, d.n)
-        assert [n for n, _ in ranked] == list(range(1, d.n + 1))
+        assert pp.rank_vectors(d, d.n) == list(range(1, d.n + 1))
 
-    def test_magnitude_equals_singular_value(self, nine_bus_distance):
-        d = pp.compute_svd(nine_bus_distance)
-        for n, magnitude in pp.rank_vectors(d, 4):
-            assert magnitude == pytest.approx(d.sigma[n - 1])
+    def test_columns_not_unit_norm_rejected(self):
+        u = np.diag([1.0, 2.0])
+        d = pp.SingularDecomposition(
+            u=u, sigma=np.array([2.0, 1.0]), v=u)
+        with pytest.raises(AssertionError, match="not unit norm"):
+            pp.rank_vectors(d, 1)
 
     def test_budget_bounds(self, nine_bus_distance):
         d = pp.compute_svd(nine_bus_distance)
@@ -107,7 +107,7 @@ class TestAssignBuses:
         # orthonormality is irrelevant for the assignment rule itself
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([3.0, 2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)])
+        ranking = pp.assign_buses(d, [1, 2, 3])
         first, second, third = ranking.selected
         assert (first.bus, first.rank) == (1, 1)
         assert (second.bus, second.rank) == (2, 2)  # bus 1 already taken
@@ -119,7 +119,7 @@ class TestAssignBuses:
         u = np.tile(np.array([[0.8], [0.5], [0.3]]), (1, 3))
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([3.0, 2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 3.0), (2, 2.0), (3, 1.0)])
+        ranking = pp.assign_buses(d, [1, 2, 3])
         assert ranking.buses == (1, 2, 3)
         assert [a.rank for a in ranking.selected] == [1, 2, 3]
 
@@ -127,7 +127,7 @@ class TestAssignBuses:
         u = np.array([[0.5, 1.0], [0.5, 0.0]])
         d = pp.SingularDecomposition(
             u=u, sigma=np.array([2.0, 1.0]), v=u)
-        ranking = pp.assign_buses(d, [(1, 2.0), (2, 1.0)])
+        ranking = pp.assign_buses(d, [1, 2])
         assert ranking.selected[0].bus == 1
 
     def test_distinct_buses_always(self, nine_bus_distance):
@@ -149,11 +149,11 @@ class TestAssignBuses:
         # on conflict the stronger vector keeps the bus
         d = pp.compute_svd(nine_bus_distance)
         ranking = pp.assign_buses(d, pp.rank_vectors(d, d.n))
-        magnitudes = {a.vector_index: a.magnitude for a in ranking.selected}
         for a in ranking.conflicts:
             holder = next(b for b in ranking.selected
                           if b.bus == a.intended_bus)
-            assert magnitudes[holder.vector_index] >= a.magnitude
+            assert d.sigma[holder.vector_index - 1] \
+                >= d.sigma[a.vector_index - 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,5 +168,5 @@ def test_random_matrices_invariants(seed, n):
     p = int(rng.integers(1, n + 1))
     ranking = pp.assign_buses(d, pp.rank_vectors(d, p))
     assert len(set(a.bus for a in ranking.selected)) == p
-    mags = [a.magnitude for a in ranking.selected]
-    assert mags == sorted(mags, reverse=True)
+    sigmas = [d.sigma[a.vector_index - 1] for a in ranking.selected]
+    assert sigmas == sorted(sigmas, reverse=True)
